@@ -20,7 +20,7 @@ from .assembly import SchemeSpec, assemble, cell_means, energy_functional
 from .errors import ClusterError, ConfigError, GridError, SolverError, StokesFVError
 from .fields import _fmt, write_scalar_csv, write_vector_csv
 from .grid import build_uniform, cluster_regularity, make_clusters, parse_grid_config
-from .solver import schur_smallest_eigen, solve
+from .solver import BACKENDS, schur_smallest_eigen, solve
 from .verify import CASES
 
 _SCHEMES = assembly.SCHEME_KINDS
@@ -122,6 +122,8 @@ def cmd_solve(args) -> int:
     quad = int(_setting(args, cfg, "quad", 3))
     tol = float(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)))
     backend = str(_setting(args, cfg, "backend", _setting(args, cfg, "solver.backend", "splu")))
+    if backend not in BACKENDS:
+        raise ConfigError(f"unknown solver backend {backend!r}; choose from {BACKENDS}")
     out = _out_dir(args, cfg)
 
     f_cells = cell_means(case.forcing, grid, quad)
@@ -149,6 +151,7 @@ def cmd_solve(args) -> int:
         summary += [("energy_velocity_sq", energy_u), ("energy_stab_sq", energy_stab)]
         write_vector_csv(report.u, out / "u.csv")
         write_scalar_csv(report.p, out / "p.csv")
+    summary += [(key, report.stats.get(key, "")) for key in ("factor_nnz", "fill_factor")]
     _write_summary(out / "summary.csv", summary)
 
     if report.singular:
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--scheme", choices=_SCHEMES)
     p_solve.add_argument("--lambda", dest="lam", type=float, help="stabilization strength")
     p_solve.add_argument("--case", choices=sorted(CASES))
-    p_solve.add_argument("--backend", choices=("splu", "spsolve"))
+    p_solve.add_argument("--backend", choices=BACKENDS)
     p_solve.add_argument("--dump-system", action="store_true", help="export MatrixMarket + rhs")
     p_solve.set_defaults(fn=cmd_solve)
 

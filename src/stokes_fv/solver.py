@@ -1,7 +1,14 @@
-"""Direct solution of the assembled saddle systems and spectral probes."""
+"""Direct solution of the assembled saddle systems and spectral probes.
+
+`solve` factors the saddle block with the first pressure dof pinned instead
+of the bordered matrix: the dense zero-mean multiplier row and column ruin
+the fill-reducing ordering.  The zero mean and the multiplier are recovered
+afterwards, and the residual is measured on the full bordered system.
+"""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +20,9 @@ from .errors import SolverError
 from .fields import ScalarField, VectorField, zero_mean_project
 from .assembly import NATURAL, SaddleSystem
 from .operators import array_to_vector_field
+
+# Sparse direct factorizations `solve` accepts.
+BACKENDS = ("splu",)
 
 
 @dataclass
@@ -29,13 +39,30 @@ class SolveReport:
     stats: dict = field(default_factory=dict)
 
 
-def _rcond_estimate(matrix: sp.csc_matrix, lu) -> float:
-    norm1 = float(abs(matrix).sum(axis=0).max())
+def _zero_mean_solve(lu, v: np.ndarray, pin: int, w: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Apply the zero-mean solution operator of the unbordered saddle block.
+
+    The part of the pressure data along `w` is removed first (the
+    multiplier carries it), so the pressure data sums to zero.  `lu`, the
+    factor of the block with pressure dof `pin` pinned to zero and its
+    implied equation dropped, solves the rest, and the pressure is then
+    shifted to zero `w`-weighted mean.  With `trans="T"` this applies the
+    adjoint operator.
+    """
+    b = np.ravel(v).copy()
+    b[pin:] -= w * (b[pin:].sum() / w.sum())
+    x = np.insert(lu.solve(np.delete(b, pin), trans=trans), pin, 0.0)
+    x[pin:] -= (w @ x[pin:]) / w.sum()
+    return x
+
+
+def _rcond_estimate(block: sp.csc_matrix, lu, pin: int, w: np.ndarray) -> float:
+    norm1 = float(abs(block).sum(axis=0).max())
     inv_op = spla.LinearOperator(
-        matrix.shape,
-        matvec=lu.solve,
-        rmatvec=lambda b: lu.solve(b, trans="T"),
-        dtype=matrix.dtype,
+        block.shape,
+        matvec=lambda b: _zero_mean_solve(lu, b, pin, w),
+        rmatvec=lambda b: _zero_mean_solve(lu, b, pin, w, trans="T"),
+        dtype=block.dtype,
     )
     inv_norm1 = float(spla.onenormest(inv_op))
     if norm1 == 0.0 or inv_norm1 == 0.0:
@@ -51,20 +78,36 @@ def solve(
 ) -> SolveReport:
     """Solve the saddle system by sparse direct factorization.
 
+    The bordered `system.matrix` is not factored.  The unbordered block
+    [[A, G], [B, C]] determines the pressure up to a constant (1^T B = 0 and
+    C 1 = 0, so its pressure rows sum to zero), so the first pressure dof is
+    pinned to zero, its implied equation is dropped, and the remaining block
+    is factored by `splu` (COLAMD ordering, partial pivoting) and refined
+    once.  The pressure is then shifted to zero area-weighted mean and the
+    multiplier recovered from the full pressure rows; the relative residual
+    is measured against the full bordered `system.matrix`.  `backend` must
+    be "splu".
+
     The returned pressure has exactly zero area-weighted mean.  The report
     is flagged singular when the factorization fails, when the reciprocal
-    condition estimate falls below `rcond_floor`, or when the system was
-    assembled from the unstabilized cell-pressure scheme, whose checkerboard
-    pressure mode loses control under refinement and must be surfaced rather
-    than silently solved.  A flagged system may still carry the factored
-    solution when one exists.
+    condition estimate of the zero-mean solution operator falls below
+    `rcond_floor`, or when the system was assembled from the unstabilized
+    cell-pressure scheme, whose checkerboard pressure mode loses control
+    under refinement and must be surfaced rather than silently solved.  A
+    flagged system may still carry the factored solution when one exists.
     """
     if tol <= 0:
         raise SolverError("tolerance must be positive")
-    if backend not in ("splu", "spsolve"):
+    if backend not in BACKENDS:
         raise SolverError(f"unknown backend {backend!r}")
     matrix = system.matrix.tocsc()
     rhs = system.rhs
+    pin = system.n_velocity  # first pressure dof
+    m = pin + system.n_p  # size of the unbordered block
+    w = system.mean_weights
+    block = matrix[:m, :m]
+    keep = np.delete(np.arange(m), pin)
+    pinned = block[keep][:, keep].tocsc()
 
     singular = False
     reason = None
@@ -72,17 +115,18 @@ def solve(
     stats: dict = {"backend": backend}
     x = None
     try:
-        if backend == "splu":
-            lu = spla.splu(matrix)
-            x = lu.solve(rhs)
-            rcond = _rcond_estimate(matrix, lu)
-            stats["factor_nnz"] = int(lu.L.nnz + lu.U.nnz)
-            stats["fill_factor"] = float((lu.L.nnz + lu.U.nnz) / max(matrix.nnz, 1))
-            # one step of iterative refinement
-            r = rhs - matrix @ x
-            x = x + lu.solve(r)
-        else:
-            x = spla.spsolve(matrix, rhs)
+        t0 = time.perf_counter()
+        lu = spla.splu(pinned)
+        stats["factor_s"] = time.perf_counter() - t0
+        stats["factor_nnz"] = int(lu.L.nnz + lu.U.nnz)
+        stats["fill_factor"] = float(stats["factor_nnz"] / max(matrix.nnz, 1))
+        b = rhs[:m]
+        x = _zero_mean_solve(lu, b, pin, w)
+        # one step of iterative refinement
+        x = x + _zero_mean_solve(lu, b - block @ x, pin, w)
+        t0 = time.perf_counter()
+        rcond = _rcond_estimate(block, lu, pin, w)
+        stats["rcond_s"] = time.perf_counter() - t0
     except RuntimeError as err:
         singular = True
         reason = f"factorization failed: {err}"
@@ -110,6 +154,12 @@ def solve(
     if x is None:
         return SolveReport(None, None, float("nan"), float("inf"), True, reason, rcond, stats)
 
+    # the mean constraint row, then the multiplier from the pressure rows
+    x[pin:] += rhs[-1] / w.sum()
+    r_p = (b - block @ x)[pin:]
+    multiplier = float(w @ r_p / (w @ w))
+    x = np.append(x, multiplier)
+
     res = rhs - matrix @ x
     rhs_norm = float(np.linalg.norm(rhs))
     residual = float(np.linalg.norm(res)) / (rhs_norm if rhs_norm > 0 else 1.0)
@@ -117,10 +167,8 @@ def solve(
         singular = True
         reason = f"relative residual {residual:.2e} above tolerance {tol:.0e}"
 
-    n = system.grid.n_cells
-    u = array_to_vector_field(system.grid, x[: 2 * n])
-    p = zero_mean_project(system.cell_pressure(x[2 * n : 2 * n + system.n_p]))
-    multiplier = float(x[-1])
+    u = array_to_vector_field(system.grid, x[:pin])
+    p = zero_mean_project(system.cell_pressure(x[pin:m]))
     return SolveReport(u, p, multiplier, residual, singular, reason, rcond, stats)
 
 

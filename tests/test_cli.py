@@ -40,6 +40,8 @@ def test_solve_writes_artifacts(tmp_path):
     assert summary["scheme"] == "bp"
     assert float(summary["residual_norm"]) < 1e-10
     assert summary["singular"] == "False"
+    assert [r[0] for r in rows[-2:]] == ["factor_nnz", "fill_factor"]
+    assert int(summary["factor_nnz"]) > 0 and float(summary["fill_factor"]) > 1
 
 
 def test_solve_natural_exits_numerical_failure(tmp_path):
@@ -201,6 +203,17 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["solve", "--config", str(cfg), "--n", "8", "--out", str(out_b)]) == 0
     assert dict(read_csv(out_b / "summary.csv")[1:])["nx"] == "8"
     assert dict(read_csv(out_a / "summary.csv")[1:])["nx"] == "4"
+
+
+def test_unknown_backend_in_config_is_config_error(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        json.dumps({"scheme": "bp", "lambda": 0.05, "n": "4", "solver": {"backend": "spsolve"}})
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    # rejected before anything is assembled or written
+    assert not out.exists()
 
 
 def test_env_var_default_out(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -69,14 +70,6 @@ def test_solve_superposition_linear_in_f():
     )
 
 
-def test_backend_spsolve_matches_splu():
-    g = build_uniform(4)
-    system = assemble(SchemeSpec("bp", 0.1), g, CASES["ms1"].forcing)
-    a = solve(system, backend="splu")
-    b = solve(system, backend="spsolve")
-    np.testing.assert_allclose(a.u.values, b.u.values, rtol=1e-10, atol=1e-13)
-
-
 def test_bad_tolerance_rejected():
     g = build_uniform(4)
     system = assemble(SchemeSpec("bp", 0.1), g, CASES["ms1"].forcing)
@@ -84,16 +77,81 @@ def test_bad_tolerance_rejected():
         solve(system, tol=0.0)
     with pytest.raises(SolverError):
         solve(system, backend="mystery")
+    with pytest.raises(SolverError):
+        solve(system, backend="spsolve")
 
 
-# -- Schur spectrum ------------------------------------------------------------
+# -- pinned-pressure factorization ---------------------------------------------
 
-def _system(kind, n, lam=None):
+def _system(kind, n, lam=None, forcing=lambda x, y: (0 * x, 0 * y)):
     g = build_uniform(n)
     part = make_clusters(g) if kind in ("cluster", "cluster-constant") else None
     spec = SchemeSpec(kind, lam, part)
-    return assemble(spec, g, lambda x, y: (0 * x, 0 * y), quad_order=1)
+    return assemble(spec, g, forcing, quad_order=1)
 
+
+_KINDS = ("bp", "cluster", "cluster-constant", "natural")
+
+
+def _ms1_system(kind, n):
+    return _system(kind, n, {"bp": 0.05, "cluster": 1.0}.get(kind), CASES["ms1"].forcing)
+
+
+@pytest.mark.parametrize("rhs", ["assembled", "random"])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_matches_dense_bordered_solve(kind, rhs):
+    system = _ms1_system(kind, 8)
+    if rhs == "random":
+        # nonzero mass-balance and mean-constraint data give a nonzero multiplier
+        system = dataclasses.replace(
+            system, rhs=np.random.default_rng(7).standard_normal(system.rhs.size)
+        )
+    x = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    report = solve(system)
+    # 1e-12 relative to the solution's size (random data makes it large)
+    atol = 1e-12 * max(1.0, np.abs(x).max())
+    n2, m = system.n_velocity, system.n_velocity + system.n_p
+    np.testing.assert_allclose(report.u.values.T.ravel(), x[:n2], rtol=0, atol=atol)
+    p_dense = system.cell_pressure(x[n2:m]).values
+    # the returned field has zero mean; the data's mean is added back
+    shift = system.rhs[-1] / system.mean_weights.sum()
+    np.testing.assert_allclose(report.p.values + shift, p_dense, rtol=0, atol=atol)
+    assert report.multiplier == pytest.approx(x[-1], abs=atol)
+    if rhs == "random":
+        assert abs(x[-1]) > 1e-3
+    assert report.residual_norm <= 1e-12
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_rcond_estimate_tracks_dense_bordered_condition(kind):
+    system = _ms1_system(kind, 16)
+    dense = 1.0 / np.linalg.cond(system.matrix.toarray(), 1)
+    report = solve(system)
+    assert dense / 3 <= report.rcond_est <= 3 * dense
+
+
+def test_pinned_factor_fill():
+    system = _ms1_system("cluster", 64)
+    report = solve(system)
+    assert not report.singular
+    assert report.stats["fill_factor"] < 30
+    # the fill stays relative to the full bordered matrix
+    assert report.stats["factor_nnz"] == pytest.approx(
+        report.stats["fill_factor"] * system.matrix.nnz
+    )
+    assert report.stats["factor_s"] > 0 and report.stats["rcond_s"] > 0
+
+
+def test_single_cluster_empty_pinned_pressure_block():
+    system = _ms1_system("cluster-constant", 2)
+    assert system.n_p == 1
+    report = solve(system)
+    assert not report.singular
+    assert np.all(report.p.values == 0.0)
+    assert report.residual_norm <= 1e-10
+
+
+# -- Schur spectrum ------------------------------------------------------------
 
 def test_schur_cluster_constant_bounded():
     betas = []
