@@ -74,63 +74,48 @@ class Grid:
 
     def _build_edges(self, cx, cy):
         nx, ny = self.nx, self.ny
-        dx, dy = self.dx, self.dy
+        dx, dy, xs, ys = self.dx, self.dy, self.xs, self.ys
+        cells = np.arange(self.n_cells).reshape(ny, nx)  # cells[j, i] = j*nx + i
 
-        def idx(i, j):
-            return j * nx + i
+        # Four edge families, each a 2D block raveled in C order:
+        #   vertical interior (normal +x) between columns i and i+1, i outer;
+        #   horizontal interior (normal +y) between rows j and j+1, j outer;
+        #   left/right boundary interleaved per row j;
+        #   bottom/top boundary interleaved per column i.
+        # The order is part of the contract: assembly sums duplicate COO
+        # entries in edge order, so it fixes the assembled matrices bitwise.
+        shapes = ((nx - 1, ny), (ny - 1, nx), (ny, 2), (nx, 2))
 
-        ks, ls, nxs, nys, lens, dists, wks, ecx, ecy = ([] for _ in range(9))
+        def cat(vertical, horizontal, left_right, bottom_top):
+            parts = (vertical, horizontal, left_right, bottom_top)
+            return np.concatenate(
+                [np.broadcast_to(p, s).ravel() for p, s in zip(parts, shapes)]
+            )
 
-        def add(k, l, n, length, dist, wk, center):
-            ks.append(k)
-            ls.append(l)
-            nxs.append(n[0])
-            nys.append(n[1])
-            lens.append(length)
-            dists.append(dist)
-            wks.append(wk)
-            ecx.append(center[0])
-            ecy.append(center[1])
-
-        # vertical interior edges (normal +x), between columns i and i+1
-        for i in range(nx - 1):
-            for j in range(ny):
-                add(
-                    idx(i, j),
-                    idx(i + 1, j),
-                    (1.0, 0.0),
-                    dy[j],
-                    cx[i + 1] - cx[i],
-                    dx[i] / (dx[i] + dx[i + 1]),
-                    (self.xs[i + 1], cy[j]),
-                )
-        # horizontal interior edges (normal +y)
-        for j in range(ny - 1):
-            for i in range(nx):
-                add(
-                    idx(i, j),
-                    idx(i, j + 1),
-                    (0.0, 1.0),
-                    dx[i],
-                    cy[j + 1] - cy[j],
-                    dy[j] / (dy[j] + dy[j + 1]),
-                    (cx[i], self.ys[j + 1]),
-                )
-        # boundary edges, outward normals
-        for j in range(ny):
-            add(idx(0, j), -1, (-1.0, 0.0), dy[j], dx[0] / 2.0, 0.0, (self.xs[0], cy[j]))
-            add(idx(nx - 1, j), -1, (1.0, 0.0), dy[j], dx[-1] / 2.0, 0.0, (self.xs[-1], cy[j]))
-        for i in range(nx):
-            add(idx(i, 0), -1, (0.0, -1.0), dx[i], dy[0] / 2.0, 0.0, (cx[i], self.ys[0]))
-            add(idx(i, ny - 1), -1, (0.0, 1.0), dx[i], dy[-1] / 2.0, 0.0, (cx[i], self.ys[-1]))
-
-        self.edge_cell_k = np.array(ks, dtype=int)
-        self.edge_cell_l = np.array(ls, dtype=int)
-        self.edge_normal = np.column_stack([nxs, nys]).astype(float)
-        self.edge_length = np.array(lens, dtype=float)
-        self.edge_dist = np.array(dists, dtype=float)
-        self.edge_weight_k = np.array(wks, dtype=float)
-        self.edge_center = np.column_stack([ecx, ecy]).astype(float)
+        self.edge_cell_k = cat(cells[:, :-1].T, cells[:-1, :], cells[:, [0, -1]], cells[[0, -1], :].T)
+        self.edge_cell_l = cat(cells[:, 1:].T, cells[1:, :], -1, -1)
+        self.edge_normal = np.column_stack(
+            [cat(1.0, 0.0, [-1.0, 1.0], 0.0), cat(0.0, 1.0, 0.0, [-1.0, 1.0])]
+        )
+        self.edge_length = cat(dy[None, :], dx[None, :], dy[:, None], dx[:, None])
+        self.edge_dist = cat(
+            (cx[1:] - cx[:-1])[:, None],
+            (cy[1:] - cy[:-1])[:, None],
+            [dx[0] / 2.0, dx[-1] / 2.0],
+            [dy[0] / 2.0, dy[-1] / 2.0],
+        )
+        self.edge_weight_k = cat(
+            (dx[:-1] / (dx[:-1] + dx[1:]))[:, None],
+            (dy[:-1] / (dy[:-1] + dy[1:]))[:, None],
+            0.0,
+            0.0,
+        )
+        self.edge_center = np.column_stack(
+            [
+                cat(xs[1:-1, None], cx[None, :], [xs[0], xs[-1]], cx[:, None]),
+                cat(cy[None, :], ys[1:-1, None], cy[:, None], [ys[0], ys[-1]]),
+            ]
+        )
         self.n_edges = self.edge_cell_k.size
         interior = self.edge_cell_l >= 0
         self.interior_mask = interior
@@ -138,9 +123,6 @@ class Grid:
         self.boundary_edges = np.flatnonzero(~interior)
 
     # -- small accessors matching the per-entity vocabulary ---------------
-
-    def cell_index(self, i: int, j: int) -> int:
-        return j * self.nx + i
 
     def cell_center(self, k: int):
         return tuple(self.cell_centers[k])
@@ -186,9 +168,8 @@ class ClusterPartition:
         j = grid.cell_ij[:, 1]
         self.cluster_of = (j // 2) * ncx + (i // 2)
 
-        self.members = np.empty((self.n_clusters, 4), dtype=int)
-        for g in range(self.n_clusters):
-            self.members[g] = np.flatnonzero(self.cluster_of == g)
+        # cells of each cluster in ascending index order
+        self.members = np.argsort(self.cluster_of, kind="stable").reshape(-1, 4)
 
         k = grid.edge_cell_k
         l = grid.edge_cell_l
@@ -198,8 +179,9 @@ class ClusterPartition:
         self.intra_edge_mask = interior & same
         self.cross_edge_mask = interior & ~same
 
-        self.cluster_areas = np.zeros(self.n_clusters)
-        np.add.at(self.cluster_areas, self.cluster_of, grid.cell_areas)
+        self.cluster_areas = np.bincount(
+            self.cluster_of, weights=grid.cell_areas, minlength=self.n_clusters
+        )
 
     def members_of(self, g: int):
         return self.members[g]
@@ -236,29 +218,23 @@ def cluster_regularity(grid: Grid, partition: ClusterPartition) -> float:
     """
     if partition.grid is not grid and not partition.grid.same_mesh(grid):
         raise ClusterError("partition belongs to a different grid")
-    normals_per_cell: dict[int, list] = {}
-    for e in grid.interior_edges:
-        k = grid.edge_cell_k[e]
-        l = grid.edge_cell_l[e]
-        if partition.cluster_of[k] == partition.cluster_of[l]:
-            continue
-        n = grid.edge_normal[e]
-        normals_per_cell.setdefault(k, []).append(n)
-        normals_per_cell.setdefault(l, []).append(-n)
-    if not normals_per_cell:
+    cross = partition.cross_edge_mask
+    cells = np.concatenate([grid.edge_cell_k[cross], grid.edge_cell_l[cross]])
+    if cells.size == 0:
         return math.inf
-    worst = math.inf
-    for normals in normals_per_cell.values():
-        worst = min(worst, min_direction_strength(normals))
-    return worst
-
-def min_direction_strength(normals) -> float:
-    """Squared smallest singular value of the 2-by-m matrix of column normals."""
-    mat = np.array(normals, dtype=float).T  # 2 x m
-    if mat.shape[1] > 2:
-        return 0.0  # wide matrix, nontrivial kernel
-    s = np.linalg.svd(mat, compute_uv=False)
-    return float(s.min() ** 2)
+    m = np.bincount(cells, minlength=grid.n_cells)
+    normals = np.tile(grid.edge_normal[cross], (2, 1))
+    # Gram matrix N N^T of each cell's 2-by-m normal matrix; the sign of a
+    # normal (k-to-l or l-to-k) drops out of n n^T
+    gram = np.zeros((grid.n_cells, 2, 2))
+    np.add.at(gram, cells, normals[:, :, None] * normals[:, None, :])
+    a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    # squared singular values of N are the eigenvalues of N N^T; with one
+    # column, N has the single singular value |n|
+    smallest = np.where(
+        m == 1, a + c, 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    )
+    return float(smallest[m > 0].min())
 
 
 _UNIFORM_RE = re.compile(r"^\s*uniform\s+n\s*=\s*(\d+)\s*$")

@@ -1,10 +1,17 @@
-"""Independent dense assembly of the uniform-grid schemes.
+"""Independent loop references for the production code.
 
-Loops over cells with explicit (i, j) neighbour indexing and writes the
-textbook cell-update formulas of the collocated schemes straight into dense
-arrays.  Shares nothing with the sparse edge-based assembly beyond the grid
-coordinates; used to cross-check the production assembly entrywise.
+`dense_assemble_uniform` loops over cells with explicit (i, j) neighbour
+indexing and writes the textbook cell-update formulas of the collocated
+schemes straight into dense arrays.  It shares nothing with the sparse
+edge-based assembly beyond the grid coordinates; used to cross-check the
+production assembly entrywise.
+
+`loop_edges`, `loop_members` and `loop_cluster_regularity` are per-entity
+loop versions of the grid's array-built edge table, cluster members and
+cluster regularity criterion.
 """
+
+import math
 
 import numpy as np
 
@@ -101,3 +108,80 @@ def dense_rhs_uniform(n, f_cells):
     rhs[:nc] = h * h * f_cells[:, 0]
     rhs[nc : 2 * nc] = h * h * f_cells[:, 1]
     return rhs
+
+
+def loop_edges(xs, ys):
+    """Edge table of the tensor grid on coordinate lines xs, ys, one edge at a
+    time: vertical interior (i outer), horizontal interior (j outer),
+    left/right boundary per row, bottom/top boundary per column.
+
+    Returns a dict with the grid's edge attribute names as keys.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    nx, ny = xs.size - 1, ys.size - 1
+    dx, dy = np.diff(xs), np.diff(ys)
+    cx = 0.5 * (xs[:-1] + xs[1:])
+    cy = 0.5 * (ys[:-1] + ys[1:])
+
+    def idx(i, j):
+        return j * nx + i
+
+    rows = []
+    for i in range(nx - 1):
+        for j in range(ny):
+            rows.append((idx(i, j), idx(i + 1, j), (1.0, 0.0), dy[j], cx[i + 1] - cx[i],
+                         dx[i] / (dx[i] + dx[i + 1]), (xs[i + 1], cy[j])))
+    for j in range(ny - 1):
+        for i in range(nx):
+            rows.append((idx(i, j), idx(i, j + 1), (0.0, 1.0), dx[i], cy[j + 1] - cy[j],
+                         dy[j] / (dy[j] + dy[j + 1]), (cx[i], ys[j + 1])))
+    for j in range(ny):
+        rows.append((idx(0, j), -1, (-1.0, 0.0), dy[j], dx[0] / 2.0, 0.0, (xs[0], cy[j])))
+        rows.append((idx(nx - 1, j), -1, (1.0, 0.0), dy[j], dx[-1] / 2.0, 0.0, (xs[-1], cy[j])))
+    for i in range(nx):
+        rows.append((idx(i, 0), -1, (0.0, -1.0), dx[i], dy[0] / 2.0, 0.0, (cx[i], ys[0])))
+        rows.append((idx(i, ny - 1), -1, (0.0, 1.0), dx[i], dy[-1] / 2.0, 0.0, (cx[i], ys[-1])))
+
+    k, l, normal, length, dist, wk, center = zip(*rows)
+    return {
+        "edge_cell_k": np.array(k, dtype=int),
+        "edge_cell_l": np.array(l, dtype=int),
+        "edge_normal": np.array(normal, dtype=float),
+        "edge_length": np.array(length, dtype=float),
+        "edge_dist": np.array(dist, dtype=float),
+        "edge_weight_k": np.array(wk, dtype=float),
+        "edge_center": np.array(center, dtype=float),
+    }
+
+
+def loop_members(partition):
+    """(n_clusters, 4) cell indices of each cluster, one cluster at a time."""
+    members = np.empty((partition.n_clusters, 4), dtype=int)
+    for g in range(partition.n_clusters):
+        members[g] = np.flatnonzero(partition.cluster_of == g)
+    return members
+
+
+def min_direction_strength(normals) -> float:
+    """Squared smallest singular value of the 2-by-m matrix of column normals."""
+    mat = np.array(normals, dtype=float).T  # 2 x m
+    s = np.linalg.svd(mat, compute_uv=False)
+    return float(s.min() ** 2)
+
+
+def loop_cluster_regularity(grid, partition) -> float:
+    """Cluster regularity from a per-cell list of out-of-cluster normals."""
+    normals_per_cell = {}
+    for e in grid.interior_edges:
+        k = grid.edge_cell_k[e]
+        l = grid.edge_cell_l[e]
+        if partition.cluster_of[k] == partition.cluster_of[l]:
+            continue
+        n = grid.edge_normal[e]
+        normals_per_cell.setdefault(k, []).append(n)
+        normals_per_cell.setdefault(l, []).append(-n)
+    worst = math.inf
+    for normals in normals_per_cell.values():
+        worst = min(worst, min_direction_strength(normals))
+    return worst

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from stokes_fv import (
     split_seminorms,
     zero_mean_project,
 )
-from stokes_fv.fields import read_scalar_csv, read_vector_csv, write_scalar_csv, write_vector_csv
+from stokes_fv import fields
+from stokes_fv.fields import _fmt, read_scalar_csv, read_vector_csv, write_scalar_csv, write_vector_csv
 from stokes_fv.verify import checkerboard_field
 
 
@@ -181,3 +183,68 @@ def test_csv_round_trip(tmp_path, rng):
     v = VectorField(g, rng.standard_normal((g.n_cells, 2)))
     write_vector_csv(v, tmp_path / "v.csv")
     np.testing.assert_array_equal(read_vector_csv(g, tmp_path / "v.csv").values, v.values)
+
+
+def test_csv_writers_match_csv_module_bytes(tmp_path, monkeypatch):
+    g = build_uniform(2)
+    # rows are written in blocks; make the four rows span two of them
+    monkeypatch.setattr(fields, "_CSV_BLOCK_ROWS", 3)
+    vals = np.array([-0.0, 5e-324, 1e300, 1.0])
+    write_scalar_csv(ScalarField(g, vals), tmp_path / "s.csv")
+    write_vector_csv(VectorField(g, np.column_stack([vals, vals[::-1]])), tmp_path / "v.csv")
+
+    def reference(header, columns):
+        path = tmp_path / "ref.csv"
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(header)
+            for k in range(g.n_cells):
+                i, j = g.cell_ij[k]
+                out.writerow([i, j] + [_fmt(c[k]) for c in columns])
+        return path.read_bytes()
+
+    assert (tmp_path / "s.csv").read_bytes() == reference(["i", "j", "value"], [vals])
+    assert (tmp_path / "v.csv").read_bytes() == reference(["i", "j", "vx", "vy"], [vals, vals[::-1]])
+
+
+GOOD_SCALAR_ROWS = ["0,0,1.5", "1,0,2.5", "0,1,3.5", "1,1,4.5"]
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        pytest.param("i,j,val", GOOD_SCALAR_ROWS, id="wrong-header"),
+        pytest.param("i,j,value", GOOD_SCALAR_ROWS[:3] + ["1,1"], id="too-few-fields"),
+        pytest.param("i,j,value", GOOD_SCALAR_ROWS[:3] + ["1,1,4.5,0"], id="too-many-fields"),
+        pytest.param("i,j,value", GOOD_SCALAR_ROWS[:3] + ["1.0,1,4.5"], id="non-integer-index"),
+        pytest.param("i,j,value", GOOD_SCALAR_ROWS[:3] + ["2,1,4.5"], id="i-out-of-range"),
+        pytest.param("i,j,value", GOOD_SCALAR_ROWS[:3] + ["1,-1,4.5"], id="negative-j"),
+        pytest.param("i,j,value", GOOD_SCALAR_ROWS + ["0,1,9.0"], id="duplicate-cell"),
+        pytest.param("i,j,value", GOOD_SCALAR_ROWS[1:], id="missing-cell"),
+    ],
+)
+def test_read_scalar_csv_rejects_malformed(tmp_path, header, rows):
+    g = build_uniform(2)
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(GridError):
+        read_scalar_csv(g, path)
+
+
+def test_read_csv_accepts_any_row_order(tmp_path):
+    g = build_uniform(2)
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(["i,j,value"] + GOOD_SCALAR_ROWS[::-1]) + "\n")
+    np.testing.assert_array_equal(read_scalar_csv(g, path).values, [1.5, 2.5, 3.5, 4.5])
+
+
+def test_read_vector_csv_rejects_malformed(tmp_path):
+    g = build_uniform(2)
+    path = tmp_path / "v.csv"
+    rows = ["0,0,1,2", "1,0,1,2", "0,1,1,2", "1,1,1,2"]
+    path.write_text("\n".join(["i,j,vx,vy"] + rows) + "\n")
+    assert read_vector_csv(g, path).values.shape == (4, 2)
+    for bad in (["i,j,vx"] + rows, ["i,j,vx,vy"] + rows[:3] + ["1,1,1"], ["i,j,vx,vy"] + rows[:3]):
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(GridError):
+            read_vector_csv(g, path)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracle import loop_cluster_regularity, loop_edges, loop_members, min_direction_strength
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stokes_fv import (
     ClusterError,
@@ -12,7 +15,6 @@ from stokes_fv import (
     make_clusters,
     parse_grid_config,
 )
-from stokes_fv.grid import min_direction_strength
 
 
 def closed_cell_sums(grid):
@@ -126,8 +128,8 @@ def test_cluster_regularity_single_cluster_infinite():
 def test_min_direction_strength():
     assert min_direction_strength([(1.0, 0.0), (0.0, 1.0)]) == pytest.approx(1.0)
     assert min_direction_strength([(1.0, 0.0)]) == pytest.approx(1.0)
-    # three directions in the plane always admit a null combination
-    assert min_direction_strength([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]) == 0.0
+    # a right kernel does not lower the row rank: N N^T = diag(2, 1)
+    assert min_direction_strength([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]) == pytest.approx(1.0)
 
 
 def test_cluster_regularity_anisotropic_tensor():
@@ -136,6 +138,50 @@ def test_cluster_regularity_anisotropic_tensor():
     ys = np.linspace(0, 1, 5)
     g = build_tensor(xs / xs[-1], ys)
     assert cluster_regularity(g, make_clusters(g)) == pytest.approx(1.0)
+
+
+@st.composite
+def tensor_lines(draw, counts):
+    """Coordinate lines of a strictly increasing tensor grid with nx != ny."""
+    nx = draw(counts)
+    ny = draw(counts.filter(lambda n: n != nx))
+
+    def lines(n):
+        widths = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        coords = np.concatenate([[0.0], np.cumsum(widths)])
+        return coords / coords[-1]
+
+    return lines(nx), lines(ny)
+
+
+SETUP_PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@SETUP_PROPERTY
+@given(tensor_lines(st.integers(2, 14)))
+def test_edge_table_matches_loop_oracle(lines):
+    g = build_tensor(*lines)
+    for name, expected in loop_edges(*lines).items():
+        got = getattr(g, name)
+        assert got.dtype == expected.dtype, name
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+@SETUP_PROPERTY
+@given(tensor_lines(st.integers(1, 7).map(lambda h: 2 * h)))
+@example(([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
+def test_clusters_match_loop_oracle(lines):
+    g = build_tensor(*lines)
+    part = make_clusters(g)
+    members = loop_members(part)
+    np.testing.assert_array_equal(part.members, members)
+    np.testing.assert_allclose(part.cluster_areas, g.cell_areas[members].sum(axis=1), rtol=1e-14)
+    expected = loop_cluster_regularity(g, part)
+    got = cluster_regularity(g, part)
+    if math.isinf(expected):
+        assert got == math.inf
+    else:
+        assert abs(got - expected) <= 1e-12
 
 
 def test_parse_grid_config():
