@@ -12,12 +12,19 @@ single multiplier row/column carries the area weights enforcing the zero
 pressure mean.  Every equation is assembled multiplied by the cell area, so
 the velocity block is the symmetric positive definite H1 stiffness matrix,
 the stabilization block is symmetric positive semidefinite, and the gradient
-block is exactly minus the transpose of the divergence block.
+block is minus the transpose of the divergence block.
+
+Only the mass balance (stabilization, lambda, pressure space) depends on the
+scheme.  The velocity block and the cell divergence depend on the grid alone,
+so they are built once per Grid object and shared, read-only, by every system
+assembled on it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +36,6 @@ from .fields import ScalarField, VectorField, _fmt
 from .grid import ClusterPartition, Grid
 from .operators import (
     divergence_matrix,
-    gradient_matrix,
     h1_stiffness_matrix,
     jump_stabilization_matrix,
     vector_field_to_array,
@@ -72,9 +78,11 @@ class SchemeSpec:
 class SaddleSystem:
     """Assembled sparse system and its blocks.
 
-    `matrix` is the full (2n + n_p + 1) square operator; A, B, C, G are the
-    velocity, divergence, stabilization and gradient blocks on the system's
-    own pressure space (cells, or clusters for cluster-constant pressure).
+    `matrix` is the full (2n + n_p + 1) square operator; A, B, C are the
+    velocity, divergence and stabilization blocks on the system's own
+    pressure space (cells, or clusters for cluster-constant pressure).  The
+    gradient block of `matrix` is -B^T.  A, and B for cell pressures, are the
+    grid's shared read-only operators: an in-place edit raises ValueError.
     """
 
     grid: Grid
@@ -84,7 +92,6 @@ class SaddleSystem:
     A: sp.csr_matrix
     B: sp.csr_matrix
     C: sp.csr_matrix
-    G: sp.csr_matrix
     mean_weights: np.ndarray
     n_p: int
     prolongation: sp.csr_matrix | None = None
@@ -134,6 +141,43 @@ def _cluster_prolongation(partition: ClusterPartition) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, partition.n_clusters)).tocsr()
 
 
+class _GridOperators:
+    """Scalar stiffness A1, cell divergence B_cells and velocity block
+    A = diag(A1, A1) of one grid, each built once and then shared.
+
+    Their arrays are read-only, so a caller editing one in place gets a
+    ValueError instead of silently changing every system on the grid.  A is
+    built on first use: the gradient probe needs only A1 and B_cells.
+    """
+
+    def __init__(self, grid: Grid):
+        self.A1 = _read_only(h1_stiffness_matrix(grid))
+        self.B_cells = _read_only(divergence_matrix(grid))
+
+    @functools.cached_property
+    def A(self) -> sp.csr_matrix:
+        return _read_only(sp.block_diag([self.A1, self.A1], format="csr"))
+
+
+def _read_only(mat):
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
+
+
+# Keyed by the Grid object, not by id() (reused after a grid dies) nor by the
+# mesh, so an entry lives exactly as long as its grid.
+_GRID_OPERATORS = weakref.WeakKeyDictionary()
+
+
+def _grid_operators(grid: Grid) -> _GridOperators:
+    """The shared operators of `grid`, built on the first call for it."""
+    ops = _GRID_OPERATORS.get(grid)
+    if ops is None:
+        ops = _GRID_OPERATORS[grid] = _GridOperators(grid)
+    return ops
+
+
 def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSystem:
     """Assemble the full saddle system for scheme `spec` with forcing `f`.
 
@@ -149,22 +193,19 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
         f_cells = cell_means(f, grid, quad_order)
 
     n = grid.n_cells
-    A1 = h1_stiffness_matrix(grid)
-    A = sp.block_diag([A1, A1], format="csr")
-    B_cells = divergence_matrix(grid)
-    G_cells = gradient_matrix(grid)
+    ops = _grid_operators(grid)
+    A, B_cells = ops.A, ops.B_cells
     areas = grid.cell_areas
 
     prolongation = None
     if spec.kind == CLUSTER_CONSTANT:
         prolongation = _cluster_prolongation(spec.partition)
         B = (prolongation.T @ B_cells).tocsr()
-        G = (G_cells @ prolongation).tocsr()
         mean_weights = np.asarray(prolongation.T @ areas).ravel()
         n_p = spec.partition.n_clusters
         C = sp.csr_matrix((n_p, n_p))
     else:
-        B, G = B_cells, G_cells
+        B = B_cells
         mean_weights = areas.copy()
         n_p = n
         if spec.kind == NATURAL:
@@ -180,7 +221,7 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
     w_col = sp.csr_matrix(mean_weights.reshape(-1, 1))
     matrix = sp.bmat(
         [
-            [A, G, None],
+            [A, -B.T, None],
             [B, C, w_col],
             [None, w_col.T, None],
         ],
@@ -198,7 +239,6 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
         A=A,
         B=B,
         C=C,
-        G=G,
         mean_weights=mean_weights,
         n_p=n_p,
         prolongation=prolongation,

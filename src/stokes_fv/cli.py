@@ -1,6 +1,7 @@
 """Command-line front end: solve, convergence studies, stability probes.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical or resource
+failure (out of memory).
 Flags override config-file keys; the config file is JSON.  The default
 output directory is taken from the STOKES_FV_OUT environment variable.
 """
@@ -151,7 +152,10 @@ def cmd_solve(args) -> int:
         summary += [("energy_velocity_sq", energy_u), ("energy_stab_sq", energy_stab)]
         write_vector_csv(report.u, out / "u.csv")
         write_scalar_csv(report.p, out / "p.csv")
-    summary += [(key, report.stats.get(key, "")) for key in ("factor_nnz", "fill_factor")]
+    summary += [
+        (key, report.stats.get(key, ""))
+        for key in ("factor_nnz", "fill_factor", "factor_s", "rcond_s")
+    ]
     _write_summary(out / "summary.csv", summary)
 
     if report.singular:
@@ -298,6 +302,9 @@ def main(argv=None) -> int:
         return 2
     except (SolverError, StokesFVError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"resource failure: out of memory in {args.command}", file=sys.stderr)
         return 3
 
 

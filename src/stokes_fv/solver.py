@@ -79,7 +79,7 @@ def solve(
     """Solve the saddle system by sparse direct factorization.
 
     The bordered `system.matrix` is not factored.  The unbordered block
-    [[A, G], [B, C]] determines the pressure up to a constant (1^T B = 0 and
+    [[A, -B^T], [B, C]] determines the pressure up to a constant (1^T B = 0 and
     C 1 = 0, so its pressure rows sum to zero), so the first pressure dof is
     pinned to zero, its implied equation is dropped, and the remaining block
     is factored by `splu` (COLAMD ordering, partial pivoting) and refined

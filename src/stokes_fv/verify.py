@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import NATURAL, SchemeSpec, assemble, cell_means, _NEEDS_PARTITION
+from .assembly import NATURAL, SchemeSpec, _grid_operators, assemble, cell_means, _NEEDS_PARTITION
 from .errors import ConfigError, GridError, SolverError
 from .fields import (
     ScalarField,
@@ -31,8 +31,6 @@ from .grid import ClusterPartition, Grid, build_uniform, make_clusters
 from .operators import (
     diffusion_fluxes,
     gradient_apply,
-    gradient_matrix,
-    h1_stiffness_matrix,
     velocity_fluxes,
 )
 from .solver import solve
@@ -131,8 +129,9 @@ class PressureGradientProbe:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self._lu = spla.splu(h1_stiffness_matrix(grid).tocsc())
-        self._G = gradient_matrix(grid)
+        ops = _grid_operators(grid)
+        self._lu = spla.splu(ops.A1.tocsc())
+        self._G = -ops.B_cells.T
 
     def dual_norm(self, q: ScalarField) -> float:
         if not q.grid.same_mesh(self.grid):

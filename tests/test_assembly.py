@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,13 +11,15 @@ from stokes_fv import (
     ScalarField,
     VectorField,
     assemble,
+    build_tensor,
     build_uniform,
     cell_means,
     energy_functional,
+    gradient_matrix,
     make_clusters,
     solve,
 )
-from stokes_fv.assembly import export_system, load_system
+from stokes_fv.assembly import _GRID_OPERATORS, _grid_operators, export_system, load_system
 from stokes_fv.operators import vector_field_to_array
 from stokes_fv.verify import CASES, checkerboard_field
 
@@ -73,7 +78,7 @@ def test_zero_forcing_gives_zero_solution():
 def test_gradient_block_is_minus_divergence_transpose():
     g = build_uniform(4)
     system = assemble(SchemeSpec("bp", 0.1), g, CASES["ms1"].forcing)
-    assert abs(system.G + system.B.T).max() < 1e-14
+    assert abs(gradient_matrix(g) + system.B.T).max() < 1e-14
 
 
 def test_system_block_structure(rng):
@@ -100,7 +105,7 @@ def test_natural_checkerboard_gradient_boundary_support():
     g = build_uniform(4)
     system = assemble(SchemeSpec("natural"), g, CASES["ms1"].forcing)
     cb = checkerboard_field(g)
-    load = system.G @ cb.values
+    load = -system.B.T @ cb.values
     n = g.n_cells
     i, j = g.cell_ij.T
     boundary = (i == 0) | (i == g.nx - 1) | (j == 0) | (j == g.ny - 1)
@@ -180,3 +185,72 @@ def test_operator_matrix_matrixmarket_export(tmp_path):
     export_matrix(a, tmp_path / "stiffness.mtx")
     back = mmread(str(tmp_path / "stiffness.mtx"))
     assert abs(back - a).max() < 1e-15
+
+
+# -- grid operators shared between the systems of one grid ----------------------
+
+def _stable_specs(part):
+    return (
+        SchemeSpec("bp", 0.05),
+        SchemeSpec("cluster", 1.0, part),
+        SchemeSpec("cluster-constant", None, part),
+    )
+
+
+def test_schemes_on_one_grid_share_the_velocity_block():
+    g = build_uniform(4)
+    f = cell_means(CASES["ms1"].forcing, g)
+    bp, cluster, constant = (assemble(spec, g, f) for spec in _stable_specs(make_clusters(g)))
+    assert bp.A is cluster.A is constant.A
+    assert bp.B is cluster.B
+
+
+def test_assembly_after_a_solve_matches_a_fresh_grid():
+    lines = ([0.0, 0.1, 0.35, 0.5, 0.8, 1.0, 1.2], [0.0, 0.3, 0.4, 0.9, 1.0])
+    g = build_tensor(*lines)
+    f = cell_means(CASES["ms1"].forcing, g)
+    specs = _stable_specs(make_clusters(g))
+    for spec in specs:
+        assert not solve(assemble(spec, g, f)).singular
+    fresh = build_tensor(*lines)
+    for spec in specs:
+        again = assemble(spec, g, f)
+        new = assemble(spec, fresh, f)
+        assert again.A is not new.A
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(again.matrix, name), getattr(new.matrix, name))
+        np.testing.assert_array_equal(again.rhs, new.rhs)
+
+
+def test_saddle_gradient_block_is_exactly_minus_b_transpose():
+    g = build_uniform(4)
+    part = make_clusters(g)
+    n = g.n_cells
+    for spec in (SchemeSpec("natural"),) + _stable_specs(part):
+        system = assemble(spec, g, CASES["ms1"].forcing)
+        block = system.matrix[: 2 * n, 2 * n : 2 * n + system.n_p]
+        assert abs(block + system.B.T).max() == 0.0, spec.kind
+
+
+def test_grid_operators_die_with_their_grid():
+    g = build_uniform(4)
+    assemble(SchemeSpec("bp", 0.1), g, CASES["ms1"].forcing)
+    grid_ref = weakref.ref(g)
+    a1_ref = weakref.ref(_grid_operators(g).A1)
+    assert g in _GRID_OPERATORS
+    del g
+    gc.collect()
+    assert grid_ref() is None
+    assert a1_ref() is None
+
+
+def test_shared_operators_are_read_only():
+    g = build_uniform(4)
+    system = assemble(SchemeSpec("bp", 0.1), g, CASES["ms1"].forcing)
+    with pytest.raises(ValueError):
+        system.A.data[0] = 1.0
+    with pytest.raises(ValueError):
+        system.B.indices[0] = 0
+    a1 = _grid_operators(g).A1
+    with pytest.raises(ValueError):
+        a1.indptr[0] = 1

@@ -40,8 +40,20 @@ def test_solve_writes_artifacts(tmp_path):
     assert summary["scheme"] == "bp"
     assert float(summary["residual_norm"]) < 1e-10
     assert summary["singular"] == "False"
-    assert [r[0] for r in rows[-2:]] == ["factor_nnz", "fill_factor"]
+    assert [r[0] for r in rows[-4:]] == ["factor_nnz", "fill_factor", "factor_s", "rcond_s"]
     assert int(summary["factor_nnz"]) > 0 and float(summary["fill_factor"]) > 1
+    assert float(summary["factor_s"]) > 0 and float(summary["rcond_s"]) > 0
+
+
+@pytest.mark.parametrize("stage", ["assemble", "solve"])
+def test_out_of_memory_exits_resource_failure(tmp_path, monkeypatch, capsys, stage):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"stokes_fv.cli.{stage}", exhausted)
+    code = main(["solve", "--scheme", "bp", "--lambda", "0.05", "--n", "8", "--out", str(tmp_path)])
+    assert code == 3
+    assert "resource failure: out of memory in solve" in capsys.readouterr().err
 
 
 def test_solve_natural_exits_numerical_failure(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import tensor_lines
 from dense_oracle import loop_cluster_regularity, loop_edges, loop_members, min_direction_strength
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -138,20 +139,6 @@ def test_cluster_regularity_anisotropic_tensor():
     ys = np.linspace(0, 1, 5)
     g = build_tensor(xs / xs[-1], ys)
     assert cluster_regularity(g, make_clusters(g)) == pytest.approx(1.0)
-
-
-@st.composite
-def tensor_lines(draw, counts):
-    """Coordinate lines of a strictly increasing tensor grid with nx != ny."""
-    nx = draw(counts)
-    ny = draw(counts.filter(lambda n: n != nx))
-
-    def lines(n):
-        widths = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
-        coords = np.concatenate([[0.0], np.cumsum(widths)])
-        return coords / coords[-1]
-
-    return lines(nx), lines(ny)
 
 
 SETUP_PROPERTY = settings(max_examples=40, deadline=None)

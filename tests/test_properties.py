@@ -1,0 +1,96 @@
+"""Exact algebraic identities of the operators and schemes on random tensor
+grids (strictly increasing lines, nx != ny, 2-10 cells per side)."""
+
+import numpy as np
+import pytest
+from conftest import tensor_lines
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stokes_fv import (
+    ScalarField,
+    SchemeSpec,
+    VectorField,
+    assemble,
+    build_tensor,
+    cell_means,
+    divergence_apply,
+    divergence_matrix,
+    energy_functional,
+    gradient_apply,
+    gradient_matrix,
+    h1_stiffness_matrix,
+    jump_stabilization_matrix,
+    laplacian_apply,
+    make_clusters,
+    solve,
+    stab_laplacian_apply,
+)
+from stokes_fv.operators import vector_field_to_array
+from stokes_fv.verify import CASES
+
+PROPERTY = settings(max_examples=30, deadline=None)
+ANY_COUNTS = tensor_lines(st.integers(2, 10))
+EVEN_COUNTS = tensor_lines(st.integers(1, 5).map(lambda h: 2 * h))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_close(got, expected, rtol=1e-12):
+    """Agreement relative to the size of the expected values."""
+    scale = float(np.abs(expected).max())
+    assert float(np.abs(got - expected).max()) <= rtol * scale
+
+
+@PROPERTY
+@given(ANY_COUNTS)
+def test_gradient_is_minus_divergence_transpose(lines):
+    g = build_tensor(*lines)
+    assert abs(gradient_matrix(g) + divergence_matrix(g).T).max() < 1e-14
+
+
+@PROPERTY
+@given(ANY_COUNTS, SEEDS)
+def test_apply_form_is_matrix_form_over_areas(lines, seed):
+    g = build_tensor(*lines)
+    rng = np.random.default_rng(seed)
+    areas = g.cell_areas
+    u = VectorField(g, rng.standard_normal((g.n_cells, 2)))
+    p = ScalarField(g, rng.standard_normal(g.n_cells))
+    a1 = h1_stiffness_matrix(g)
+    assert_close(laplacian_apply(u).values, np.column_stack([a1 @ u.values[:, c] for c in range(2)]) / areas[:, None])
+    assert_close(divergence_apply(u).values, divergence_matrix(g) @ vector_field_to_array(u) / areas)
+    grad = (gradient_matrix(g) @ p.values).reshape(2, -1).T
+    assert_close(gradient_apply(p).values, grad / areas[:, None])
+    assert_close(stab_laplacian_apply(p).values, jump_stabilization_matrix(g) @ p.values / areas)
+
+
+@PROPERTY
+@given(EVEN_COUNTS, SEEDS)
+def test_intra_cluster_apply_form_is_matrix_form_over_areas(lines, seed):
+    g = build_tensor(*lines)
+    part = make_clusters(g)
+    p = ScalarField(g, np.random.default_rng(seed).standard_normal(g.n_cells))
+    cmat = jump_stabilization_matrix(g, part.intra_edge_mask)
+    assert_close(stab_laplacian_apply(p, "intra_cluster", part).values, cmat @ p.values / g.cell_areas)
+
+
+@PROPERTY
+@given(ANY_COUNTS)
+def test_stiffness_is_symmetric_positive_definite(lines):
+    a1 = h1_stiffness_matrix(build_tensor(*lines))
+    assert abs(a1 - a1.T).max() == 0.0
+    assert np.linalg.eigvalsh(a1.toarray()).min() > 0.0
+
+
+@PROPERTY
+@given(EVEN_COUNTS)
+def test_energy_identity_after_solve(lines):
+    g = build_tensor(*lines)
+    f = cell_means(CASES["ms1"].forcing, g)
+    for spec in (SchemeSpec("bp", 0.05), SchemeSpec("cluster", 1.0, make_clusters(g))):
+        system = assemble(spec, g, f)
+        report = solve(system)
+        assert not report.singular, report.singular_reason
+        e_u, e_stab = energy_functional(system, report.u, report.p)
+        work = float(np.sum(g.cell_areas[:, None] * f.values * report.u.values))
+        assert e_u + e_stab == pytest.approx(work, rel=1e-10)

@@ -194,7 +194,6 @@ def test_schur_invariant_under_pressure_permutation():
         A=system.A,
         B=(p_mat @ system.B).tocsr(),
         C=system.C,
-        G=system.G,
         mean_weights=system.mean_weights[perm],
         n_p=system.n_p,
     )
