@@ -278,12 +278,26 @@ def export_system(system: SaddleSystem, matrix_path, rhs_path) -> None:
 
 
 def load_system(matrix_path, rhs_path):
-    """Read back an exported system as (sparse matrix, rhs array)."""
+    """Read back an exported system as (sparse matrix, rhs array).
+
+    Raises ConfigError unless `rhs_path` holds the header `index,value` and
+    then one `index,value` row per matrix row, indexed 0..N-1 in order.
+    """
     matrix = sp.csc_matrix(mmread(str(matrix_path)))
-    rhs = []
     with open(rhs_path, newline="") as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        for _, v in rows:
-            rhs.append(float(v))
-    return matrix, np.array(rhs)
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != ["index", "value"]:
+        raise ConfigError(f"{rhs_path}: header {rows[:1]} is not ['index', 'value']")
+    rhs = np.empty(len(rows) - 1)
+    for r, row in enumerate(rows[1:]):
+        if len(row) != 2:
+            raise ConfigError(f"{rhs_path}: row {r + 1} has {len(row)} fields, not 2")
+        try:
+            index, rhs[r] = int(row[0]), float(row[1])
+        except ValueError as err:
+            raise ConfigError(f"{rhs_path}: row {r + 1}: {err}") from err
+        if index != r:
+            raise ConfigError(f"{rhs_path}: row {r + 1} has index {index}, not {r}")
+    if rhs.size != matrix.shape[0]:
+        raise ConfigError(f"{rhs_path}: {rhs.size} values for a matrix of size {matrix.shape[0]}")
+    return matrix, rhs

@@ -21,7 +21,7 @@ from .assembly import SchemeSpec, assemble, cell_means, energy_functional
 from .errors import ClusterError, ConfigError, GridError, SolverError, StokesFVError
 from .fields import _fmt, write_scalar_csv, write_vector_csv
 from .grid import build_uniform, cluster_regularity, make_clusters, parse_grid_config
-from .solver import BACKENDS, schur_smallest_eigen, solve
+from .solver import schur_smallest_eigen, solve
 from .verify import CASES
 
 _SCHEMES = assembly.SCHEME_KINDS
@@ -122,14 +122,11 @@ def cmd_solve(args) -> int:
     case = _get_case(args, cfg)
     quad = int(_setting(args, cfg, "quad", 3))
     tol = float(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)))
-    backend = str(_setting(args, cfg, "backend", _setting(args, cfg, "solver.backend", "splu")))
-    if backend not in BACKENDS:
-        raise ConfigError(f"unknown solver backend {backend!r}; choose from {BACKENDS}")
     out = _out_dir(args, cfg)
 
     f_cells = cell_means(case.forcing, grid, quad)
     system = assemble(spec, grid, f_cells)
-    report = solve(system, tol=tol, backend=backend)
+    report = solve(system, tol=tol)
 
     if args.dump_system:
         assembly.export_system(system, out / "system.mtx", out / "rhs.csv")
@@ -177,10 +174,8 @@ def cmd_convergence(args) -> int:
     tol = float(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)))
     out = _out_dir(args, cfg)
 
-    # the per-level partition is built inside run_convergence
-    probe_grid = build_uniform(min(n_list))
-    spec = SchemeSpec(kind, lam, make_clusters(probe_grid) if kind in ("cluster", "cluster-constant") else None)
-    table = verify.run_convergence(spec, case, n_list, quad_order=quad, tol=tol)
+    # run_convergence builds each level's partition
+    table = verify.run_convergence(SchemeSpec(kind, lam), case, n_list, quad_order=quad, tol=tol)
     table.to_csv(out / "convergence.csv")
     for row in table.rows:
         print(
@@ -271,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--scheme", choices=_SCHEMES)
     p_solve.add_argument("--lambda", dest="lam", type=float, help="stabilization strength")
     p_solve.add_argument("--case", choices=sorted(CASES))
-    p_solve.add_argument("--backend", choices=BACKENDS)
     p_solve.add_argument("--dump-system", action="store_true", help="export MatrixMarket + rhs")
     p_solve.set_defaults(fn=cmd_solve)
 

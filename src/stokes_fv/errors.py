@@ -14,7 +14,8 @@ class ClusterError(StokesFVError, ValueError):
 
 
 class ConfigError(StokesFVError, ValueError):
-    """Invalid run configuration (CLI flags or config file)."""
+    """Invalid run configuration (CLI flags, config file) or malformed
+    exported system."""
 
 
 class SolverError(StokesFVError, RuntimeError):

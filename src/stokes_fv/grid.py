@@ -122,23 +122,6 @@ class Grid:
         self.interior_edges = np.flatnonzero(interior)
         self.boundary_edges = np.flatnonzero(~interior)
 
-    # -- small accessors matching the per-entity vocabulary ---------------
-
-    def cell_center(self, k: int):
-        return tuple(self.cell_centers[k])
-
-    def cell_area(self, k: int) -> float:
-        return float(self.cell_areas[k])
-
-    def edge_normal_of(self, e: int):
-        return tuple(self.edge_normal[e])
-
-    def edge_length_of(self, e: int) -> float:
-        return float(self.edge_length[e])
-
-    def edge_distance_of(self, e: int) -> float:
-        return float(self.edge_dist[e])
-
     def same_mesh(self, other: "Grid") -> bool:
         return (
             self is other

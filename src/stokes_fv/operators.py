@@ -1,10 +1,13 @@
 """Discrete diffusion, gradient, divergence and stabilization operators.
 
-Every operator exists in two forms that must agree to rounding:
-
-* a cell-update ("apply") form looping over edges, and
-* an assembled sparse matrix, scaled row-wise by the cell area so that a
-  matrix row is the integral of the operator over the cell.
+Every operator is a sum over edges sigma = (k, l) of a flux weight times the
+jump (e_k - e_l), built as a sparse matrix by the one triplet builder
+`_edge_stencil` and scaled row-wise by the cell area, so that a matrix row
+is the integral of the operator over the cell.  The cell-update ("apply")
+forms of the gradient, divergence and stabilization are that matrix product
+divided by the cell areas; the Laplacian's instead sums its per-edge
+diffusive fluxes, so that it is exactly zero on constants away from the
+wall.
 
 Fluxes are oriented along the stored edge normal (k-to-l, outward on the
 boundary).  On interior edges of a tensor grid:
@@ -12,6 +15,7 @@ boundary).  On interior edges of a tensor grid:
 * diffusive flux of v through sigma:  (|sigma|/d) (v_l - v_k),
 * velocity flux:   |sigma| [ (1-a) u_k + a u_l ] . n,
 * pressure flux:   |sigma| [ a p_k + (1-a) p_l ] n,
+* pressure jump:   |sigma| d (p_k - p_l)  (stabilization),
 
 with a = h_perp_k / (h_perp_k + h_perp_l); the "swapped" pressure weights
 make the assembled gradient exactly minus the transpose of the assembled
@@ -64,75 +68,41 @@ def velocity_fluxes(u: VectorField) -> np.ndarray:
     return out
 
 
-def pressure_fluxes(p: ScalarField) -> np.ndarray:
-    """Per-edge pressure flux H_sigma (a 2-vector per edge)."""
-    g = p.grid
-    k, l = g.edge_cell_k, g.edge_cell_l
-    a = g.edge_weight_k
-    neighbour = p.values[np.where(g.interior_mask, l, 0)]
-    interp = np.where(
-        g.interior_mask,
-        a * p.values[k] + (1.0 - a) * neighbour,
-        p.values[k],
-    )
-    return (g.edge_length * interp)[:, None] * g.edge_normal
-
-
-# -- cell-update form --------------------------------------------------------
-
-def _scatter_edge_diff(grid, edge_weights, vals, selected):
-    """Sum_{edges} w (v_k - v_l) accumulated into both incident cells."""
-    out = np.zeros_like(vals)
-    k = grid.edge_cell_k[selected]
-    l = grid.edge_cell_l[selected]
-    t = edge_weights[selected] * (vals[k] - vals[l])
-    np.add.at(out, k, t)
-    np.add.at(out, l, -t)
-    return out
-
+# -- cell-update form ---------------------------------------------------------
 
 def laplacian_apply(u):
-    """Cell values of the negative discrete Laplacian (homogeneous wall values)."""
-    g = u.grid
-    w = g.edge_length / g.edge_dist
-    ie = g.interior_edges
-    be = g.boundary_edges
-    kb = g.edge_cell_k[be]
+    """Cell values of the negative discrete Laplacian (homogeneous wall values).
 
-    def one(vals):
-        out = _scatter_edge_diff(g, w, vals, ie)
-        np.add.at(out, kb, w[be] * vals[kb])
-        return out / g.cell_areas
+    The net `diffusion_fluxes` into each cell over its area, summed edge by
+    edge rather than through `h1_stiffness_matrix`: that matrix's assembled
+    diagonal is a rounded sum of edge weights, so its product with a
+    constant field is not exactly zero away from the wall.
+    """
+    g = u.grid
+    f = diffusion_fluxes(u)
+    ie = g.interior_edges
+    l = g.edge_cell_l[ie]
+
+    def net_inflow(fc):
+        return np.bincount(l, fc[ie], g.n_cells) - np.bincount(g.edge_cell_k, fc, g.n_cells)
 
     if isinstance(u, VectorField):
-        return VectorField(g, np.column_stack([one(u.values[:, 0]), one(u.values[:, 1])]))
-    return ScalarField(g, one(u.values))
+        out = np.column_stack([net_inflow(f[:, 0]), net_inflow(f[:, 1])])
+        return VectorField(g, out / g.cell_areas[:, None])
+    return ScalarField(g, net_inflow(f) / g.cell_areas)
 
 
 def gradient_apply(p: ScalarField) -> VectorField:
     """Cell values of the discrete pressure gradient."""
     g = p.grid
-    h = pressure_fluxes(p)
-    out = np.zeros((g.n_cells, 2))
-    k = g.edge_cell_k
-    l = g.edge_cell_l
-    ie = g.interior_edges
-    be = g.boundary_edges
-    np.add.at(out, k[ie], h[ie])
-    np.add.at(out, l[ie], -h[ie])
-    np.add.at(out, k[be], h[be])
+    out = (gradient_matrix(g) @ p.values).reshape(2, -1).T
     return VectorField(g, out / g.cell_areas[:, None])
 
 
 def divergence_apply(u: VectorField) -> ScalarField:
     """Cell values of the discrete velocity divergence (no wall flux)."""
     g = u.grid
-    f = velocity_fluxes(u)
-    out = np.zeros(g.n_cells)
-    ie = g.interior_edges
-    np.add.at(out, g.edge_cell_k[ie], f[ie])
-    np.add.at(out, g.edge_cell_l[ie], -f[ie])
-    return ScalarField(g, out / g.cell_areas)
+    return ScalarField(g, divergence_matrix(g) @ vector_field_to_array(u) / g.cell_areas)
 
 
 def stab_laplacian_apply(
@@ -146,18 +116,16 @@ def stab_laplacian_apply(
     """
     g = p.grid
     if variant == "full":
-        selected = g.interior_edges
+        mask = None
     elif variant == "intra_cluster":
         if partition is None:
             raise ClusterError("intra_cluster variant needs a cluster partition")
         if not partition.grid.same_mesh(g):
             raise ClusterError("partition belongs to a different grid")
-        selected = np.flatnonzero(partition.intra_edge_mask)
+        mask = partition.intra_edge_mask
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    w = g.edge_length * g.edge_dist
-    out = _scatter_edge_diff(g, w, p.values, selected)
-    return ScalarField(g, out / g.cell_areas)
+    return ScalarField(g, jump_stabilization_matrix(g, mask) @ p.values / g.cell_areas)
 
 
 def duality_defect(p: ScalarField, v: VectorField) -> float:
@@ -173,43 +141,51 @@ def duality_defect(p: ScalarField, v: VectorField) -> float:
 
 # -- assembled sparse form (rows scaled by cell area) -------------------------
 
+def _edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_step=0):
+    """Sum over `edges` of w (e_k - e_l)(c_k e_k + c_l e_l)^T, plus
+    w_b e_k e_k^T over the boundary edges, as a CSR matrix.
+
+    `w` and `w_b` carry one column per component; component c occupies rows
+    shifted by c * row_step and columns shifted by c * col_step.  Triplets are
+    emitted per component as kk, kl, lk, ll, then boundary.  Built from
+    triplets, not as a sparse product D^T W S: a product drops the stored
+    zeros of edges whose normal is orthogonal to a component, which changes
+    the saddle pattern and the fill of its factorization.
+    """
+    k = grid.edge_cell_k[edges]
+    l = grid.edge_cell_l[edges]
+    kb = grid.edge_cell_k[grid.boundary_edges]
+    rows, cols, vals = [], [], []
+    for c in range(w.shape[1]):
+        r, s = c * row_step, c * col_step
+        wk, wl = w[:, c] * c_k, w[:, c] * c_l
+        rows += [k + r, k + r, l + r, l + r]
+        cols += [k + s, l + s, k + s, l + s]
+        vals += [wk, wl, -wk, -wl]
+        if w_b is not None:
+            rows.append(kb + r)
+            cols.append(kb + s)
+            vals.append(w_b[:, c])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    ).tocsr()
+
+
 def h1_stiffness_matrix(grid: Grid) -> sp.csr_matrix:
     """Scalar H1 stiffness matrix; row k stores |K| times the Laplacian update."""
-    w = grid.edge_length / grid.edge_dist
-    ie = grid.interior_edges
-    be = grid.boundary_edges
-    k = grid.edge_cell_k
-    l = grid.edge_cell_l
-    rows = np.concatenate([k[ie], l[ie], k[ie], l[ie], k[be]])
-    cols = np.concatenate([k[ie], l[ie], l[ie], k[ie], k[be]])
-    vals = np.concatenate([w[ie], w[ie], -w[ie], -w[ie], w[be]])
+    w = (grid.edge_length / grid.edge_dist)[:, None]
     n = grid.n_cells
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    ie, be = grid.interior_edges, grid.boundary_edges
+    return _edge_stencil(grid, (n, n), ie, w[ie], 1.0, -1.0, w_b=w[be])
 
 
 def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     """Maps stacked velocity [u1; u2] to |K| times the divergence per cell."""
     n = grid.n_cells
     ie = grid.interior_edges
-    k = grid.edge_cell_k[ie]
-    l = grid.edge_cell_l[ie]
     a = grid.edge_weight_k[ie]
-    length = grid.edge_length[ie]
-    rows, cols, vals = [], [], []
-    for c in range(2):
-        nc = grid.edge_normal[ie, c]
-        rows += [k, k, l, l]
-        cols += [k + c * n, l + c * n, k + c * n, l + c * n]
-        vals += [
-            length * (1.0 - a) * nc,
-            length * a * nc,
-            -length * (1.0 - a) * nc,
-            -length * a * nc,
-        ]
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, 2 * n),
-    ).tocsr()
+    w = grid.edge_length[ie, None] * grid.edge_normal[ie]
+    return _edge_stencil(grid, (n, 2 * n), ie, w, 1.0 - a, a, col_step=n)
 
 
 def gradient_matrix(grid: Grid) -> sp.csr_matrix:
@@ -219,27 +195,10 @@ def gradient_matrix(grid: Grid) -> sp.csr_matrix:
     `divergence_matrix` through the closed-cell identity.
     """
     n = grid.n_cells
-    ie = grid.interior_edges
-    be = grid.boundary_edges
-    k = grid.edge_cell_k
-    l = grid.edge_cell_l
+    w = grid.edge_length[:, None] * grid.edge_normal
+    ie, be = grid.interior_edges, grid.boundary_edges
     a = grid.edge_weight_k[ie]
-    li = grid.edge_length[ie]
-    lb = grid.edge_length[be]
-    rows, cols, vals = [], [], []
-    for c in range(2):
-        nc = grid.edge_normal[ie, c]
-        rows += [k[ie] + c * n, k[ie] + c * n, l[ie] + c * n, l[ie] + c * n]
-        cols += [k[ie], l[ie], k[ie], l[ie]]
-        vals += [li * a * nc, li * (1.0 - a) * nc, -li * a * nc, -li * (1.0 - a) * nc]
-        nb = grid.edge_normal[be, c]
-        rows += [k[be] + c * n]
-        cols += [k[be]]
-        vals += [lb * nb]
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * n, n),
-    ).tocsr()
+    return _edge_stencil(grid, (2 * n, n), ie, w[ie], a, 1.0 - a, w_b=w[be], row_step=n)
 
 
 def jump_stabilization_matrix(grid: Grid, edge_mask=None) -> sp.csr_matrix:
@@ -248,14 +207,9 @@ def jump_stabilization_matrix(grid: Grid, edge_mask=None) -> sp.csr_matrix:
         selected = grid.interior_edges
     else:
         selected = np.flatnonzero(np.asarray(edge_mask, dtype=bool) & grid.interior_mask)
-    k = grid.edge_cell_k[selected]
-    l = grid.edge_cell_l[selected]
-    w = (grid.edge_length * grid.edge_dist)[selected]
-    rows = np.concatenate([k, l, k, l])
-    cols = np.concatenate([k, l, l, k])
-    vals = np.concatenate([w, w, -w, -w])
+    w = (grid.edge_length * grid.edge_dist)[selected, None]
     n = grid.n_cells
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return _edge_stencil(grid, (n, n), selected, w, 1.0, -1.0)
 
 
 def vector_field_to_array(u: VectorField) -> np.ndarray:

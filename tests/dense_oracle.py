@@ -9,6 +9,10 @@ production assembly entrywise.
 `loop_edges`, `loop_members` and `loop_cluster_regularity` are per-entity
 loop versions of the grid's array-built edge table, cluster members and
 cluster regularity criterion.
+
+`loop_laplacian`, `loop_gradient`, `loop_divergence` and `loop_jump` are
+per-edge flux loops computing the cell-update forms of the operators,
+independent of the sparse matrices the production apply forms multiply by.
 """
 
 import math
@@ -185,3 +189,66 @@ def loop_cluster_regularity(grid, partition) -> float:
     for normals in normals_per_cell.values():
         worst = min(worst, min_direction_strength(normals))
     return worst
+
+
+def loop_laplacian(grid, v):
+    """Negative Laplacian of scalar cell values v, one edge at a time: flux
+    (|sigma|/d)(v_k - v_l), wall value zero on boundary edges."""
+    out = np.zeros(grid.n_cells)
+    for e in range(grid.n_edges):
+        k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
+        w = grid.edge_length[e] / grid.edge_dist[e]
+        if l < 0:
+            out[k] += w * v[k]
+        else:
+            t = w * (v[k] - v[l])
+            out[k] += t
+            out[l] -= t
+    return out / grid.cell_areas
+
+
+def loop_gradient(grid, p):
+    """(n_cells, 2) pressure gradient, one edge at a time: interior flux
+    |sigma| (a p_k + (1-a) p_l) n, boundary flux |sigma| p_k n."""
+    out = np.zeros((grid.n_cells, 2))
+    for e in range(grid.n_edges):
+        k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
+        n = grid.edge_normal[e]
+        if l < 0:
+            out[k] += grid.edge_length[e] * p[k] * n
+        else:
+            a = grid.edge_weight_k[e]
+            h = grid.edge_length[e] * (a * p[k] + (1.0 - a) * p[l]) * n
+            out[k] += h
+            out[l] -= h
+    return out / grid.cell_areas[:, None]
+
+
+def loop_divergence(grid, u):
+    """Divergence of (n_cells, 2) velocity u, one interior edge at a time:
+    flux |sigma| ((1-a) u_k + a u_l) . n; no flux through the wall."""
+    out = np.zeros(grid.n_cells)
+    for e in range(grid.n_edges):
+        k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
+        if l < 0:
+            continue
+        a = grid.edge_weight_k[e]
+        f = grid.edge_length[e] * float(np.dot((1.0 - a) * u[k] + a * u[l], grid.edge_normal[e]))
+        out[k] += f
+        out[l] -= f
+    return out / grid.cell_areas
+
+
+def loop_jump(grid, p, cluster_of=None):
+    """Pressure-jump stabilization, one interior edge at a time: weight
+    |sigma| d on every interior edge, or, given `cluster_of`, only on edges
+    whose two cells share a cluster."""
+    out = np.zeros(grid.n_cells)
+    for e in range(grid.n_edges):
+        k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
+        if l < 0 or (cluster_of is not None and cluster_of[k] != cluster_of[l]):
+            continue
+        t = grid.edge_length[e] * grid.edge_dist[e] * (p[k] - p[l])
+        out[k] += t
+        out[l] -= t
+    return out / grid.cell_areas

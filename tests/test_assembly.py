@@ -1,3 +1,4 @@
+import csv
 import gc
 import weakref
 
@@ -172,6 +173,27 @@ def test_export_and_import_round_trip(tmp_path):
     matrix, rhs = load_system(tmp_path / "system.mtx", tmp_path / "rhs.csv")
     assert abs(matrix - system.matrix).max() < 1e-15
     np.testing.assert_allclose(rhs, system.rhs, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda rows: [["idx", "value"]] + rows[1:], id="header"),
+        pytest.param(lambda rows: rows[:3] + [rows[3] + ["0"]] + rows[4:], id="field-count"),
+        pytest.param(lambda rows: rows[:1] + [rows[2], rows[1]] + rows[3:], id="index-order"),
+        pytest.param(lambda rows: rows[:1] + [["1", rows[1][1]]] + rows[2:], id="index-value"),
+        pytest.param(lambda rows: rows[:-1], id="length"),
+    ],
+)
+def test_load_system_rejects_malformed_rhs(tmp_path, edit):
+    system = assemble(SchemeSpec("bp", 0.1), build_uniform(4), CASES["ms1"].forcing)
+    export_system(system, tmp_path / "system.mtx", tmp_path / "rhs.csv")
+    with open(tmp_path / "rhs.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(tmp_path / "rhs.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(edit(rows))
+    with pytest.raises(ConfigError):
+        load_system(tmp_path / "system.mtx", tmp_path / "rhs.csv")
 
 
 def test_operator_matrix_matrixmarket_export(tmp_path):

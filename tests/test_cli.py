@@ -131,6 +131,17 @@ def test_convergence_empty_n_is_config_error(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "kind, lam, n_list",
+    [("cluster", "1", "5"), ("cluster-constant", None, "4,9"), ("cluster", "1", "1"), ("bp", "0.05", "0")],
+)
+def test_convergence_odd_or_too_small_n_is_config_error(tmp_path, capsys, kind, lam, n_list):
+    argv = ["convergence", "--scheme", kind, "--n", n_list, "--out", str(tmp_path)]
+    argv += [] if lam is None else ["--lambda", lam]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_convergence_cluster_scheme(tmp_path):
     code = main(
         [
@@ -204,7 +215,7 @@ def test_config_file_with_flag_override(tmp_path):
                 "lambda": 0.05,
                 "case": "ms1",
                 "n": "4",
-                "solver": {"tol": 1e-9, "backend": "splu"},
+                "solver": {"tol": 1e-9},
             }
         )
     )
@@ -215,17 +226,6 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["solve", "--config", str(cfg), "--n", "8", "--out", str(out_b)]) == 0
     assert dict(read_csv(out_b / "summary.csv")[1:])["nx"] == "8"
     assert dict(read_csv(out_a / "summary.csv")[1:])["nx"] == "4"
-
-
-def test_unknown_backend_in_config_is_config_error(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(
-        json.dumps({"scheme": "bp", "lambda": 0.05, "n": "4", "solver": {"backend": "spsolve"}})
-    )
-    out = tmp_path / "out"
-    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
-    # rejected before anything is assembled or written
-    assert not out.exists()
 
 
 def test_env_var_default_out(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense_oracle import loop_divergence, loop_gradient, loop_jump, loop_laplacian
 
 from stokes_fv import (
     ClusterError,
@@ -166,7 +167,7 @@ def test_stab_requires_partition():
         stab_laplacian_apply(p, "intra_cluster")
 
 
-# -- matrix forms agree with cell updates --------------------------------------
+# -- matrix forms agree with per-edge loops ------------------------------------
 
 def test_matrix_and_apply_agree(rng):
     for g in (build_uniform(4), build_tensor(*TENSOR_GRIDS[0])):
@@ -177,44 +178,45 @@ def test_matrix_and_apply_agree(rng):
         a1 = h1_stiffness_matrix(g)
         for c in range(2):
             via_matrix = (a1 @ u.values[:, c]) / areas
+            expected = loop_laplacian(g, u.values[:, c])
+            np.testing.assert_allclose(via_matrix, expected, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(
-                via_matrix, laplacian_apply(u).values[:, c], rtol=1e-13, atol=1e-13
+                laplacian_apply(u).values[:, c], expected, rtol=1e-13, atol=1e-13
             )
 
-        b = divergence_matrix(g)
-        np.testing.assert_allclose(
-            (b @ vector_field_to_array(u)) / areas,
-            divergence_apply(u).values,
-            rtol=1e-13,
-            atol=1e-13,
-        )
+        via_matrix = (divergence_matrix(g) @ vector_field_to_array(u)) / areas
+        np.testing.assert_array_equal(divergence_apply(u).values, via_matrix)
+        np.testing.assert_allclose(via_matrix, loop_divergence(g, u.values), rtol=1e-13, atol=1e-13)
 
-        gmat = gradient_matrix(g)
-        stacked = gmat @ p.values
+        stacked = gradient_matrix(g) @ p.values
         n = g.n_cells
-        np.testing.assert_allclose(
-            np.column_stack([stacked[:n] / areas, stacked[n:] / areas]),
-            gradient_apply(p).values,
-            rtol=1e-13,
-            atol=1e-13,
-        )
+        via_matrix = np.column_stack([stacked[:n] / areas, stacked[n:] / areas])
+        np.testing.assert_array_equal(gradient_apply(p).values, via_matrix)
+        np.testing.assert_allclose(via_matrix, loop_gradient(g, p.values), rtol=1e-13, atol=1e-13)
 
-        part = make_clusters(g) if g.nx % 2 == 0 and g.ny % 2 == 0 else None
-        cmat = jump_stabilization_matrix(g)
-        np.testing.assert_allclose(
-            (cmat @ p.values) / areas,
-            stab_laplacian_apply(p).values,
-            rtol=1e-13,
-            atol=1e-13,
-        )
-        if part is not None:
-            cmat_int = jump_stabilization_matrix(g, part.intra_edge_mask)
-            np.testing.assert_allclose(
-                (cmat_int @ p.values) / areas,
-                stab_laplacian_apply(p, "intra_cluster", part).values,
-                rtol=1e-13,
-                atol=1e-13,
+        via_matrix = (jump_stabilization_matrix(g) @ p.values) / areas
+        np.testing.assert_array_equal(stab_laplacian_apply(p).values, via_matrix)
+        np.testing.assert_allclose(via_matrix, loop_jump(g, p.values), rtol=1e-13, atol=1e-13)
+
+        if g.nx % 2 == 0 and g.ny % 2 == 0:
+            part = make_clusters(g)
+            via_matrix = (jump_stabilization_matrix(g, part.intra_edge_mask) @ p.values) / areas
+            np.testing.assert_array_equal(
+                stab_laplacian_apply(p, "intra_cluster", part).values, via_matrix
             )
+            np.testing.assert_allclose(
+                via_matrix, loop_jump(g, p.values, part.cluster_of), rtol=1e-13, atol=1e-13
+            )
+
+
+def test_stored_pattern_keeps_structural_zeros():
+    # B stores an entry for every (edge, component) pair, also where the
+    # normal is orthogonal to the component; dropping those zeros changes the
+    # saddle matrix's pattern and the fill of its factorization
+    for g in (build_uniform(8), build_tensor(*TENSOR_GRIDS[0]), build_tensor(*TENSOR_GRIDS[1])):
+        n_interior = len(g.interior_edges)
+        assert divergence_matrix(g).nnz == 2 * (g.n_cells + 2 * n_interior)
+        assert h1_stiffness_matrix(g).nnz == g.n_cells + 2 * n_interior
 
 
 def test_gradient_matrix_is_minus_divergence_transpose():
