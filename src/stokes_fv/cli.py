@@ -149,10 +149,8 @@ def cmd_solve(args) -> int:
         summary += [("energy_velocity_sq", energy_u), ("energy_stab_sq", energy_stab)]
         write_vector_csv(report.u, out / "u.csv")
         write_scalar_csv(report.p, out / "p.csv")
-    summary += [
-        (key, report.stats.get(key, ""))
-        for key in ("factor_nnz", "fill_factor", "factor_s", "rcond_s")
-    ]
+    stat_keys = ("factor_nnz", "fill_factor", "factor_s", "rcond_s", "offdiag_pivots", "order_s")
+    summary += [(key, report.stats.get(key, "")) for key in stat_keys]
     _write_summary(out / "summary.csv", summary)
 
     if report.singular:

@@ -4,6 +4,13 @@
 of the bordered matrix: the dense zero-mean multiplier row and column ruin
 the fill-reducing ordering.  The zero mean and the multiplier are recovered
 afterwards, and the residual is measured on the full bordered system.
+
+Every block of the saddle matrix couples a node (a cell, or a 2x2 cluster
+for cluster-constant pressure) only to its four neighbours, so the pinned
+block is factored in a nested-dissection order of the node rectangle, the
+fill-optimal order on a regular mesh (George, SIAM J. Numer. Anal. 10,
+1973), after a symmetric diagonal scaling that makes SuperLU's diagonal
+pivot test independent of the mesh size and the stabilization strength.
 """
 
 from __future__ import annotations
@@ -18,11 +25,22 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .fields import ScalarField, VectorField, zero_mean_project
-from .assembly import NATURAL, SaddleSystem
+from .assembly import CLUSTER_CONSTANT, NATURAL, SaddleSystem
 from .operators import array_to_vector_field
 
 # Sparse direct factorizations `solve` accepts.
 BACKENDS = ("splu",)
+
+# Nested dissection stops at blocks of at most this many nodes per side.
+# Smaller leaves leave a cell's own pressure without a usable pivot: on
+# uniform grids B couples it to its own velocity with weight 0.
+_LEAF_SIDE = 4
+# SuperLU takes the diagonal pivot unless it is below this share of the
+# column's largest entry.
+_DIAG_PIVOT_THRESH = 0.01
+# Columns of the dense Schur complement built per block in
+# `schur_smallest_eigen`.
+_SCHUR_COLUMNS = 256
 
 
 @dataclass
@@ -37,6 +55,117 @@ class SolveReport:
     singular_reason: str | None
     rcond_est: float | None
     stats: dict = field(default_factory=dict)
+
+
+def _dissection_blocks(ny: int, nx: int) -> np.ndarray:
+    """Elimination rank of the block holding each node of an ny-by-nx
+    node rectangle, flattened row by row.
+
+    The rectangle is cut across its longer side at the middle line; the two
+    parts are ranked first and the one-node-wide separator after them, down
+    to leaves of at most `_LEAF_SIDE` nodes per side.
+    """
+    rank = np.empty((ny, nx), dtype=np.intp)
+    count = 0
+
+    def split(j0, j1, i0, i1):
+        nonlocal count
+        if j1 - j0 <= _LEAF_SIDE and i1 - i0 <= _LEAF_SIDE:
+            rank[j0:j1, i0:i1] = count
+        elif i1 - i0 >= j1 - j0:
+            mid = (i0 + i1) // 2
+            split(j0, j1, i0, mid)
+            split(j0, j1, mid + 1, i1)
+            rank[j0:j1, mid] = count
+        else:
+            mid = (j0 + j1) // 2
+            split(j0, mid, i0, i1)
+            split(mid + 1, j1, i0, i1)
+            rank[mid, i0:i1] = count
+        count += 1
+
+    split(0, ny, 0, nx)
+    return rank.ravel()
+
+
+def _dissection_order(system: SaddleSystem) -> np.ndarray:
+    """Nested-dissection order of the unbordered block's dofs.
+
+    The nodes are the cells, or the clusters when the pressure lives on
+    clusters.  Within each block come its u1, then its u2, then its
+    pressure dofs, each in index order.
+    """
+    grid = system.grid
+    if system.spec.kind == CLUSTER_CONSTANT:
+        part = system.spec.partition
+        ranks = _dissection_blocks(part.ncy, part.ncx)
+        cell_ranks = ranks[part.cluster_of]
+    else:
+        ranks = cell_ranks = _dissection_blocks(grid.ny, grid.nx)
+    # dofs are numbered u1, u2, p, so a stable sort keeps that order per block
+    return np.argsort(np.concatenate([cell_ranks, cell_ranks, ranks]), kind="stable")
+
+
+def _symmetric_scaling(system: SaddleSystem) -> np.ndarray:
+    """Diagonal D with unit-sized diagonal in D [[A, -B^T], [B, C]] D.
+
+    Velocities get diag(A)^-1/2; pressures get the inverse square root of
+    the diagonal of B diag(A)^-1 B^T + C, or 1 where that is zero.
+    """
+    a_diag = system.A.diagonal()
+    p_diag = system.B.multiply(system.B) @ (1.0 / a_diag) + system.C.diagonal()
+    p_scale = np.ones_like(p_diag)
+    np.power(p_diag, -0.5, out=p_scale, where=p_diag > 0)
+    return np.concatenate([a_diag**-0.5, p_scale])
+
+
+class _ScaledFactor:
+    """LU of K = (D M D)[perm][:, perm] that solves with M itself:
+    x = D P^T K^-1 P D b, and with `trans="T"` the same through K^-T."""
+
+    def __init__(self, lu, perm: np.ndarray, scale: np.ndarray):
+        self.lu = lu
+        self.perm = perm
+        self.scale = scale
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        x = np.empty_like(b)
+        x[self.perm] = self.lu.solve((self.scale * b)[self.perm], trans=trans)
+        return self.scale * x
+
+
+def _factor_pinned(system: SaddleSystem, block: sp.csc_matrix, stats: dict) -> _ScaledFactor:
+    """Factor `block` without the row and column of its first pressure dof."""
+    t0 = time.perf_counter()
+    pin = system.n_velocity
+    m = block.shape[0]
+    order = _dissection_order(system)
+    order = order[order != pin]
+    perm = order - (order > pin)  # kept dofs in the pinned block's numbering
+    scale = _symmetric_scaling(system)
+    # new position of every dof of `block`; -1 drops the pinned one
+    position = np.full(m, -1)
+    position[order] = np.arange(m - 1)
+    coo = block.tocoo()
+    row, col = position[coo.row], position[coo.col]
+    kept = (row >= 0) & (col >= 0)
+    data = (coo.data * scale[coo.row] * scale[coo.col])[kept]
+    permuted = sp.csc_matrix((data, (row[kept], col[kept])), shape=(m - 1, m - 1))
+    stats["order_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    lu = spla.splu(
+        permuted,
+        permc_spec="NATURAL",
+        diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+        options=dict(SymmetricMode=True),
+    )
+    stats["factor_s"] = time.perf_counter() - t0
+    # the values SuperLU stores for L and U; building `lu.L` and `lu.U` to
+    # count them would copy the whole factor
+    stats["factor_nnz"] = int(lu.nnz)
+    stats["offdiag_pivots"] = int(np.count_nonzero(lu.perm_r != np.arange(m - 1)))
+    return _ScaledFactor(lu, perm, np.delete(scale, pin))
 
 
 def _zero_mean_solve(lu, v: np.ndarray, pin: int, w: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -82,7 +211,9 @@ def solve(
     [[A, -B^T], [B, C]] determines the pressure up to a constant (1^T B = 0 and
     C 1 = 0, so its pressure rows sum to zero), so the first pressure dof is
     pinned to zero, its implied equation is dropped, and the remaining block
-    is factored by `splu` (COLAMD ordering, partial pivoting) and refined
+    is scaled symmetrically, permuted into a nested-dissection order of the
+    grid and factored by `splu` in that order (SuperLU's symmetric mode,
+    diagonal pivots unless one falls below 1% of its column), then refined
     once.  The pressure is then shifted to zero area-weighted mean and the
     multiplier recovered from the full pressure rows; the relative residual
     is measured against the full bordered `system.matrix`.  `backend` must
@@ -106,8 +237,6 @@ def solve(
     m = pin + system.n_p  # size of the unbordered block
     w = system.mean_weights
     block = matrix[:m, :m]
-    keep = np.delete(np.arange(m), pin)
-    pinned = block[keep][:, keep].tocsc()
 
     singular = False
     reason = None
@@ -115,10 +244,7 @@ def solve(
     stats: dict = {"backend": backend}
     x = None
     try:
-        t0 = time.perf_counter()
-        lu = spla.splu(pinned)
-        stats["factor_s"] = time.perf_counter() - t0
-        stats["factor_nnz"] = int(lu.L.nnz + lu.U.nnz)
+        lu = _factor_pinned(system, block, stats)
         stats["fill_factor"] = float(stats["factor_nnz"] / max(matrix.nnz, 1))
         b = rhs[:m]
         x = _zero_mean_solve(lu, b, pin, w)
@@ -186,9 +312,13 @@ def schur_smallest_eigen(system: SaddleSystem, dense_cap: int = 4096) -> float |
     if n_p <= 1:
         return None
     lu = spla.splu(system.A.tocsc())
-    bt = np.asarray(system.B.todense()).T  # (2n, n_p)
-    x = lu.solve(bt)
-    s_mat = np.asarray(system.B @ x)
+    bt = system.B.T.tocsc()
+    s_mat = np.empty((n_p, n_p))
+    # B A^-1 B^T a block of columns at a time: a dense B^T or A^-1 B^T
+    # would hold 2n * n_p values
+    for start in range(0, n_p, _SCHUR_COLUMNS):
+        cols = slice(start, start + _SCHUR_COLUMNS)
+        s_mat[:, cols] = system.B @ lu.solve(bt[:, cols].toarray())
     s_mat = 0.5 * (s_mat + s_mat.T)
     masses = system.mean_weights
     d_inv_sqrt = 1.0 / np.sqrt(masses)

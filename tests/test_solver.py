@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import tensor_lines
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokes_fv import (
     SchemeSpec,
     assemble,
+    build_tensor,
     build_uniform,
     cell_means,
     make_clusters,
@@ -17,6 +21,9 @@ from stokes_fv import (
 from stokes_fv.errors import SolverError
 from stokes_fv.fields import h1_norm, l2_norm
 from stokes_fv.verify import CASES
+
+# A scaling that divides by zero, or any other numerical warning, fails here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_zero_forcing():
@@ -97,15 +104,7 @@ def _ms1_system(kind, n):
     return _system(kind, n, {"bp": 0.05, "cluster": 1.0}.get(kind), CASES["ms1"].forcing)
 
 
-@pytest.mark.parametrize("rhs", ["assembled", "random"])
-@pytest.mark.parametrize("kind", _KINDS)
-def test_matches_dense_bordered_solve(kind, rhs):
-    system = _ms1_system(kind, 8)
-    if rhs == "random":
-        # nonzero mass-balance and mean-constraint data give a nonzero multiplier
-        system = dataclasses.replace(
-            system, rhs=np.random.default_rng(7).standard_normal(system.rhs.size)
-        )
+def _assert_matches_dense_bordered_solve(system):
     x = np.linalg.solve(system.matrix.toarray(), system.rhs)
     report = solve(system)
     # 1e-12 relative to the solution's size (random data makes it large)
@@ -117,9 +116,49 @@ def test_matches_dense_bordered_solve(kind, rhs):
     shift = system.rhs[-1] / system.mean_weights.sum()
     np.testing.assert_allclose(report.p.values + shift, p_dense, rtol=0, atol=atol)
     assert report.multiplier == pytest.approx(x[-1], abs=atol)
+    return x, report
+
+
+def _random_rhs(system, seed):
+    # nonzero mass-balance and mean-constraint data give a nonzero multiplier
+    rhs = np.random.default_rng(seed).standard_normal(system.rhs.size)
+    return dataclasses.replace(system, rhs=rhs)
+
+
+@pytest.mark.parametrize("rhs", ["assembled", "random"])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_matches_dense_bordered_solve(kind, rhs):
+    system = _ms1_system(kind, 8)
+    if rhs == "random":
+        system = _random_rhs(system, 7)
+    x, report = _assert_matches_dense_bordered_solve(system)
     if rhs == "random":
         assert abs(x[-1]) > 1e-3
     assert report.residual_norm <= 1e-12
+
+
+# Odd cell counts for the cell-pressure schemes, even ones for the clusters;
+# nx != ny, so a dof order that mixes up the two directions shows.
+_ODD_LINES = tensor_lines(st.integers(1, 5).map(lambda h: 2 * h + 1))
+_EVEN_LINES = tensor_lines(st.integers(1, 6).map(lambda h: 2 * h))
+
+
+@pytest.mark.parametrize(
+    "kind, lam",
+    [("bp", 0.05), ("bp", 1e-3), ("natural", None), ("cluster", 1.0), ("cluster", 1e-3),
+     ("cluster-constant", None)],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_matches_dense_bordered_solve_on_tensor_grids(kind, lam, data, seed):
+    xs, ys = data.draw(_EVEN_LINES if kind.startswith("cluster") else _ODD_LINES)
+    g = build_tensor(xs, ys)
+    part = make_clusters(g) if kind.startswith("cluster") else None
+    system = assemble(SchemeSpec(kind, lam, part), g, CASES["ms1"].forcing, quad_order=1)
+    _, report = _assert_matches_dense_bordered_solve(_random_rhs(system, seed))
+    # not 1e-12: on cells of very unequal widths numpy's own dense LU
+    # leaves relative residuals up to 3e-12
+    assert report.residual_norm <= 1e-10
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -140,6 +179,53 @@ def test_pinned_factor_fill():
         report.stats["fill_factor"] * system.matrix.nnz
     )
     assert report.stats["factor_s"] > 0 and report.stats["rcond_s"] > 0
+
+
+def _tensor_90x62():
+    rng = np.random.default_rng(0)
+
+    def lines(n):
+        coords = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 10.0, n))])
+        return coords / coords[-1]
+
+    return build_tensor(lines(90), lines(62))
+
+
+def _grid(name):
+    return _tensor_90x62() if name == "tensor-90x62" else build_uniform(int(name))
+
+
+@pytest.mark.parametrize("grid", ["32", "48", "64", "tensor-90x62"])
+def test_stable_schemes_factor_on_diagonal_pivots(grid):
+    # the scaled nested-dissection order keeps every pivot on the diagonal,
+    # whatever h, lambda or the cell aspect ratios
+    g = _grid(grid)
+    part = make_clusters(g)
+    for kind, lam in [("bp", 0.05), ("bp", 1e-3), ("cluster", 1.0), ("cluster", 1e-3),
+                      ("cluster-constant", None)]:
+        spec = SchemeSpec(kind, lam, part if kind.startswith("cluster") else None)
+        report = solve(assemble(spec, g, CASES["ms1"].forcing, quad_order=1))
+        assert not report.singular, (kind, lam)
+        assert report.stats["offdiag_pivots"] == 0, (kind, lam)
+
+
+@pytest.mark.parametrize(
+    "grid, max_fill",
+    [("64", (12, 12, 21)), ("tensor-90x62", (13, 13, 21))],
+    ids=["64", "tensor-90x62"],
+)
+def test_dissection_order_fill(grid, max_fill):
+    # bp / cluster / cluster-constant; COLAMD gave 16.9 / 17.6 / 24.0 at
+    # n=64, and on the 90x62 grid an order that swaps the two directions
+    # gives about 100 for bp and cluster
+    g = _grid(grid)
+    part = make_clusters(g)
+    schemes = [("bp", 0.05), ("cluster", 1.0), ("cluster-constant", None)]
+    for (kind, lam), bound in zip(schemes, max_fill):
+        spec = SchemeSpec(kind, lam, part if kind.startswith("cluster") else None)
+        report = solve(assemble(spec, g, CASES["ms1"].forcing, quad_order=1))
+        assert report.stats["fill_factor"] <= bound, kind
+        assert report.stats["order_s"] > 0
 
 
 def test_single_cluster_empty_pinned_pressure_block():
