@@ -33,9 +33,10 @@ from scipy.io import mmread, mmwrite
 
 from .errors import ClusterError, ConfigError, GridError
 from .fields import ScalarField, VectorField, _fmt
-from .grid import ClusterPartition, Grid
+from .grid import ClusterPartition, Grid, make_clusters
 from .operators import (
     divergence_matrix,
+    gradient_matrix,
     h1_stiffness_matrix,
     jump_stabilization_matrix,
     vector_field_to_array,
@@ -143,20 +144,40 @@ def _cluster_prolongation(partition: ClusterPartition) -> sp.csr_matrix:
 
 class _GridOperators:
     """Scalar stiffness A1, cell divergence B_cells and velocity block
-    A = diag(A1, A1) of one grid, each built once and then shared.
+    A = diag(A1, A1) of one grid, each built once and then shared, plus the
+    gradient G and the jump matrices J (all interior edges) and J_intra
+    (intra-cluster edges) that the operators' apply forms multiply by.
 
     Their arrays are read-only, so a caller editing one in place gets a
-    ValueError instead of silently changing every system on the grid.  A is
-    built on first use: the gradient probe needs only A1 and B_cells.
+    ValueError instead of silently changing every system on the grid.  A,
+    G, J and J_intra are built on first use: the gradient probe needs only
+    A1 and B_cells, and assembly never needs G or the jump matrices.  The
+    grid is held by a weak reference, so the memo does not keep it alive.
     """
 
     def __init__(self, grid: Grid):
+        self._grid = weakref.ref(grid)
         self.A1 = _read_only(h1_stiffness_matrix(grid))
         self.B_cells = _read_only(divergence_matrix(grid))
 
     @functools.cached_property
     def A(self) -> sp.csr_matrix:
         return _read_only(sp.block_diag([self.A1, self.A1], format="csr"))
+
+    @functools.cached_property
+    def G(self) -> sp.csr_matrix:
+        # assembled on its own, not as -B_cells^T: `duality_defect` checks
+        # the two against each other
+        return _read_only(gradient_matrix(self._grid()))
+
+    @functools.cached_property
+    def J(self) -> sp.csr_matrix:
+        return _read_only(jump_stabilization_matrix(self._grid()))
+
+    @functools.cached_property
+    def J_intra(self) -> sp.csr_matrix:
+        grid = self._grid()
+        return _read_only(jump_stabilization_matrix(grid, make_clusters(grid).intra_edge_mask))
 
 
 def _read_only(mat):

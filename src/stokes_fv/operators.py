@@ -5,9 +5,10 @@ jump (e_k - e_l), built as a sparse matrix by the one triplet builder
 `_edge_stencil` and scaled row-wise by the cell area, so that a matrix row
 is the integral of the operator over the cell.  The cell-update ("apply")
 forms of the gradient, divergence and stabilization are that matrix product
-divided by the cell areas; the Laplacian's instead sums its per-edge
-diffusive fluxes, so that it is exactly zero on constants away from the
-wall.
+divided by the cell areas, with the matrix built once per grid and shared
+read-only; the Laplacian's instead sums its per-edge diffusive fluxes, so
+that it is exactly zero on constants away from the wall.  The public
+`*_matrix` builders return a fresh matrix on every call.
 
 Fluxes are oriented along the stored edge normal (k-to-l, outward on the
 boundary).  On interior edges of a tensor grid:
@@ -70,6 +71,13 @@ def velocity_fluxes(u: VectorField) -> np.ndarray:
 
 # -- cell-update form ---------------------------------------------------------
 
+def _shared(grid: Grid):
+    """The read-only operators of `grid`, built once per grid object."""
+    from .assembly import _grid_operators  # assembly imports this module
+
+    return _grid_operators(grid)
+
+
 def laplacian_apply(u):
     """Cell values of the negative discrete Laplacian (homogeneous wall values).
 
@@ -95,14 +103,14 @@ def laplacian_apply(u):
 def gradient_apply(p: ScalarField) -> VectorField:
     """Cell values of the discrete pressure gradient."""
     g = p.grid
-    out = (gradient_matrix(g) @ p.values).reshape(2, -1).T
+    out = (_shared(g).G @ p.values).reshape(2, -1).T
     return VectorField(g, out / g.cell_areas[:, None])
 
 
 def divergence_apply(u: VectorField) -> ScalarField:
     """Cell values of the discrete velocity divergence (no wall flux)."""
     g = u.grid
-    return ScalarField(g, divergence_matrix(g) @ vector_field_to_array(u) / g.cell_areas)
+    return ScalarField(g, _shared(g).B_cells @ vector_field_to_array(u) / g.cell_areas)
 
 
 def stab_laplacian_apply(
@@ -116,16 +124,18 @@ def stab_laplacian_apply(
     """
     g = p.grid
     if variant == "full":
-        mask = None
+        jump = _shared(g).J
     elif variant == "intra_cluster":
         if partition is None:
             raise ClusterError("intra_cluster variant needs a cluster partition")
         if not partition.grid.same_mesh(g):
             raise ClusterError("partition belongs to a different grid")
-        mask = partition.intra_edge_mask
+        # a partition is determined by its mesh, so the grid's own one has
+        # the same intra-cluster edges
+        jump = _shared(g).J_intra
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return ScalarField(g, jump_stabilization_matrix(g, mask) @ p.values / g.cell_areas)
+    return ScalarField(g, jump @ p.values / g.cell_areas)
 
 
 def duality_defect(p: ScalarField, v: VectorField) -> float:

@@ -11,6 +11,12 @@ block is factored in a nested-dissection order of the node rectangle, the
 fill-optimal order on a regular mesh (George, SIAM J. Numer. Anal. 10,
 1973), after a symmetric diagonal scaling that makes SuperLU's diagonal
 pivot test independent of the mesh size and the stabilization strength.
+
+`schur_smallest_eigen`, the inf-sup probe, factors the same block without
+its stabilization the same way and runs shift-invert Lanczos at shift 0 on
+its zero-mean pressure solve: a few dozen solves with one sparse factor, and
+no dense array.  It returns 0 when that block is singular to working
+precision.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -38,9 +43,9 @@ _LEAF_SIDE = 4
 # SuperLU takes the diagonal pivot unless it is below this share of the
 # column's largest entry.
 _DIAG_PIVOT_THRESH = 0.01
-# Columns of the dense Schur complement built per block in
-# `schur_smallest_eigen`.
-_SCHUR_COLUMNS = 256
+# Reciprocal condition estimate below which a factored saddle block counts
+# as singular: `solve` flags the system, `schur_smallest_eigen` returns 0.
+_RCOND_FLOOR = 1e-12
 
 
 @dataclass
@@ -106,14 +111,14 @@ def _dissection_order(system: SaddleSystem) -> np.ndarray:
     return np.argsort(np.concatenate([cell_ranks, cell_ranks, ranks]), kind="stable")
 
 
-def _symmetric_scaling(system: SaddleSystem) -> np.ndarray:
+def _symmetric_scaling(system: SaddleSystem, C: sp.spmatrix) -> np.ndarray:
     """Diagonal D with unit-sized diagonal in D [[A, -B^T], [B, C]] D.
 
     Velocities get diag(A)^-1/2; pressures get the inverse square root of
     the diagonal of B diag(A)^-1 B^T + C, or 1 where that is zero.
     """
     a_diag = system.A.diagonal()
-    p_diag = system.B.multiply(system.B) @ (1.0 / a_diag) + system.C.diagonal()
+    p_diag = system.B.multiply(system.B) @ (1.0 / a_diag) + C.diagonal()
     p_scale = np.ones_like(p_diag)
     np.power(p_diag, -0.5, out=p_scale, where=p_diag > 0)
     return np.concatenate([a_diag**-0.5, p_scale])
@@ -134,15 +139,18 @@ class _ScaledFactor:
         return self.scale * x
 
 
-def _factor_pinned(system: SaddleSystem, block: sp.csc_matrix, stats: dict) -> _ScaledFactor:
-    """Factor `block` without the row and column of its first pressure dof."""
+def _factor_pinned(
+    system: SaddleSystem, block: sp.csc_matrix, C: sp.spmatrix, stats: dict
+) -> _ScaledFactor:
+    """Factor `block`, the saddle block [[A, -B^T], [B, C]] of the system's A
+    and B, without the row and column of its first pressure dof."""
     t0 = time.perf_counter()
     pin = system.n_velocity
     m = block.shape[0]
     order = _dissection_order(system)
     order = order[order != pin]
     perm = order - (order > pin)  # kept dofs in the pinned block's numbering
-    scale = _symmetric_scaling(system)
+    scale = _symmetric_scaling(system, C)
     # new position of every dof of `block`; -1 drops the pinned one
     position = np.full(m, -1)
     position[order] = np.arange(m - 1)
@@ -199,11 +207,29 @@ def _rcond_estimate(block: sp.csc_matrix, lu, pin: int, w: np.ndarray) -> float:
     return 1.0 / (norm1 * inv_norm1)
 
 
+def _scaled_rcond(lu: _ScaledFactor) -> float:
+    """Estimate of the reciprocal 2-norm condition number of the scaled,
+    pinned block K that `lu` factored.
+
+    The scaling makes the velocity diagonal of K 1 and bounds every entry by
+    1, so ||K||_2 lies between 1 and a small constant (its 1-norm, 3 to 4.5
+    on the meshes tried), and 1 / ||K^-1||_2 serves as the estimate.
+    ||K^-1||_2 comes from one power step on K^-T K^-1 from a fixed Gaussian
+    vector, which has a part along any null vector of K.  Unlike
+    `_rcond_estimate` on the unscaled block, this stays away from zero on
+    fine or stretched meshes and falls to rounding level only when the
+    block is singular.
+    """
+    x = np.random.default_rng(0).standard_normal(lu.scale.size)
+    x = lu.lu.solve(lu.lu.solve(x), trans="T")
+    return float(np.linalg.norm(x) / np.linalg.norm(lu.lu.solve(x)))
+
+
 def solve(
     system: SaddleSystem,
     tol: float = 1e-10,
     backend: str = "splu",
-    rcond_floor: float = 1e-12,
+    rcond_floor: float = _RCOND_FLOOR,
 ) -> SolveReport:
     """Solve the saddle system by sparse direct factorization.
 
@@ -244,7 +270,7 @@ def solve(
     stats: dict = {"backend": backend}
     x = None
     try:
-        lu = _factor_pinned(system, block, stats)
+        lu = _factor_pinned(system, block, system.C, stats)
         stats["fill_factor"] = float(stats["factor_nnz"] / max(matrix.nnz, 1))
         b = rhs[:m]
         x = _zero_mean_solve(lu, b, pin, w)
@@ -298,34 +324,54 @@ def solve(
     return SolveReport(u, p, multiplier, residual, singular, reason, rcond, stats)
 
 
-def schur_smallest_eigen(system: SaddleSystem, dense_cap: int = 4096) -> float | None:
+def schur_smallest_eigen(system: SaddleSystem) -> float | None:
     """Smallest pressure Schur-complement eigenvalue on zero-mean pressures.
 
     Returns the squared inf-sup constant of the system's pressure space:
     the smallest eigenvalue of M^-1 (B A^-1 B^T) restricted to the subspace
-    of zero area-weighted mean, with M the diagonal pressure mass matrix.
-    Dense computation; `None` when the zero-mean space is trivial.
+    of zero area-weighted mean, with M the diagonal pressure mass matrix;
+    `None` when that subspace is trivial (one pressure dof).
+
+    Shift-invert Lanczos at shift 0 (Ericsson and Ruhe, Math. Comp. 35,
+    1980): the saddle block [[A, -B^T], [B, 0]] is factored as in `solve`,
+    and its zero-mean solve maps pressure data g to the zero-mean p with
+    B A^-1 B^T p = g.  In the variables y = M^1/2 p this is the inverse of
+    M^-1/2 B A^-1 B^T M^-1/2 on the complement of M^1/2 1, so `eigsh` finds
+    its largest eigenvalue theta, and beta^2 = 1/theta.  The system's
+    stabilization block C plays no part.
+
+    A pressure in the kernel of B^T makes the block singular and beta^2 = 0.
+    Rounding may still let that block factor and the iteration return a
+    finite, unrelated value, so 0.0 is returned whenever the factorization
+    fails or the reciprocal condition estimate of the scaled pinned block
+    falls below `solve`'s default `rcond_floor`, 1e-12.
     """
     n_p = system.n_p
-    if n_p > dense_cap:
-        raise SolverError(f"pressure dimension {n_p} exceeds dense cap {dense_cap}")
     if n_p <= 1:
         return None
-    lu = spla.splu(system.A.tocsc())
-    bt = system.B.T.tocsc()
-    s_mat = np.empty((n_p, n_p))
-    # B A^-1 B^T a block of columns at a time: a dense B^T or A^-1 B^T
-    # would hold 2n * n_p values
-    for start in range(0, n_p, _SCHUR_COLUMNS):
-        cols = slice(start, start + _SCHUR_COLUMNS)
-        s_mat[:, cols] = system.B @ lu.solve(bt[:, cols].toarray())
-    s_mat = 0.5 * (s_mat + s_mat.T)
-    masses = system.mean_weights
-    d_inv_sqrt = 1.0 / np.sqrt(masses)
-    s_hat = s_mat * np.outer(d_inv_sqrt, d_inv_sqrt)
-    # orthonormal basis of the zero-mean constraint in scaled variables
-    w = np.sqrt(masses)
-    basis = scipy.linalg.null_space(w[None, :])
-    reduced = basis.T @ s_hat @ basis
-    eigvals = scipy.linalg.eigvalsh(0.5 * (reduced + reduced.T))
-    return float(eigvals[0])
+    pin = system.n_velocity
+    w = system.mean_weights
+    zero_c = sp.csr_matrix((n_p, n_p))
+    block = sp.bmat([[system.A, -system.B.T], [system.B, zero_c]], format="csc")
+    try:
+        lu = _factor_pinned(system, block, zero_c, {})
+    except RuntimeError:  # SuperLU found an exactly zero pivot
+        return 0.0
+    if not _scaled_rcond(lu) >= _RCOND_FLOOR:  # also when the estimate is nan
+        return 0.0
+
+    sqrt_m = np.sqrt(w)
+    data = np.zeros(pin + n_p)
+
+    def inverse(y):
+        data[pin:] = sqrt_m * np.ravel(y)
+        return sqrt_m * _zero_mean_solve(lu, data, pin, w)[pin:]
+
+    # a fixed start vector off the kernel direction M^1/2 1 of the operator
+    start = np.random.default_rng(0).standard_normal(n_p)
+    start -= sqrt_m * (sqrt_m @ start) / w.sum()
+    op = spla.LinearOperator((n_p, n_p), matvec=inverse, dtype=float)
+    # stops once the Ritz residual is below 1e-12 of the Ritz value, which
+    # bounds the relative error of theta, and so of beta^2, by about 1e-12
+    theta = spla.eigsh(op, k=1, which="LA", v0=start, tol=1e-12, return_eigenvectors=False)[0]
+    return float(1.0 / theta)

@@ -13,11 +13,17 @@ cluster regularity criterion.
 `loop_laplacian`, `loop_gradient`, `loop_divergence` and `loop_jump` are
 per-edge flux loops computing the cell-update forms of the operators,
 independent of the sparse matrices the production apply forms multiply by.
+
+`dense_schur_smallest_eigen` forms the whole pressure Schur complement
+B A^-1 B^T densely and takes every eigenvalue of its projection onto the
+zero-mean pressures, against the production shift-invert Lanczos probe.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 
 def dense_assemble_uniform(n, kind, lam=None):
@@ -252,3 +258,20 @@ def loop_jump(grid, p, cluster_of=None):
         out[k] += t
         out[l] -= t
     return out / grid.cell_areas
+
+
+def dense_schur_smallest_eigen(system):
+    """Smallest eigenvalue of M^-1 (B A^-1 B^T) on zero area-weighted mean
+    pressures, from the dense Schur complement; `None` for one pressure dof."""
+    n_p = system.n_p
+    if n_p <= 1:
+        return None
+    lu = spla.splu(system.A.tocsc())
+    s_mat = system.B @ lu.solve(system.B.T.toarray())
+    s_mat = 0.5 * (s_mat + s_mat.T)
+    d_inv_sqrt = 1.0 / np.sqrt(system.mean_weights)
+    s_hat = s_mat * np.outer(d_inv_sqrt, d_inv_sqrt)
+    # orthonormal basis of the zero-mean constraint in scaled variables
+    basis = scipy.linalg.null_space(np.sqrt(system.mean_weights)[None, :])
+    reduced = basis.T @ s_hat @ basis
+    return float(scipy.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])

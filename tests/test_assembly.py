@@ -16,9 +16,11 @@ from stokes_fv import (
     build_uniform,
     cell_means,
     energy_functional,
+    gradient_apply,
     gradient_matrix,
     make_clusters,
     solve,
+    stab_laplacian_apply,
 )
 from stokes_fv.assembly import _GRID_OPERATORS, _grid_operators, export_system, load_system
 from stokes_fv.operators import vector_field_to_array
@@ -276,3 +278,20 @@ def test_shared_operators_are_read_only():
     a1 = _grid_operators(g).A1
     with pytest.raises(ValueError):
         a1.indptr[0] = 1
+
+
+def test_apply_forms_reuse_the_grid_operators():
+    g = build_uniform(4)
+    p = ScalarField(g, np.arange(g.n_cells, dtype=float))
+    gradient_apply(p)
+    stab_laplacian_apply(p)
+    stab_laplacian_apply(p, "intra_cluster", make_clusters(g))
+    ops = _grid_operators(g)
+    for name in ("G", "J", "J_intra"):
+        assert name in vars(ops)  # built by the first apply call
+        with pytest.raises(ValueError):
+            getattr(ops, name).data[0] = 1.0
+    # the public builder still returns a fresh, writable matrix
+    fresh = gradient_matrix(g)
+    assert fresh is not ops.G
+    fresh.data[0] = 1.0

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import tensor_lines
-from hypothesis import given, settings
+from dense_oracle import dense_schur_smallest_eigen
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stokes_fv import (
@@ -181,18 +182,18 @@ def test_pinned_factor_fill():
     assert report.stats["factor_s"] > 0 and report.stats["rcond_s"] > 0
 
 
-def _tensor_90x62():
+def _seeded_tensor(nx, ny):
     rng = np.random.default_rng(0)
 
     def lines(n):
         coords = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 10.0, n))])
         return coords / coords[-1]
 
-    return build_tensor(lines(90), lines(62))
+    return build_tensor(lines(nx), lines(ny))
 
 
 def _grid(name):
-    return _tensor_90x62() if name == "tensor-90x62" else build_uniform(int(name))
+    return _seeded_tensor(90, 62) if name == "tensor-90x62" else build_uniform(int(name))
 
 
 @pytest.mark.parametrize("grid", ["32", "48", "64", "tensor-90x62"])
@@ -258,9 +259,63 @@ def test_schur_single_cluster_empty_space():
     assert schur_smallest_eigen(_system("cluster-constant", 2)) is None
 
 
-def test_schur_dimension_cap():
-    with pytest.raises(SolverError):
-        schur_smallest_eigen(_system("natural", 8), dense_cap=10)
+def _zero_forcing_system(kind, g):
+    part = make_clusters(g) if kind == "cluster-constant" else None
+    return assemble(SchemeSpec(kind, None, part), g, lambda x, y: (0 * x, 0 * y), quad_order=1)
+
+
+def _uniform_lines(nx, ny):
+    return np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1)
+
+
+def _assert_matches_dense_oracle(kind, lines):
+    system = _zero_forcing_system(kind, build_tensor(*lines))
+    expected = dense_schur_smallest_eigen(system)
+    assert schur_smallest_eigen(system) == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tensor_lines(st.integers(1, 6).map(lambda h: 2 * h)))
+@example(_uniform_lines(4, 2))  # two clusters: a one-dimensional zero-mean space
+@example(_uniform_lines(6, 2))  # three clusters
+def test_schur_matches_dense_oracle_cluster_constant(lines):
+    _assert_matches_dense_oracle("cluster-constant", lines)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tensor_lines(st.integers(2, 12)))
+@example(_uniform_lines(2, 2))
+def test_schur_matches_dense_oracle_full_space(lines):
+    _assert_matches_dense_oracle("natural", lines)
+
+
+@pytest.mark.parametrize("kind, n", [("cluster-constant", 8), ("natural", 6)])
+def test_schur_exact_kernel_gives_zero(kind, n):
+    # pressure rows 3 and 4 of B both replaced by their mean: 1^T B stays 0
+    # and e3 - e4 spans the kernel of B^T, so beta^2 = 0.  The factor of the
+    # block survives rounding (cluster-constant) or breaks (natural); without
+    # the condition check the first case returns the unmerged 0.28758
+    system = _system(kind, n)
+    merged = system.B.tolil()
+    merged[3] = merged[4] = 0.5 * (system.B[3] + system.B[4])
+    system = dataclasses.replace(system, B=merged.tocsr())
+    assert abs(dense_schur_smallest_eigen(system)) <= 1e-12
+    assert 0.0 <= schur_smallest_eigen(system) <= 1e-12
+
+
+def test_schur_full_space_beyond_dense_size():
+    # 5120 pressures, whose dense Schur complement would hold 26M values, on
+    # cells with aspect ratios up to 100, where the condition estimate of
+    # the unscaled block is 1e-13 although beta^2 is 4.2e-5
+    system = _zero_forcing_system("natural", _seeded_tensor(80, 64))
+    beta_sq = schur_smallest_eigen(system)
+    assert math.isfinite(beta_sq) and beta_sq > 0
+
+
+def test_schur_cluster_constant_n128():
+    # 0.213965 is the value an independent LOBPCG run gave at n=128
+    beta_sq = schur_smallest_eigen(_system("cluster-constant", 128))
+    assert beta_sq == pytest.approx(0.213965, rel=1e-6)
 
 
 def test_schur_invariant_under_pressure_permutation():
