@@ -149,7 +149,10 @@ def cmd_solve(args) -> int:
         summary += [("energy_velocity_sq", energy_u), ("energy_stab_sq", energy_stab)]
         write_vector_csv(report.u, out / "u.csv")
         write_scalar_csv(report.p, out / "p.csv")
-    stat_keys = ("factor_nnz", "fill_factor", "factor_s", "rcond_s", "offdiag_pivots", "order_s")
+    stat_keys = (
+        "factor_nnz", "fill_factor", "factor_s", "rcond_s", "offdiag_pivots", "order_s",
+        "peak_rss_mb",
+    )
     summary += [(key, report.stats.get(key, "")) for key in stat_keys]
     _write_summary(out / "summary.csv", summary)
 
@@ -187,7 +190,6 @@ def cmd_probe(args) -> int:
     cfg = _load_config(args.config)
     what = _setting(args, cfg, "what")
     out = _out_dir(args, cfg)
-    tol = float(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)))
 
     if what == "checkerboard":
         n_list = _parse_n_list(_setting(args, cfg, "n"))

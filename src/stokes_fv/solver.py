@@ -3,7 +3,10 @@
 `solve` factors the saddle block with the first pressure dof pinned instead
 of the bordered matrix: the dense zero-mean multiplier row and column ruin
 the fill-reducing ordering.  The zero mean and the multiplier are recovered
-afterwards, and the residual is measured on the full bordered system.
+afterwards, and the residual is measured on the full bordered system.  The
+pinned block is assembled, scaled and permuted in one pass straight from the
+system's A, B and C blocks, so the only sparse matrix alive next to the
+factor is the one SuperLU factors: no slice or copy of the bordered matrix.
 
 Every block of the saddle matrix couples a node (a cell, or a 2x2 cluster
 for cluster-constant pressure) only to its four neighbours, so the pinned
@@ -21,6 +24,8 @@ precision.
 
 from __future__ import annotations
 
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -46,6 +51,8 @@ _DIAG_PIVOT_THRESH = 0.01
 # Reciprocal condition estimate below which a factored saddle block counts
 # as singular: `solve` flags the system, `schur_smallest_eigen` returns 0.
 _RCOND_FLOOR = 1e-12
+# `ru_maxrss` is in kilobytes on Linux and in bytes on macOS.
+_MAXRSS_PER_MB = 1024.0**2 if sys.platform == "darwin" else 1024.0
 
 
 @dataclass
@@ -139,41 +146,73 @@ class _ScaledFactor:
         return self.scale * x
 
 
-def _factor_pinned(
-    system: SaddleSystem, block: sp.csc_matrix, C: sp.spmatrix, stats: dict
-) -> _ScaledFactor:
-    """Factor `block`, the saddle block [[A, -B^T], [B, C]] of the system's A
-    and B, without the row and column of its first pressure dof."""
-    t0 = time.perf_counter()
+def _pinned_block(
+    system: SaddleSystem, C: sp.spmatrix
+) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """The matrix `_factor_pinned` factors, built from the system's blocks.
+
+    K = (D M D)[perm][:, perm], where M is the saddle block [[A, -B^T],
+    [B, C]] of the system's A and B without the row and column of its first
+    pressure dof, D the `_symmetric_scaling` and perm the nested-dissection
+    order of the kept dofs.  The COO triplets of A, -B^T, B and C are mapped
+    straight to their positions in K, so no copy of the saddle block or of
+    the bordered `system.matrix` is made.  Returns K, perm and the kept
+    entries of D.
+    """
     pin = system.n_velocity
-    m = block.shape[0]
+    m = pin + system.n_p
     order = _dissection_order(system)
     order = order[order != pin]
-    perm = order - (order > pin)  # kept dofs in the pinned block's numbering
     scale = _symmetric_scaling(system, C)
-    # new position of every dof of `block`; -1 drops the pinned one
-    position = np.full(m, -1)
-    position[order] = np.arange(m - 1)
-    coo = block.tocoo()
-    row, col = position[coo.row], position[coo.col]
-    kept = (row >= 0) & (col >= 0)
-    data = (coo.data * scale[coo.row] * scale[coo.col])[kept]
-    permuted = sp.csc_matrix((data, (row[kept], col[kept])), shape=(m - 1, m - 1))
+    # position in K of every dof of M; -1 drops the pinned one
+    position = np.full(m, -1, dtype=np.int32)
+    position[order] = np.arange(m - 1, dtype=np.int32)
+    A, B, C = system.A.tocoo(), system.B.tocoo(), C.tocoo()
+    B_row = B.row + pin
+    triplets = [
+        (A.row, A.col, A.data),
+        (B.col, B_row, -B.data),
+        (B_row, B.col, B.data),
+        (C.row + pin, C.col + pin, C.data),
+    ]
+    size = sum(data.size for _, _, data in triplets)
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    vals = np.empty(size)
+    end = 0
+    for row, col, data in triplets:
+        row_pos, col_pos = position[row], position[col]
+        kept = (row_pos >= 0) & (col_pos >= 0)
+        start, end = end, end + np.count_nonzero(kept)
+        rows[start:end] = row_pos[kept]
+        cols[start:end] = col_pos[kept]
+        vals[start:end] = (data * scale[row] * scale[col])[kept]
+    K = sp.csc_matrix((vals[:end], (rows[:end], cols[:end])), shape=(m - 1, m - 1))
+    return K, order - (order > pin), np.delete(scale, pin)
+
+
+def _factor_pinned(system: SaddleSystem, C: sp.spmatrix, stats: dict) -> _ScaledFactor:
+    """Factor the saddle block [[A, -B^T], [B, C]] of the system's A and B
+    without the row and column of its first pressure dof, as the scaled,
+    permuted `_pinned_block` K.  Only K is alive while SuperLU factors it."""
+    t0 = time.perf_counter()
+    K, perm, scale = _pinned_block(system, C)
     stats["order_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     lu = spla.splu(
-        permuted,
+        K,
         permc_spec="NATURAL",
         diag_pivot_thresh=_DIAG_PIVOT_THRESH,
         options=dict(SymmetricMode=True),
     )
     stats["factor_s"] = time.perf_counter() - t0
+    stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MB
     # the values SuperLU stores for L and U; building `lu.L` and `lu.U` to
     # count them would copy the whole factor
     stats["factor_nnz"] = int(lu.nnz)
-    stats["offdiag_pivots"] = int(np.count_nonzero(lu.perm_r != np.arange(m - 1)))
-    return _ScaledFactor(lu, perm, np.delete(scale, pin))
+    stats["offdiag_pivots"] = int(np.count_nonzero(lu.perm_r != np.arange(K.shape[0])))
+    return _ScaledFactor(lu, perm, scale)
 
 
 def _zero_mean_solve(lu, v: np.ndarray, pin: int, w: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -193,15 +232,39 @@ def _zero_mean_solve(lu, v: np.ndarray, pin: int, w: np.ndarray, trans: str = "N
     return x
 
 
-def _rcond_estimate(block: sp.csc_matrix, lu, pin: int, w: np.ndarray) -> float:
-    norm1 = float(abs(block).sum(axis=0).max())
+def _block_norm1(matrix: sp.csc_matrix, m: int) -> float:
+    """1-norm of the leading m-by-m block of the bordered CSC `matrix`: its
+    first m columns without their entries in row m, the mean constraint
+    row, read from the CSC arrays without copying the block.  Every such
+    column stores its diagonal or its mean weight, so none is empty."""
+    end = matrix.indptr[m]
+    col_abs = np.abs(matrix.data[:end])
+    col_abs[matrix.indices[:end] >= m] = 0.0
+    return float(np.add.reduceat(col_abs, matrix.indptr[:m]).max())
+
+
+def _rcond_estimate(norm1: float, lu, pin: int, w: np.ndarray) -> float:
+    """Reciprocal 1-norm condition estimate of the unbordered saddle block
+    of 1-norm `norm1`, through `onenormest` on its zero-mean solution
+    operator.
+
+    `onenormest` draws its random probe columns from NumPy's global
+    generator; it runs here from a fixed seed, so the estimate repeats bit
+    for bit, and the caller's generator state is restored afterwards.
+    """
+    m = pin + w.size
     inv_op = spla.LinearOperator(
-        block.shape,
+        (m, m),
         matvec=lambda b: _zero_mean_solve(lu, b, pin, w),
         rmatvec=lambda b: _zero_mean_solve(lu, b, pin, w, trans="T"),
-        dtype=block.dtype,
+        dtype=float,
     )
-    inv_norm1 = float(spla.onenormest(inv_op))
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        inv_norm1 = float(spla.onenormest(inv_op))
+    finally:
+        np.random.set_state(state)
     if norm1 == 0.0 or inv_norm1 == 0.0:
         return 0.0
     return 1.0 / (norm1 * inv_norm1)
@@ -240,10 +303,20 @@ def solve(
     is scaled symmetrically, permuted into a nested-dissection order of the
     grid and factored by `splu` in that order (SuperLU's symmetric mode,
     diagonal pivots unless one falls below 1% of its column), then refined
-    once.  The pressure is then shifted to zero area-weighted mean and the
-    multiplier recovered from the full pressure rows; the relative residual
-    is measured against the full bordered `system.matrix`.  `backend` must
-    be "splu".
+    once.  That block is built from the system's A, B and C blocks, never
+    sliced out of `system.matrix`; the refinement, the multiplier and the
+    rcond 1-norm read the unbordered block through `system.matrix` with a
+    zero multiplier and without its last row.  The pressure is then shifted
+    to zero area-weighted mean and the multiplier recovered from the full
+    pressure rows; the relative residual is measured against the full
+    bordered `system.matrix`.  `backend` must be "splu".
+
+    `stats` holds the factor's size (`factor_nnz`, `fill_factor`), its
+    off-diagonal pivot count, the seconds spent ordering (`order_s`),
+    factoring (`factor_s`) and estimating rcond (`rcond_s`), and the
+    process's peak resident set size in MB right after the factor
+    (`peak_rss_mb`).  `rcond_est` is repeatable bit for bit and leaves
+    NumPy's global random state as it was.
 
     The returned pressure has exactly zero area-weighted mean.  The report
     is flagged singular when the factorization fails, when the reciprocal
@@ -262,7 +335,13 @@ def solve(
     pin = system.n_velocity  # first pressure dof
     m = pin + system.n_p  # size of the unbordered block
     w = system.mean_weights
-    block = matrix[:m, :m]
+    b = rhs[:m]
+    # taken before the factor, so its temporaries are freed by then
+    norm1 = _block_norm1(matrix, m)
+
+    def unbordered_residual(x):
+        # b - [[A, -B^T], [B, C]] x, as the bordered matrix times [x; 0]
+        return b - (matrix @ np.append(x, 0.0))[:m]
 
     singular = False
     reason = None
@@ -270,14 +349,13 @@ def solve(
     stats: dict = {"backend": backend}
     x = None
     try:
-        lu = _factor_pinned(system, block, system.C, stats)
+        lu = _factor_pinned(system, system.C, stats)
         stats["fill_factor"] = float(stats["factor_nnz"] / max(matrix.nnz, 1))
-        b = rhs[:m]
         x = _zero_mean_solve(lu, b, pin, w)
         # one step of iterative refinement
-        x = x + _zero_mean_solve(lu, b - block @ x, pin, w)
+        x = x + _zero_mean_solve(lu, unbordered_residual(x), pin, w)
         t0 = time.perf_counter()
-        rcond = _rcond_estimate(block, lu, pin, w)
+        rcond = _rcond_estimate(norm1, lu, pin, w)
         stats["rcond_s"] = time.perf_counter() - t0
     except RuntimeError as err:
         singular = True
@@ -308,7 +386,7 @@ def solve(
 
     # the mean constraint row, then the multiplier from the pressure rows
     x[pin:] += rhs[-1] / w.sum()
-    r_p = (b - block @ x)[pin:]
+    r_p = unbordered_residual(x)[pin:]
     multiplier = float(w @ r_p / (w @ w))
     x = np.append(x, multiplier)
 
@@ -351,10 +429,8 @@ def schur_smallest_eigen(system: SaddleSystem) -> float | None:
         return None
     pin = system.n_velocity
     w = system.mean_weights
-    zero_c = sp.csr_matrix((n_p, n_p))
-    block = sp.bmat([[system.A, -system.B.T], [system.B, zero_c]], format="csc")
     try:
-        lu = _factor_pinned(system, block, zero_c, {})
+        lu = _factor_pinned(system, sp.csr_matrix((n_p, n_p)), {})
     except RuntimeError:  # SuperLU found an exactly zero pivot
         return 0.0
     if not _scaled_rcond(lu) >= _RCOND_FLOOR:  # also when the estimate is nan

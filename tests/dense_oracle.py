@@ -17,13 +17,20 @@ independent of the sparse matrices the production apply forms multiply by.
 `dense_schur_smallest_eigen` forms the whole pressure Schur complement
 B A^-1 B^T densely and takes every eigenvalue of its projection onto the
 zero-mean pressures, against the production shift-invert Lanczos probe.
+
+`sliced_pinned_block` builds the scaled, permuted, pinned saddle block the
+solver factors from a copy of the unbordered saddle block, through its COO
+form, against the production build from the A, B and C blocks.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from stokes_fv.solver import _dissection_order, _symmetric_scaling
 
 
 def dense_assemble_uniform(n, kind, lam=None):
@@ -275,3 +282,32 @@ def dense_schur_smallest_eigen(system):
     basis = scipy.linalg.null_space(np.sqrt(system.mean_weights)[None, :])
     reduced = basis.T @ s_hat @ basis
     return float(scipy.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
+
+
+def sliced_pinned_block(system, zero_c=False):
+    """K = (D M D)[perm][:, perm] of the solver, with M the saddle block
+    [[A, -B^T], [B, C]] without its first pressure row and column.
+
+    M is sliced out of `system.matrix` (C is the system's own block), or,
+    with `zero_c`, stacked from A and B with C = 0 as the inf-sup probe
+    factors it.  Its COO entries are then scaled, mapped to their new
+    positions and the pinned ones dropped.
+    """
+    pin = system.n_velocity
+    m = pin + system.n_p
+    if zero_c:
+        C = sp.csr_matrix((system.n_p, system.n_p))
+        block = sp.bmat([[system.A, -system.B.T], [system.B, C]], format="csc")
+    else:
+        C = system.C
+        block = system.matrix.tocsc()[:m, :m]
+    order = _dissection_order(system)
+    order = order[order != pin]
+    scale = _symmetric_scaling(system, C)
+    position = np.full(m, -1)
+    position[order] = np.arange(m - 1)
+    coo = block.tocoo()
+    row, col = position[coo.row], position[coo.col]
+    kept = (row >= 0) & (col >= 0)
+    data = (coo.data * scale[coo.row] * scale[coo.col])[kept]
+    return sp.csc_matrix((data, (row[kept], col[kept])), shape=(m - 1, m - 1))

@@ -40,12 +40,14 @@ def test_solve_writes_artifacts(tmp_path):
     assert summary["scheme"] == "bp"
     assert float(summary["residual_norm"]) < 1e-10
     assert summary["singular"] == "False"
-    assert [r[0] for r in rows[-6:]] == [
-        "factor_nnz", "fill_factor", "factor_s", "rcond_s", "offdiag_pivots", "order_s"
+    assert [r[0] for r in rows[-7:]] == [
+        "factor_nnz", "fill_factor", "factor_s", "rcond_s", "offdiag_pivots", "order_s",
+        "peak_rss_mb",
     ]
     assert int(summary["factor_nnz"]) > 0 and float(summary["fill_factor"]) > 1
     assert float(summary["factor_s"]) > 0 and float(summary["rcond_s"]) > 0
     assert int(summary["offdiag_pivots"]) == 0 and float(summary["order_s"]) > 0
+    assert float(summary["peak_rss_mb"]) > 0
 
 
 @pytest.mark.parametrize("stage", ["assemble", "solve"])

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import tensor_lines
-from dense_oracle import dense_schur_smallest_eigen
+from dense_oracle import dense_schur_smallest_eigen, sliced_pinned_block
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from stokes_fv import (
     solve,
 )
 from stokes_fv.errors import SolverError
+from stokes_fv.solver import _pinned_block
 from stokes_fv.fields import h1_norm, l2_norm
 from stokes_fv.verify import CASES
 
@@ -227,6 +229,62 @@ def test_dissection_order_fill(grid, max_fill):
         report = solve(assemble(spec, g, CASES["ms1"].forcing, quad_order=1))
         assert report.stats["fill_factor"] <= bound, kind
         assert report.stats["order_s"] > 0
+
+
+@pytest.mark.parametrize("zero_c", [False, True], ids=["solve", "schur"])
+@pytest.mark.parametrize("grid", ["24", "tensor-30x22"])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_pinned_block_matches_sliced_oracle(kind, grid, zero_c):
+    # the same K, bit for bit, as slicing the bordered matrix made it: the
+    # factor, the fields and beta^2 then stay bitwise the same too
+    g = _seeded_tensor(30, 22) if grid == "tensor-30x22" else build_uniform(int(grid))
+    part = make_clusters(g) if kind.startswith("cluster") else None
+    lam = {"bp": 0.05, "cluster": 1.0}.get(kind)
+    system = assemble(SchemeSpec(kind, lam, part), g, CASES["ms1"].forcing, quad_order=1)
+    expected = sliced_pinned_block(system, zero_c=zero_c)
+    C = sp.csr_matrix((system.n_p, system.n_p)) if zero_c else system.C
+    K = _pinned_block(system, C)[0]
+    assert K.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(K, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_rcond_estimate_repeats_and_keeps_global_random_state():
+    system = _ms1_system("bp", 16)
+    estimates = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        estimates.append(solve(system).rcond_est)
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+    assert estimates[0] == estimates[1]
+
+
+def _matrix_bytes(mat):
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+def _traced_peak(fn, *args):
+    fn(*args)  # first call outside the trace: lazily built state is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_traced_memory_stays_near_the_matrix_size(kind):
+    # slicing the bordered matrix and its COO copies peaked at 7.1-7.4x
+    system = _ms1_system(kind, 48)
+    assert _traced_peak(solve, system) <= 4.5 * _matrix_bytes(system.matrix)
+    if kind in ("cluster-constant", "natural"):
+        assert _traced_peak(schur_smallest_eigen, system) <= 4.5 * _matrix_bytes(system.matrix)
 
 
 def test_single_cluster_empty_pinned_pressure_block():
