@@ -28,6 +28,7 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 
@@ -146,13 +147,16 @@ class _GridOperators:
     """Scalar stiffness A1, cell divergence B_cells and velocity block
     A = diag(A1, A1) of one grid, each built once and then shared, plus the
     gradient G and the jump matrices J (all interior edges) and J_intra
-    (intra-cluster edges) that the operators' apply forms multiply by.
+    (intra-cluster edges) that the operators' apply forms multiply by, and
+    `A1_solve`, the factor-free inverse of A1 that the gradient probe and
+    the Schur-complement solver apply.
 
     Their arrays are read-only, so a caller editing one in place gets a
     ValueError instead of silently changing every system on the grid.  A,
-    G, J and J_intra are built on first use: the gradient probe needs only
-    A1 and B_cells, and assembly never needs G or the jump matrices.  The
-    grid is held by a weak reference, so the memo does not keep it alive.
+    G, J, J_intra and A1_solve are built on first use: the gradient probe
+    needs only A1_solve and B_cells, and assembly never needs G, the jump
+    matrices or A1_solve.  The grid is held by a weak reference, so the
+    memo does not keep it alive.
     """
 
     def __init__(self, grid: Grid):
@@ -178,6 +182,48 @@ class _GridOperators:
     def J_intra(self) -> sp.csr_matrix:
         grid = self._grid()
         return _read_only(jump_stabilization_matrix(grid, make_clusters(grid).intra_edge_mask))
+
+    @functools.cached_property
+    def A1_solve(self):
+        """A1^-1 by fast diagonalisation (Lynch, Rice and Thomas, Numer.
+        Math. 6, 1964), with no sparse factor.
+
+        With cells numbered i fastest, A1 = Dy (x) Tx + Ty (x) Dx, where Tx
+        is the 1D two-point stiffness along x (weight 1/d between
+        neighbouring centres, 2/h to each wall) and Dx = diag(dx), and
+        likewise along y.  Once per grid the generalised eigenproblems
+        Tx V = Dx V Lambda and Ty W = Dy W M are solved; then, for the
+        ny-by-nx array b of one right-hand side,
+        A1^-1 b = W ((W^T b V) / (mu_j + lambda_i)) V^T: four dense products.
+
+        The returned function maps an array of shape (..., n_cells), one
+        right-hand side per row (both velocity components at once), to the
+        solutions in the same shape.
+        """
+        grid = self._grid()
+        lam, V = _line_eigenpairs(grid.xs)
+        mu, W = _line_eigenpairs(grid.ys)
+        denominator = mu[:, None] + lam[None, :]
+        for arr in (V, W, denominator):
+            arr.flags.writeable = False
+
+        def solve(b):
+            z = W.T @ np.reshape(b, (-1,) + denominator.shape) @ V
+            return (W @ (z / denominator) @ V.T).reshape(np.shape(b))
+
+        return solve
+
+
+def _line_eigenpairs(lines):
+    """Eigenpairs (lambda, V) of T V = D V diag(lambda), V^T D V = I, for the
+    1D two-point stiffness T and the widths D = diag(h) of the cells
+    between the coordinate `lines`."""
+    h = np.diff(lines)
+    w = 1.0 / np.diff(0.5 * (lines[:-1] + lines[1:]))
+    diagonal = np.concatenate([w, [0.0]]) + np.concatenate([[0.0], w])
+    diagonal[[0, -1]] += 2.0 / h[[0, -1]]
+    T = np.diag(diagonal) - np.diag(w, 1) - np.diag(w, -1)
+    return scipy.linalg.eigh(T, np.diag(h))
 
 
 def _read_only(mat):

@@ -21,6 +21,10 @@ zero-mean pressures, against the production shift-invert Lanczos probe.
 `sliced_pinned_block` builds the scaled, permuted, pinned saddle block the
 solver factors from a copy of the unbordered saddle block, through its COO
 form, against the production build from the A, B and C blocks.
+
+`splu_gradient_dual_norm` takes the gradient dual norm through a sparse LU
+of the scalar stiffness, against the production probe's factor-free fast
+diagonalisation.
 """
 
 import math
@@ -30,6 +34,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from stokes_fv.operators import divergence_matrix, h1_stiffness_matrix
 from stokes_fv.solver import _dissection_order, _symmetric_scaling
 
 
@@ -311,3 +316,14 @@ def sliced_pinned_block(system, zero_c=False):
     kept = (row >= 0) & (col >= 0)
     data = (coo.data * scale[coo.row] * scale[coo.col])[kept]
     return sp.csc_matrix((data, (row[kept], col[kept])), shape=(m - 1, m - 1))
+
+
+def splu_gradient_dual_norm(q):
+    """sqrt(sum over both components of g_c^T A1^-1 g_c), g = -B^T q the
+    gradient load of the zero-mean pressure field q, with A1^-1 applied
+    through `splu` of the scalar stiffness matrix."""
+    grid = q.grid
+    lu = spla.splu(h1_stiffness_matrix(grid).tocsc())
+    load = -(divergence_matrix(grid).T @ q.values)
+    n = grid.n_cells
+    return math.sqrt(sum(float(g @ lu.solve(g)) for g in (load[:n], load[n:])))

@@ -4,6 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import tensor_lines
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokes_fv import (
     ClusterError,
@@ -261,11 +264,33 @@ def test_grid_operators_die_with_their_grid():
     assemble(SchemeSpec("bp", 0.1), g, CASES["ms1"].forcing)
     grid_ref = weakref.ref(g)
     a1_ref = weakref.ref(_grid_operators(g).A1)
+    a1_solve_ref = weakref.ref(_grid_operators(g).A1_solve)
     assert g in _GRID_OPERATORS
     del g
     gc.collect()
     assert grid_ref() is None
     assert a1_ref() is None
+    assert a1_solve_ref() is None
+
+
+def test_assembly_leaves_the_velocity_solve_unbuilt():
+    # its eigendecompositions are paid only by the callers that apply it
+    g = build_uniform(4)
+    for spec in (SchemeSpec("natural"),) + _stable_specs(make_clusters(g)):
+        assemble(spec, g, CASES["ms1"].forcing)
+    assert "A1_solve" not in vars(_grid_operators(g))
+
+
+@settings(max_examples=25, deadline=None)
+@given(tensor_lines(st.integers(2, 24)))
+def test_velocity_solve_inverts_the_stiffness_on_tensor_grids(lines):
+    g = build_tensor(*lines)
+    ops = _grid_operators(g)
+    x = np.random.default_rng(0).standard_normal((2, g.n_cells))
+    back = ops.A1_solve(np.stack([ops.A1 @ x[0], ops.A1 @ x[1]]))
+    assert np.linalg.norm(back - x) <= 1e-11 * np.linalg.norm(x)
+    assert ops.A1_solve(ops.A1 @ x[0]).shape == (g.n_cells,)
+    assert ops.A1_solve is ops.A1_solve
 
 
 def test_shared_operators_are_read_only():

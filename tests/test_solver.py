@@ -21,7 +21,7 @@ from stokes_fv import (
     solve,
 )
 from stokes_fv.errors import SolverError
-from stokes_fv.solver import _pinned_block
+from stokes_fv.solver import BACKENDS, _pinned_block
 from stokes_fv.fields import h1_norm, l2_norm
 from stokes_fv.verify import CASES
 
@@ -51,11 +51,12 @@ def test_solve_ms1_bp_residual_and_mean():
 def test_natural_scheme_reports_singularity():
     g = build_uniform(4)
     system = assemble(SchemeSpec("natural"), g, CASES["ms1"].forcing)
-    report = solve(system)
-    assert report.singular
-    assert "checkerboard" in report.singular_reason
-    # the factorization itself succeeded, so the fields are still returned
-    assert report.u is not None
+    for backend in BACKENDS:
+        report = solve(system, backend=backend)
+        assert report.singular, backend
+        assert "checkerboard" in report.singular_reason
+        # the factorization or CG itself succeeded, so the fields are still returned
+        assert report.u is not None
 
 
 def test_solve_superposition_linear_in_f():
@@ -107,9 +108,9 @@ def _ms1_system(kind, n):
     return _system(kind, n, {"bp": 0.05, "cluster": 1.0}.get(kind), CASES["ms1"].forcing)
 
 
-def _assert_matches_dense_bordered_solve(system):
+def _assert_matches_dense_bordered_solve(system, backend="splu"):
     x = np.linalg.solve(system.matrix.toarray(), system.rhs)
-    report = solve(system)
+    report = solve(system, backend=backend)
     # 1e-12 relative to the solution's size (random data makes it large)
     atol = 1e-12 * max(1.0, np.abs(x).max())
     n2, m = system.n_velocity, system.n_velocity + system.n_p
@@ -146,6 +147,14 @@ _ODD_LINES = tensor_lines(st.integers(1, 5).map(lambda h: 2 * h + 1))
 _EVEN_LINES = tensor_lines(st.integers(1, 6).map(lambda h: 2 * h))
 
 
+def _random_tensor_system(kind, lam, data, seed):
+    xs, ys = data.draw(_EVEN_LINES if kind.startswith("cluster") else _ODD_LINES)
+    g = build_tensor(xs, ys)
+    part = make_clusters(g) if kind.startswith("cluster") else None
+    system = assemble(SchemeSpec(kind, lam, part), g, CASES["ms1"].forcing, quad_order=1)
+    return _random_rhs(system, seed)
+
+
 @pytest.mark.parametrize(
     "kind, lam",
     [("bp", 0.05), ("bp", 1e-3), ("natural", None), ("cluster", 1.0), ("cluster", 1e-3),
@@ -154,22 +163,78 @@ _EVEN_LINES = tensor_lines(st.integers(1, 6).map(lambda h: 2 * h))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_matches_dense_bordered_solve_on_tensor_grids(kind, lam, data, seed):
-    xs, ys = data.draw(_EVEN_LINES if kind.startswith("cluster") else _ODD_LINES)
-    g = build_tensor(xs, ys)
-    part = make_clusters(g) if kind.startswith("cluster") else None
-    system = assemble(SchemeSpec(kind, lam, part), g, CASES["ms1"].forcing, quad_order=1)
-    _, report = _assert_matches_dense_bordered_solve(_random_rhs(system, seed))
+    _, report = _assert_matches_dense_bordered_solve(_random_tensor_system(kind, lam, data, seed))
     # not 1e-12: on cells of very unequal widths numpy's own dense LU
     # leaves relative residuals up to 3e-12
     assert report.residual_norm <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "kind, lam",
+    [("bp", 0.05), ("bp", 1e-3), ("cluster", 1.0), ("cluster", 1e-3), ("cluster-constant", None)],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_schur_cg_matches_dense_bordered_solve_on_tensor_grids(kind, lam, data, seed):
+    system = _random_tensor_system(kind, lam, data, seed)
+    _, report = _assert_matches_dense_bordered_solve(system, "schur-cg")
+    assert not report.singular, report.singular_reason
+    assert report.residual_norm <= 1e-10
+    assert 0 < report.stats["ritz_min"] <= report.stats["ritz_max"]
+
+
 @pytest.mark.parametrize("kind", _KINDS)
-def test_rcond_estimate_tracks_dense_bordered_condition(kind):
+def test_rcond_estimate_tracks_dense_scaled_condition(kind):
+    # the estimate is of the scaled, pinned block that is factored, so it
+    # does not depend on the mesh's units
     system = _ms1_system(kind, 16)
-    dense = 1.0 / np.linalg.cond(system.matrix.toarray(), 1)
+    dense = 1.0 / np.linalg.cond(_pinned_block(system, system.C)[0].toarray(), 2)
     report = solve(system)
     assert dense / 3 <= report.rcond_est <= 3 * dense
+
+
+@pytest.mark.parametrize("kind", ["cluster-constant", "natural"])
+def test_schur_cg_ritz_values_approach_beta_squared(kind):
+    # with C = 0 the preconditioned Schur complement's smallest eigenvalue
+    # on zero-mean pressures is beta^2; Ritz values lie inside its spectrum
+    # and CG's converge to its ends
+    system = _ms1_system(kind, 8)
+    beta_sq = dense_schur_smallest_eigen(system)
+    report = solve(system, backend="schur-cg")
+    stats = report.stats
+    assert beta_sq * (1 - 1e-9) <= stats["ritz_min"] <= beta_sq * 1.01
+    assert report.rcond_est == stats["ritz_min"] / stats["ritz_max"]
+    assert stats["cg_iters"] > 0 and stats["cg_s"] > 0 and stats["peak_rss_mb"] > 0
+
+
+def _with_merged_pressure_rows(system):
+    # pressure rows 3 and 4 of B both replaced by their mean, and the
+    # bordered matrix rebuilt to match: e3 - e4 spans the kernel of B^T
+    merged = system.B.tolil()
+    merged[3] = merged[4] = 0.5 * (system.B[3] + system.B[4])
+    B = merged.tocsr()
+    w = sp.csr_matrix(system.mean_weights.reshape(-1, 1))
+    matrix = sp.bmat([[system.A, -B.T, None], [B, system.C, w], [None, w.T, None]], format="csc")
+    return dataclasses.replace(system, B=B, matrix=matrix)
+
+
+def test_schur_cg_flags_a_singular_schur_complement():
+    # random data reach the kernel e3 - e4 of S; CG's Ritz values see only
+    # the Krylov space of the data, so data orthogonal to it would not be
+    # flagged (and would still be solved)
+    system = _random_rhs(_with_merged_pressure_rows(_ms1_system("cluster-constant", 8)), 3)
+    report = solve(system, backend="schur-cg")
+    assert report.singular
+    assert report.stats["ritz_min"] < 1e-12 * report.stats["ritz_max"]
+    assert solve(system).singular  # the direct path agrees
+
+
+def test_schur_cg_flags_the_step_cap(monkeypatch):
+    monkeypatch.setattr("stokes_fv.solver._CG_MAXITER", 3)
+    report = solve(_ms1_system("bp", 16), backend="schur-cg")
+    assert report.singular
+    assert "CG stopped short" in report.singular_reason
+    assert report.stats["cg_iters"] == 6  # both passes hit the cap
 
 
 def test_pinned_factor_fill():
@@ -251,16 +316,18 @@ def test_pinned_block_matches_sliced_oracle(kind, grid, zero_c):
 
 
 def test_rcond_estimate_repeats_and_keeps_global_random_state():
+    # neither backend draws from NumPy's global generator
     system = _ms1_system("bp", 16)
-    estimates = []
-    for seed in (1, 2):
-        np.random.seed(seed)
-        before = np.random.get_state()
-        estimates.append(solve(system).rcond_est)
-        after = np.random.get_state()
-        assert before[0] == after[0] and np.array_equal(before[1], after[1])
-        assert before[2:] == after[2:]
-    assert estimates[0] == estimates[1]
+    for backend in BACKENDS:
+        estimates = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            estimates.append(solve(system, backend=backend).rcond_est)
+            after = np.random.get_state()
+            assert before[0] == after[0] and np.array_equal(before[1], after[1])
+            assert before[2:] == after[2:]
+        assert estimates[0] == estimates[1], backend
 
 
 def _matrix_bytes(mat):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracle import splu_gradient_dual_norm
 
 from stokes_fv import (
     GridError,
@@ -95,6 +96,14 @@ def test_checkerboard_dual_ratio_decays():
     ratios = [r["ratio"] for r in rows]
     assert ratios[0] > ratios[1] > ratios[2]
     assert exponent >= 0.5
+
+
+def test_checkerboard_ratios_match_the_splu_oracle():
+    rows, _ = checkerboard_sweep([8, 16, 32, 64, 128])
+    for row in rows:
+        q = checkerboard_field(build_uniform(row["n"]))
+        expected = splu_gradient_dual_norm(q) / l2_norm(q)
+        assert row["ratio"] == pytest.approx(expected, rel=1e-12, abs=0), row["n"]
 
 
 def test_smooth_field_ratio_stays_bounded():
@@ -262,3 +271,25 @@ def test_run_convergence_rejects_unstabilized_scheme():
 
     with pytest.raises(ConfigError):
         run_convergence(SchemeSpec("natural"), CASES["ms1"], [4, 8])
+
+
+@pytest.mark.parametrize("kind, lam", [("bp", 0.05), ("cluster", 1.0), ("cluster-constant", None)])
+def test_convergence_rows_match_the_direct_solve(monkeypatch, kind, lam):
+    import stokes_fv.verify as verify
+
+    solve = verify.solve
+    backends = []
+
+    def recording_solve(system, tol, backend):
+        backends.append(backend)
+        return solve(system, tol=tol, backend=backend)
+
+    n_list = [8, 16, 32, 64]
+    monkeypatch.setattr(verify, "solve", recording_solve)
+    cg = run_convergence(SchemeSpec(kind, lam), CASES["ms1"], n_list)
+    assert backends == ["schur-cg"] * len(n_list)
+    monkeypatch.setattr(verify, "solve", lambda system, tol, backend: solve(system, tol=tol, backend="splu"))
+    direct = run_convergence(SchemeSpec(kind, lam), CASES["ms1"], n_list)
+    for cg_row, splu_row in zip(cg.rows, direct.rows):
+        assert cg_row.err_u_h1 == pytest.approx(splu_row.err_u_h1, rel=1e-9, abs=0)
+        assert cg_row.err_p_l2 == pytest.approx(splu_row.err_p_l2, rel=1e-9, abs=0)
