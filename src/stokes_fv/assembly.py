@@ -17,7 +17,8 @@ block is minus the transpose of the divergence block.
 Only the mass balance (stabilization, lambda, pressure space) depends on the
 scheme.  The velocity block and the cell divergence depend on the grid alone,
 so they are built once per Grid object and shared, read-only, by every system
-assembled on it.
+assembled on it.  Each system's bordered matrix is scattered from its blocks
+straight into CSC arrays, with no COO copy of any block.
 """
 
 from __future__ import annotations
@@ -245,6 +246,54 @@ def _grid_operators(grid: Grid) -> _GridOperators:
     return ops
 
 
+def _bordered(A, B, C, mean_weights) -> sp.csc_matrix:
+    """The bordered saddle matrix [[A, -B^T, 0], [B, C, w], [0, w^T, 0]],
+    w = `mean_weights`, scattered straight into CSC arrays.
+
+    The column counts come first and `indptr` is their cumulative sum; then
+    each block's entries go to the next free slots of their columns, one
+    block at a time.  Every block is canonical (sorted indices, no
+    duplicates) and the blocks of a column arrive in order of increasing
+    row offset, so the result is canonical without a sort.  Its `indptr`,
+    `indices` and `data` are those of SciPy's block stacking of the same
+    blocks, which copies every block into COO form and sorts the stack
+    back.  The CSR arrays of B are the CSC arrays of B^T, and those of the
+    velocity block A its own CSC arrays: A is bitwise symmetric, as the
+    tests check.
+    """
+    m, n_p = A.shape[0], B.shape[0]
+    size = m + n_p + 1
+    B_csc, C_csc = B.tocsc(), C.tocsc()
+    ramp = np.arange(n_p + 1, dtype=np.int32)
+    # (first column, row offset, CSC indptr, indices, data, negated) per
+    # block; w^T has one entry in each of its columns, w all n_p in its one
+    blocks = [
+        (0, 0, A.indptr, A.indices, A.data, False),
+        (0, m, B_csc.indptr, B_csc.indices, B_csc.data, False),
+        (m, 0, B.indptr, B.indices, B.data, True),
+        (m, m, C_csc.indptr, C_csc.indices, C_csc.data, False),
+        (m, size - 1, ramp, np.zeros(n_p, dtype=np.int32), mean_weights, False),
+        (size - 1, m, ramp[[0, -1]], ramp[:-1], mean_weights, False),
+    ]
+    column_nnz = np.zeros(size, dtype=np.int32)
+    for first, _, ptr, *_ in blocks:
+        column_nnz[first : first + ptr.size - 1] += np.diff(ptr)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(column_nnz, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    free = indptr[:-1].copy()  # next free slot of each column
+    for first, offset, ptr, block_indices, block_data, negated in blocks:
+        columns = slice(first, first + ptr.size - 1)
+        block_nnz = np.diff(ptr)
+        slots = np.repeat(free[columns] - ptr[:-1], block_nnz)
+        slots += np.arange(slots.size, dtype=np.int32)
+        indices[slots] = block_indices + offset
+        data[slots] = -block_data if negated else block_data
+        free[columns] += block_nnz
+    return sp.csc_matrix((data, indices, indptr), shape=(size, size))
+
+
 def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSystem:
     """Assemble the full saddle system for scheme `spec` with forcing `f`.
 
@@ -285,15 +334,7 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
                 * jump_stabilization_matrix(grid, spec.partition.intra_edge_mask)
             ).tocsr()
 
-    w_col = sp.csr_matrix(mean_weights.reshape(-1, 1))
-    matrix = sp.bmat(
-        [
-            [A, -B.T, None],
-            [B, C, w_col],
-            [None, w_col.T, None],
-        ],
-        format="csc",
-    )
+    matrix = _bordered(A, B, C, mean_weights)
     rhs = np.zeros(2 * n + n_p + 1)
     rhs[:n] = areas * f_cells.values[:, 0]
     rhs[n : 2 * n] = areas * f_cells.values[:, 1]

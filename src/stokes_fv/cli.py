@@ -1,7 +1,8 @@
 """Command-line front end: solve, convergence studies, stability probes.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical or resource
-failure (out of memory).
+failure (out of memory; `solve` also names the stage that ran out: grid,
+assemble, solve or write).
 Flags override config-file keys; the config file is JSON.  The default
 output directory is taken from the STOKES_FV_OUT environment variable.
 """
@@ -116,6 +117,8 @@ def _write_summary(path, items) -> None:
 
 
 def cmd_solve(args) -> int:
+    # `main` names the stage in an out-of-memory report
+    args.stage = "grid"
     cfg = _load_config(args.config)
     grid = _build_grid(args, cfg)
     spec = _build_spec(args, cfg, grid)
@@ -124,10 +127,13 @@ def cmd_solve(args) -> int:
     tol = float(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)))
     out = _out_dir(args, cfg)
 
+    args.stage = "assemble"
     f_cells = cell_means(case.forcing, grid, quad)
     system = assemble(spec, grid, f_cells)
+    args.stage = "solve"
     report = solve(system, tol=tol)
 
+    args.stage = "write"
     if args.dump_system:
         assembly.export_system(system, out / "system.mtx", out / "rhs.csv")
 
@@ -151,7 +157,7 @@ def cmd_solve(args) -> int:
         write_scalar_csv(report.p, out / "p.csv")
     stat_keys = (
         "factor_nnz", "fill_factor", "factor_s", "rcond_s", "offdiag_pivots", "order_s",
-        "peak_rss_mb",
+        "peak_rss_mb", "peak_rss_before_mb",
     )
     summary += [(key, report.stats.get(key, "")) for key in stat_keys]
     _write_summary(out / "summary.csv", summary)
@@ -298,7 +304,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except MemoryError:
-        print(f"resource failure: out of memory in {args.command}", file=sys.stderr)
+        stage = getattr(args, "stage", None)
+        where = args.command + (f" ({stage})" if stage else "")
+        print(f"resource failure: out of memory in {where}", file=sys.stderr)
         return 3
 
 

@@ -92,7 +92,9 @@ class Grid:
                 [np.broadcast_to(p, s).ravel() for p, s in zip(parts, shapes)]
             )
 
-        self.edge_cell_k = cat(cells[:, :-1].T, cells[:-1, :], cells[:, [0, -1]], cells[[0, -1], :].T)
+        self.edge_cell_k = cat(
+            cells[:, :-1].T, cells[:-1, :], cells[:, [0, -1]], cells[[0, -1], :].T
+        )
         self.edge_cell_l = cat(cells[:, 1:].T, cells[1:, :], -1, -1)
         self.edge_normal = np.column_stack(
             [cat(1.0, 0.0, [-1.0, 1.0], 0.0), cat(0.0, 1.0, 0.0, [-1.0, 1.0])]

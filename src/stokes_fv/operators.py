@@ -164,21 +164,29 @@ def _edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_ste
     """
     k = grid.edge_cell_k[edges]
     l = grid.edge_cell_l[edges]
-    kb = grid.edge_cell_k[grid.boundary_edges]
-    rows, cols, vals = [], [], []
+    kb = grid.edge_cell_k[grid.boundary_edges] if w_b is not None else k[:0]
+    size = w.shape[1] * (4 * k.size + kb.size)
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    vals = np.empty(size)
+    end = 0
+
+    def put(row, col, val):
+        nonlocal end
+        piece = slice(end, end + row.size)
+        rows[piece], cols[piece], vals[piece] = row, col, val
+        end = piece.stop
+
     for c in range(w.shape[1]):
         r, s = c * row_step, c * col_step
         wk, wl = w[:, c] * c_k, w[:, c] * c_l
-        rows += [k + r, k + r, l + r, l + r]
-        cols += [k + s, l + s, k + s, l + s]
-        vals += [wk, wl, -wk, -wl]
+        put(k + r, k + s, wk)
+        put(k + r, l + s, wl)
+        put(l + r, k + s, -wk)
+        put(l + r, l + s, -wl)
         if w_b is not None:
-            rows.append(kb + r)
-            cols.append(kb + s)
-            vals.append(w_b[:, c])
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    ).tocsr()
+            put(kb + r, kb + s, w_b[:, c])
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def h1_stiffness_matrix(grid: Grid) -> sp.csr_matrix:

@@ -282,7 +282,10 @@ def _direct_solution(system: SaddleSystem, b: np.ndarray, residual, stats: dict)
     pin, w = system.n_velocity, system.mean_weights
     try:
         lu = _factor_pinned(system, system.C, stats)
-        stats["fill_factor"] = float(stats["factor_nnz"] / max(system.matrix.nnz, 1))
+        # the bordered matrix's stored entries, counted from its blocks:
+        # A, -B^T and B, C, and the mean weights as a column and a row
+        matrix_nnz = system.A.nnz + 2 * system.B.nnz + system.C.nnz + 2 * system.n_p
+        stats["fill_factor"] = float(stats["factor_nnz"] / max(matrix_nnz, 1))
         x = _zero_mean_solve(lu, b, pin, w)
         # one step of iterative refinement
         x = x + _zero_mean_solve(lu, residual(x), pin, w)
@@ -444,8 +447,10 @@ def solve(
     factor.  `stokes-fv solve` stays on the default "splu": the benchmark's
     solve workload pins "splu" and checks the CLI's `u.csv` and `p.csv`
     against it byte for byte, so moving the default starts with the
-    benchmark.  Both backends record the process's peak resident set size in MB (`peak_rss_mb`)
-    right after the factor or the CG passes.
+    benchmark.  Both backends record the process's peak resident set size
+    in MB on entry (`peak_rss_before_mb`) and right after the factor or the
+    CG passes (`peak_rss_mb`).  It is a high-water mark: a solve that did
+    not raise it reports the two equal.
 
     Then, shared by both: the pressure is shifted to the mean the last row
     asks for, the multiplier recovered from the full pressure rows, and the
@@ -474,7 +479,7 @@ def solve(
         # b - [[A, -B^T], [B, C]] x, as the bordered matrix times [x; 0]
         return b - (matrix @ np.append(x, 0.0))[:m]
 
-    stats: dict = {"backend": backend}
+    stats: dict = {"backend": backend, "peak_rss_before_mb": _peak_rss_mb()}
     solution = _direct_solution if backend == "splu" else _schur_cg_solution
     x, rcond, reason = solution(system, b, unbordered_residual, stats)
     singular = reason is not None

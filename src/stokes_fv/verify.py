@@ -218,7 +218,9 @@ class StabilityFit:
     skipped: bool = False
 
 
-def gradient_stability_probe(grid: Grid, samples, probe: PressureGradientProbe | None = None) -> StabilityFit:
+def gradient_stability_probe(
+    grid: Grid, samples, probe: PressureGradientProbe | None = None
+) -> StabilityFit:
     """Fit stability constants over sampled zero-mean pressures.
 
     For each sample q the probe records dual/l2 and h*jump/l2; c1 anchors at

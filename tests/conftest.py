@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -16,3 +18,30 @@ def tensor_lines(draw, counts):
         return coords / coords[-1]
 
     return lines(nx), lines(ny)
+
+
+def matrix_bytes(mat):
+    """Bytes held by a CSR or CSC matrix's three arrays."""
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+def traced_peak(fn, *args):
+    """Peak traced allocation of `fn(*args)` above what was live before it.
+
+    `fn` runs once untraced first, so lazily built state is not counted."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def assert_same_arrays(got, want):
+    """Same format, shape and CSR/CSC arrays, bit for bit, dtypes included."""
+    assert (got.format, got.shape) == (want.format, want.shape)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -25,15 +25,23 @@ form, against the production build from the A, B and C blocks.
 `splu_gradient_dual_norm` takes the gradient dual norm through a sparse LU
 of the scalar stiffness, against the production probe's factor-free fast
 diagonalisation.
+
+`bmat_bordered` stacks the bordered saddle matrix with `sp.bmat`, and
+`list_edge_stencil` collects the operators' triplets in lists of pieces and
+concatenates them: the earlier builds, against which the production CSC
+scatter and in-place triplet arrays must agree bit for bit
+(`triplet_operator` runs an operator builder on the list version).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from stokes_fv import operators
 from stokes_fv.operators import divergence_matrix, h1_stiffness_matrix
 from stokes_fv.solver import _dissection_order, _symmetric_scaling
 
@@ -327,3 +335,39 @@ def splu_gradient_dual_norm(q):
     load = -(divergence_matrix(grid).T @ q.values)
     n = grid.n_cells
     return math.sqrt(sum(float(g @ lu.solve(g)) for g in (load[:n], load[n:])))
+
+
+def bmat_bordered(A, B, C, mean_weights):
+    """[[A, -B^T, 0], [B, C, w], [0, w^T, 0]] by `sp.bmat`, which copies
+    every block into COO form and sorts the stack back into CSC."""
+    w = sp.csr_matrix(mean_weights.reshape(-1, 1))
+    return sp.bmat([[A, -B.T, None], [B, C, w], [None, w.T, None]], format="csc")
+
+
+def list_edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_step=0):
+    """`operators._edge_stencil` with its triplets held as lists of index
+    and value pieces, concatenated before the COO-to-CSR conversion."""
+    k = grid.edge_cell_k[edges]
+    l = grid.edge_cell_l[edges]
+    kb = grid.edge_cell_k[grid.boundary_edges]
+    rows, cols, vals = [], [], []
+    for c in range(w.shape[1]):
+        r, s = c * row_step, c * col_step
+        wk, wl = w[:, c] * c_k, w[:, c] * c_l
+        rows += [k + r, k + r, l + r, l + r]
+        cols += [k + s, l + s, k + s, l + s]
+        vals += [wk, wl, -wk, -wl]
+        if w_b is not None:
+            rows.append(kb + r)
+            cols.append(kb + s)
+            vals.append(w_b[:, c])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    ).tocsr()
+
+
+def triplet_operator(builder, *args):
+    """`builder(*args)`, one of the `operators` matrix builders, run on
+    `list_edge_stencil` instead of the production triplet arrays."""
+    with mock.patch.object(operators, "_edge_stencil", list_edge_stencil):
+        return builder(*args)

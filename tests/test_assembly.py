@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import tensor_lines
+from conftest import matrix_bytes, tensor_lines, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -291,6 +291,18 @@ def test_velocity_solve_inverts_the_stiffness_on_tensor_grids(lines):
     assert np.linalg.norm(back - x) <= 1e-11 * np.linalg.norm(x)
     assert ops.A1_solve(ops.A1 @ x[0]).shape == (g.n_cells,)
     assert ops.A1_solve is ops.A1_solve
+
+
+@pytest.mark.parametrize("kind", ["natural", "bp", "cluster", "cluster-constant"])
+def test_assembly_traced_memory_stays_near_the_bordered_matrix(kind):
+    # stacking by sp.bmat, through COO copies of every block, peaked at
+    # 3.0-3.2x; the grid's shared operators are built before the trace
+    g = build_uniform(64)
+    part = make_clusters(g) if kind.startswith("cluster") else None
+    spec = SchemeSpec(kind, {"bp": 0.05, "cluster": 1.0}.get(kind), part)
+    f = cell_means(CASES["ms1"].forcing, g)
+    matrix = assemble(spec, g, f).matrix
+    assert traced_peak(assemble, spec, g, f) <= 2.25 * matrix_bytes(matrix)
 
 
 def test_shared_operators_are_read_only():

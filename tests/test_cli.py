@@ -40,14 +40,14 @@ def test_solve_writes_artifacts(tmp_path):
     assert summary["scheme"] == "bp"
     assert float(summary["residual_norm"]) < 1e-10
     assert summary["singular"] == "False"
-    assert [r[0] for r in rows[-7:]] == [
+    assert [r[0] for r in rows[-8:]] == [
         "factor_nnz", "fill_factor", "factor_s", "rcond_s", "offdiag_pivots", "order_s",
-        "peak_rss_mb",
+        "peak_rss_mb", "peak_rss_before_mb",
     ]
     assert int(summary["factor_nnz"]) > 0 and float(summary["fill_factor"]) > 1
     assert float(summary["factor_s"]) > 0 and float(summary["rcond_s"]) > 0
     assert int(summary["offdiag_pivots"]) == 0 and float(summary["order_s"]) > 0
-    assert float(summary["peak_rss_mb"]) > 0
+    assert 0 < float(summary["peak_rss_before_mb"]) <= float(summary["peak_rss_mb"])
 
 
 @pytest.mark.parametrize("stage", ["assemble", "solve"])
@@ -58,7 +58,7 @@ def test_out_of_memory_exits_resource_failure(tmp_path, monkeypatch, capsys, sta
     monkeypatch.setattr(f"stokes_fv.cli.{stage}", exhausted)
     code = main(["solve", "--scheme", "bp", "--lambda", "0.05", "--n", "8", "--out", str(tmp_path)])
     assert code == 3
-    assert "resource failure: out of memory in solve" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"resource failure: out of memory in solve ({stage})\n"
 
 
 def test_solve_natural_exits_numerical_failure(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import matrix_bytes, traced_peak
 from dense_oracle import loop_divergence, loop_gradient, loop_jump, loop_laplacian
 
 from stokes_fv import (
@@ -241,3 +242,10 @@ def test_operator_linearity(rng):
         2.0 * divergence_apply(u).values - 3.0 * divergence_apply(w).values,
         atol=1e-12,
     )
+
+
+def test_divergence_matrix_traced_memory_stays_near_its_output():
+    # triplets held as lists of int64 pieces, then copied to int32,
+    # peaked at 8.0x
+    g = build_uniform(64)
+    assert traced_peak(divergence_matrix, g) <= 5.5 * matrix_bytes(divergence_matrix(g))

@@ -1,12 +1,20 @@
 """Exact algebraic identities of the operators and schemes on random tensor
 grids (strictly increasing lines, nx != ny, 2-10 cells per side).  The
 assembled matrices are checked against the per-edge loops of
-`dense_oracle`, which share no code with them."""
+`dense_oracle`, which share no code with them, and bit for bit against its
+earlier sparse builds (`sp.bmat`, lists of triplets)."""
 
 import numpy as np
 import pytest
-from conftest import tensor_lines
-from dense_oracle import loop_divergence, loop_gradient, loop_jump, loop_laplacian
+from conftest import assert_same_arrays, tensor_lines
+from dense_oracle import (
+    bmat_bordered,
+    loop_divergence,
+    loop_gradient,
+    loop_jump,
+    loop_laplacian,
+    triplet_operator,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,7 +98,49 @@ def test_intra_cluster_apply_form_is_matrix_form_over_areas(lines, seed):
 def test_stiffness_is_symmetric_positive_definite(lines):
     a1 = h1_stiffness_matrix(build_tensor(*lines))
     assert abs(a1 - a1.T).max() == 0.0
+    # bitwise: its CSR arrays are its CSC arrays, which the bordered
+    # matrix's scatter reads them as
+    assert_same_arrays(a1.tocsc().T, a1)
     assert np.linalg.eigvalsh(a1.toarray()).min() > 0.0
+
+
+@PROPERTY
+@given(ANY_COUNTS)
+def test_operators_match_the_list_of_triplets_build_bitwise(lines):
+    g = build_tensor(*lines)
+    builders = (h1_stiffness_matrix, divergence_matrix, gradient_matrix, jump_stabilization_matrix)
+    for builder in builders:
+        assert_same_arrays(builder(g), triplet_operator(builder, g))
+    if g.nx % 2 == 0 and g.ny % 2 == 0:
+        mask = make_clusters(g).intra_edge_mask
+        assert_same_arrays(
+            jump_stabilization_matrix(g, mask),
+            triplet_operator(jump_stabilization_matrix, g, mask),
+        )
+
+
+def _assert_bordered_matches_bmat(specs, g):
+    f = cell_means(CASES["ms1"].forcing, g)
+    for spec in specs:
+        system = assemble(spec, g, f)
+        oracle = bmat_bordered(system.A, system.B, system.C, system.mean_weights)
+        assert_same_arrays(system.matrix, oracle)
+
+
+@PROPERTY
+@given(ANY_COUNTS)
+def test_cell_pressure_bordered_matrix_matches_bmat_bitwise(lines):
+    specs = (SchemeSpec("natural"), SchemeSpec("bp", 0.05))
+    _assert_bordered_matches_bmat(specs, build_tensor(*lines))
+
+
+@PROPERTY
+@given(EVEN_COUNTS)
+def test_clustered_bordered_matrix_matches_bmat_bitwise(lines):
+    g = build_tensor(*lines)
+    part = make_clusters(g)
+    specs = (SchemeSpec("cluster", 1.0, part), SchemeSpec("cluster-constant", None, part))
+    _assert_bordered_matches_bmat(specs, g)
 
 
 @PROPERTY

@@ -1,12 +1,11 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import tensor_lines
-from dense_oracle import dense_schur_smallest_eigen, sliced_pinned_block
+from conftest import matrix_bytes, tensor_lines, traced_peak
+from dense_oracle import bmat_bordered, dense_schur_smallest_eigen, sliced_pinned_block
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -213,8 +212,7 @@ def _with_merged_pressure_rows(system):
     merged = system.B.tolil()
     merged[3] = merged[4] = 0.5 * (system.B[3] + system.B[4])
     B = merged.tocsr()
-    w = sp.csr_matrix(system.mean_weights.reshape(-1, 1))
-    matrix = sp.bmat([[system.A, -B.T, None], [B, system.C, w], [None, w.T, None]], format="csc")
+    matrix = bmat_bordered(system.A, B, system.C, system.mean_weights)
     return dataclasses.replace(system, B=B, matrix=matrix)
 
 
@@ -247,6 +245,28 @@ def test_pinned_factor_fill():
         report.stats["fill_factor"] * system.matrix.nnz
     )
     assert report.stats["factor_s"] > 0 and report.stats["rcond_s"] > 0
+
+
+def test_fill_factor_counts_the_bordered_matrix_from_its_blocks():
+    g = _seeded_tensor(14, 10)
+    part = make_clusters(g)
+    for kind in _KINDS:
+        lam = {"bp": 0.05, "cluster": 1.0}.get(kind)
+        spec = SchemeSpec(kind, lam, part if kind.startswith("cluster") else None)
+        system = assemble(spec, g, CASES["ms1"].forcing)
+        stats = solve(system).stats
+        assert system.A.nnz + 2 * system.B.nnz + system.C.nnz + 2 * system.n_p == system.matrix.nnz
+        assert stats["fill_factor"] == stats["factor_nnz"] / system.matrix.nnz, kind
+
+
+def test_peak_rss_is_read_before_and_after_each_solve():
+    # ru_maxrss is the process's high-water mark: a small solve after a
+    # large one in the same process does not raise it
+    large = solve(_ms1_system("bp", 96)).stats
+    assert 0 < large["peak_rss_before_mb"] <= large["peak_rss_mb"]
+    for backend in BACKENDS:
+        small = solve(_ms1_system("bp", 16), backend=backend).stats
+        assert 0 < small["peak_rss_before_mb"] == small["peak_rss_mb"], backend
 
 
 def _seeded_tensor(nx, ny):
@@ -330,28 +350,13 @@ def test_rcond_estimate_repeats_and_keeps_global_random_state():
         assert estimates[0] == estimates[1], backend
 
 
-def _matrix_bytes(mat):
-    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-
-
-def _traced_peak(fn, *args):
-    fn(*args)  # first call outside the trace: lazily built state is not counted
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("kind", _KINDS)
 def test_traced_memory_stays_near_the_matrix_size(kind):
     # slicing the bordered matrix and its COO copies peaked at 7.1-7.4x
     system = _ms1_system(kind, 48)
-    assert _traced_peak(solve, system) <= 4.5 * _matrix_bytes(system.matrix)
+    assert traced_peak(solve, system) <= 4.5 * matrix_bytes(system.matrix)
     if kind in ("cluster-constant", "natural"):
-        assert _traced_peak(schur_smallest_eigen, system) <= 4.5 * _matrix_bytes(system.matrix)
+        assert traced_peak(schur_smallest_eigen, system) <= 4.5 * matrix_bytes(system.matrix)
 
 
 def test_single_cluster_empty_pinned_pressure_block():
