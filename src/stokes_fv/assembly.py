@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import functools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 
 from .errors import ClusterError, ConfigError, GridError
-from .fields import ScalarField, VectorField, _fmt
+from .fields import ScalarField, VectorField, write_table
 from .grid import ClusterPartition, Grid, make_clusters
 from .operators import (
     divergence_matrix,
@@ -98,7 +98,6 @@ class SaddleSystem:
     mean_weights: np.ndarray
     n_p: int
     prolongation: sp.csr_matrix | None = None
-    f_cells: VectorField | None = field(default=None, repr=False)
 
     @property
     def n_velocity(self) -> int:
@@ -350,7 +349,6 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
         mean_weights=mean_weights,
         n_p=n_p,
         prolongation=prolongation,
-        f_cells=f_cells,
     )
 
 
@@ -378,11 +376,7 @@ def export_matrix(mat, path) -> None:
 
 def export_system(system: SaddleSystem, matrix_path, rhs_path) -> None:
     export_matrix(system.matrix, matrix_path)
-    with open(rhs_path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["index", "value"])
-        for idx, v in enumerate(system.rhs):
-            out.writerow([idx, _fmt(v)])
+    write_table(rhs_path, ["index", "value"], enumerate(system.rhs))
 
 
 def load_system(matrix_path, rhs_path):

@@ -3,14 +3,14 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical or resource
 failure (out of memory; `solve` also names the stage that ran out: grid,
 assemble, solve or write).
-Flags override config-file keys; the config file is JSON.  The default
+Flags override config-file keys; the config file is JSON, and a key that
+no command reads is a configuration error.  The default
 output directory is taken from the STOKES_FV_OUT environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -20,12 +20,17 @@ from pathlib import Path
 from . import assembly, verify
 from .assembly import SchemeSpec, assemble, cell_means, energy_functional
 from .errors import ClusterError, ConfigError, GridError, SolverError, StokesFVError
-from .fields import _fmt, write_scalar_csv, write_vector_csv
+from .fields import write_scalar_csv, write_table, write_vector_csv
 from .grid import build_uniform, cluster_regularity, make_clusters, parse_grid_config
 from .solver import schur_smallest_eigen, solve
 from .verify import CASES
 
 _SCHEMES = assembly.SCHEME_KINDS
+# Every top-level key a config file may hold; "solver" holds only "tol".
+_CONFIG_KEYS = {
+    "scheme", "lam", "lambda", "case", "n", "grid", "out", "tol", "quad", "what", "space",
+    "solver",
+}
 
 
 def _parse_n_list(text) -> list[int]:
@@ -51,6 +56,13 @@ def _load_config(path):
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config file must contain a JSON object")
+    solver = cfg.get("solver", {})
+    if not isinstance(solver, dict):
+        raise ConfigError(f"{path}: config key 'solver' must hold a JSON object")
+    unknown = [key for key in cfg if key not in _CONFIG_KEYS]
+    unknown += [f"solver.{key}" for key in solver if key != "tol"]
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
     return cfg
 
 
@@ -107,13 +119,7 @@ def _get_case(args, cfg):
 
 
 def _write_summary(path, items) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["key", "value"])
-        for key, value in items:
-            if isinstance(value, float):
-                value = _fmt(value)
-            out.writerow([key, value])
+    write_table(path, ["key", "value"], items)
 
 
 def cmd_solve(args) -> int:

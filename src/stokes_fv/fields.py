@@ -9,6 +9,7 @@ grid.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 
@@ -206,6 +207,16 @@ def zero_mean_project(q: ScalarField) -> ScalarField:
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: floats as `_fmt` gives them, None as an empty
+    cell, anything else as `csv.writer` writes it."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        for row in rows:
+            out.writerow(["" if v is None else _fmt(v) if isinstance(v, float) else v for v in row])
 
 
 # Rows formatted per block: one block's Python lists stay small, which kept

@@ -2,9 +2,11 @@
 
 `solve` has two backends.  Neither factors the bordered matrix: the dense
 zero-mean multiplier row and column would ruin any fill-reducing ordering.
-Both solve the unbordered block on zero-mean pressures, refine once, and
-share the tail that recovers the zero mean and the multiplier and measures
-the residual on the full bordered system.
+Each only builds a solve of the unbordered block [[A, -B^T], [B, C]];
+`solve` wraps it in the one zero-mean operator `_zero_mean`, refines once,
+recovers the zero mean and the multiplier, and measures every residual
+from the A, B and C blocks and the mean weights.  The bordered
+`system.matrix` is never read.
 
 The direct backend, "splu" (the default, used by `stokes-fv solve`),
 factors the block with the first pressure dof pinned.  The pinned block is
@@ -28,9 +30,9 @@ step count that does not grow with the grid.
 
 `schur_smallest_eigen`, the inf-sup probe, factors the pinned block without
 its stabilization the same way as "splu" and runs shift-invert Lanczos at
-shift 0 on its zero-mean pressure solve: a few dozen solves with one sparse
-factor, and no dense array.  It returns 0 when that block is singular to
-working precision.
+shift 0 on the same `_zero_mean` wrapping of its solve: a few dozen solves
+with one sparse factor, and no dense array.  It returns 0 when that block
+is singular to working precision.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ _MAXRSS_PER_MB = 1024.0**2 if sys.platform == "darwin" else 1024.0
 
 @dataclass
 class SolveReport:
-    """Solution fields plus diagnostics of one direct solve."""
+    """Solution fields plus diagnostics of one `solve`, by either backend."""
 
     u: VectorField | None
     p: ScalarField | None
@@ -153,21 +155,6 @@ def _symmetric_scaling(system: SaddleSystem, C: sp.spmatrix) -> np.ndarray:
     return np.concatenate([a_diag**-0.5, p_scale])
 
 
-class _ScaledFactor:
-    """LU of K = (D M D)[perm][:, perm] that solves with M itself:
-    x = D P^T K^-1 P D b."""
-
-    def __init__(self, lu, perm: np.ndarray, scale: np.ndarray):
-        self.lu = lu
-        self.perm = perm
-        self.scale = scale
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x = np.empty_like(b)
-        x[self.perm] = self.lu.solve((self.scale * b)[self.perm])
-        return self.scale * x
-
-
 def _pinned_block(
     system: SaddleSystem, C: sp.spmatrix
 ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
@@ -213,10 +200,15 @@ def _pinned_block(
     return K, order - (order > pin), np.delete(scale, pin)
 
 
-def _factor_pinned(system: SaddleSystem, C: sp.spmatrix, stats: dict) -> _ScaledFactor:
+def _factor_pinned(system: SaddleSystem, C: sp.spmatrix, stats: dict):
     """Factor the saddle block [[A, -B^T], [B, C]] of the system's A and B
     without the row and column of its first pressure dof, as the scaled,
-    permuted `_pinned_block` K.  Only K is alive while SuperLU factors it."""
+    permuted `_pinned_block` K.  Only K is alive while SuperLU factors it.
+
+    Returns the factor's solve with the unpinned block, x = D P^T K^-1 P D b
+    on the kept dofs with b's pinned entry (its implied equation) dropped
+    and x = 0 there, and the factor's `_scaled_rcond`.
+    """
     t0 = time.perf_counter()
     K, perm, scale = _pinned_block(system, C)
     stats["order_s"] = time.perf_counter() - t0
@@ -234,26 +226,43 @@ def _factor_pinned(system: SaddleSystem, C: sp.spmatrix, stats: dict) -> _Scaled
     # count them would copy the whole factor
     stats["factor_nnz"] = int(lu.nnz)
     stats["offdiag_pivots"] = int(np.count_nonzero(lu.perm_r != np.arange(K.shape[0])))
-    return _ScaledFactor(lu, perm, scale)
+    t0 = time.perf_counter()
+    rcond = _scaled_rcond(lu)
+    stats["rcond_s"] = time.perf_counter() - t0
+    pin = system.n_velocity
+
+    def solve_block(b: np.ndarray) -> np.ndarray:
+        x = np.empty(scale.size)
+        x[perm] = lu.solve((scale * np.delete(b, pin))[perm])
+        return np.insert(scale * x, pin, 0.0)
+
+    return solve_block, rcond
 
 
-def _zero_mean_solve(lu, v: np.ndarray, pin: int, w: np.ndarray) -> np.ndarray:
-    """Apply the zero-mean solution operator of the unbordered saddle block.
+def _zero_mean(system: SaddleSystem, solve_block):
+    """The zero-mean solution operator of the unbordered saddle block.
 
-    The part of the pressure data along `w` is removed first (the
-    multiplier carries it), so the pressure data sums to zero.  `lu`, the
-    factor of the block with pressure dof `pin` pinned to zero and its
-    implied equation dropped, solves the rest, and the pressure is then
-    shifted to zero `w`-weighted mean.
+    The block [[A, -B^T], [B, C]] determines the pressure up to a constant
+    (1^T B = 0 and C 1 = 0, so its pressure rows sum to zero).  The part of
+    the pressure data along the mean weights w is removed first (the
+    multiplier carries it), so the pressure data sums to zero;
+    `solve_block` returns one solution of the rest, and its pressure is
+    then shifted to zero w-weighted mean.
     """
-    b = np.ravel(v).copy()
-    b[pin:] -= w * (b[pin:].sum() / w.sum())
-    x = np.insert(lu.solve(np.delete(b, pin)), pin, 0.0)
-    x[pin:] -= (w @ x[pin:]) / w.sum()
-    return x
+    pin, w = system.n_velocity, system.mean_weights
+    w_sum = w.sum()
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        b = v.copy()
+        b[pin:] -= w * (b[pin:].sum() / w_sum)
+        x = solve_block(b)
+        x[pin:] -= (w @ x[pin:]) / w_sum
+        return x
+
+    return apply
 
 
-def _scaled_rcond(lu: _ScaledFactor) -> float:
+def _scaled_rcond(lu) -> float:
     """Estimate of the reciprocal 2-norm condition number of the scaled,
     pinned block K that `lu` factored.
 
@@ -266,35 +275,25 @@ def _scaled_rcond(lu: _ScaledFactor) -> float:
     zero on fine or stretched meshes and falls to rounding level only when
     the block is singular.
     """
-    x = np.random.default_rng(0).standard_normal(lu.scale.size)
-    x = lu.lu.solve(lu.lu.solve(x), trans="T")
-    return float(np.linalg.norm(x) / np.linalg.norm(lu.lu.solve(x)))
+    x = np.random.default_rng(0).standard_normal(lu.shape[0])
+    x = lu.solve(lu.solve(x), trans="T")
+    return float(np.linalg.norm(x) / np.linalg.norm(lu.solve(x)))
 
 
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MB
 
 
-def _direct_solution(system: SaddleSystem, b: np.ndarray, residual, stats: dict):
-    """Zero-mean solution of the unbordered block from the sparse factor of
-    its pinned form, refined once, with `_scaled_rcond` of that factor.
-    Returns (x, rcond, reason), x and rcond None when the factor fails."""
-    pin, w = system.n_velocity, system.mean_weights
-    try:
-        lu = _factor_pinned(system, system.C, stats)
-        # the bordered matrix's stored entries, counted from its blocks:
-        # A, -B^T and B, C, and the mean weights as a column and a row
-        matrix_nnz = system.A.nnz + 2 * system.B.nnz + system.C.nnz + 2 * system.n_p
-        stats["fill_factor"] = float(stats["factor_nnz"] / max(matrix_nnz, 1))
-        x = _zero_mean_solve(lu, b, pin, w)
-        # one step of iterative refinement
-        x = x + _zero_mean_solve(lu, residual(x), pin, w)
-        t0 = time.perf_counter()
-        rcond = _scaled_rcond(lu)
-        stats["rcond_s"] = time.perf_counter() - t0
-    except RuntimeError as err:
-        return None, None, f"factorization failed: {err}"
-    return x, rcond, None
+def _direct_block(system: SaddleSystem, stats: dict):
+    """The unbordered block's solve by the sparse factor of its pinned
+    form; its report is the factor's `_scaled_rcond` and no failure.
+    Raises RuntimeError when SuperLU finds an exactly zero pivot."""
+    solve_block, rcond = _factor_pinned(system, system.C, stats)
+    # the bordered matrix's stored entries, counted from its blocks:
+    # A, -B^T and B, C, and the mean weights as a column and a row
+    matrix_nnz = system.A.nnz + 2 * system.B.nnz + system.C.nnz + 2 * system.n_p
+    stats["fill_factor"] = float(stats["factor_nnz"] / max(matrix_nnz, 1))
+    return solve_block, lambda: (rcond, None)
 
 
 def _pcg(apply, h: np.ndarray, precondition):
@@ -340,18 +339,19 @@ def _pcg(apply, h: np.ndarray, precondition):
     return p, alphas.size, converged, (ritz[0], ritz[-1])
 
 
-def _schur_cg_solution(system: SaddleSystem, b: np.ndarray, residual, stats: dict):
-    """Zero-mean solution of the unbordered block by CG on its pressure
-    Schur complement, refined once.
+def _schur_cg_block(system: SaddleSystem, stats: dict):
+    """The unbordered block's solve by CG on its pressure Schur complement,
+    and a report of the CG passes' rcond estimate and failure.
 
-    Velocity data f and pressure data g give S p = g - B A^-1 f with
-    S = B A^-1 B^T + C on zero-mean pressures, then u = A^-1 (f + B^T p).
-    A^-1 is the grid's factor-free `A1_solve` on both components at once,
-    so `system.A` must be the grid's velocity block, as `assemble` makes it;
-    the preconditioner is the diagonal pressure mass (`mean_weights`) with
-    the mean projected out.  The rcond estimate is the ratio of the
-    extreme Ritz values of that preconditioned S.  Returns (x, rcond,
-    reason), reason set when a CG pass stops short of its tolerance.
+    Velocity data f and pressure data g, which `_zero_mean` has made sum to
+    zero, give S p = g - B A^-1 f with S = B A^-1 B^T + C on zero-mean
+    pressures, then u = A^-1 (f + B^T p).  A^-1 is the grid's factor-free
+    `A1_solve` on both components at once, so `system.A` must be the grid's
+    velocity block, as `assemble` makes it; the preconditioner is the
+    diagonal pressure mass (`mean_weights`) with the mean projected out.
+    The rcond estimate is the ratio of the extreme Ritz values of that
+    preconditioned S; the reason is set when a CG pass stops short of its
+    tolerance.
     """
     n, pin = system.grid.n_cells, system.n_velocity
     w, B, C = system.mean_weights, system.B, system.C
@@ -359,10 +359,6 @@ def _schur_cg_solution(system: SaddleSystem, b: np.ndarray, residual, stats: dic
 
     def velocity_solve(f):
         return a1_solve(f.reshape(2, n)).ravel()
-
-    def multiplier_free(v):
-        # pressure data less its part along w, which the multiplier takes
-        return v - w * (v.sum() / w.sum())
 
     def schur(q):
         return B @ velocity_solve(B.T @ q) + C @ q
@@ -372,73 +368,67 @@ def _schur_cg_solution(system: SaddleSystem, b: np.ndarray, residual, stats: dic
         return z - (w @ z) / w.sum()
 
     passes = []
+    stats["cg_s"] = 0.0
 
-    def zero_mean_solve(v):
+    def solve_block(v):
+        t0 = time.perf_counter()
         f, g = v[:pin], v[pin:]
         a_inv_f = velocity_solve(f)
         p = np.zeros(system.n_p)
         if system.n_p > 1:  # else the only zero-mean pressure is 0
-            # projected twice: in the refinement pass the part along w is
+            # projected again: in the refinement pass the part along w is
             # most of g, and rounding leaves of it more than CG's tolerance
-            h = multiplier_free(multiplier_free(g) - B @ a_inv_f)
+            h = g - B @ a_inv_f
+            h -= w * (h.sum() / w.sum())
             p, *telemetry = _pcg(schur, h, precondition)
             passes.append(telemetry)
-            p -= (w @ p) / w.sum()
-        return np.concatenate([velocity_solve(f + B.T @ p), p])
+        x = np.concatenate([velocity_solve(f + B.T @ p), p])
+        stats["cg_s"] += time.perf_counter() - t0
+        return x
 
-    t0 = time.perf_counter()
-    x = zero_mean_solve(b)
-    # one step of iterative refinement on the block residual
-    x = x + zero_mean_solve(residual(x))
-    stats["cg_s"] = time.perf_counter() - t0
-    stats["peak_rss_mb"] = _peak_rss_mb()
-    stats["cg_iters"] = sum(steps for steps, _, _ in passes)
-    ritz = [extremes for _, _, extremes in passes if extremes is not None]
-    rcond = None
-    if ritz:
-        stats["ritz_min"] = float(min(low for low, _ in ritz))
-        stats["ritz_max"] = float(max(high for _, high in ritz))
-        rcond = stats["ritz_min"] / stats["ritz_max"]
-    reason = None
-    if not all(converged for _, converged, _ in passes):
-        reason = f"CG stopped short of relative residual {_CG_RTOL:.0e} ({stats['cg_iters']} steps)"
-    return x, rcond, reason
+    def outcome():
+        stats["peak_rss_mb"] = _peak_rss_mb()
+        stats["cg_iters"] = total = sum(steps for steps, _, _ in passes)
+        ritz = [extremes for _, _, extremes in passes if extremes is not None]
+        rcond = None
+        if ritz:
+            stats["ritz_min"] = float(min(low for low, _ in ritz))
+            stats["ritz_max"] = float(max(high for _, high in ritz))
+            rcond = stats["ritz_min"] / stats["ritz_max"]
+        if all(converged for _, converged, _ in passes):
+            return rcond, None
+        return rcond, f"CG stopped short of relative residual {_CG_RTOL:.0e} ({total} steps)"
+
+    return solve_block, outcome
 
 
-def solve(
-    system: SaddleSystem,
-    tol: float = 1e-10,
-    backend: str = "splu",
-    rcond_floor: float = _RCOND_FLOOR,
-) -> SolveReport:
+def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> SolveReport:
     """Solve the saddle system by sparse direct factorization ("splu", the
     default) or by CG on the pressure Schur complement ("schur-cg").
 
-    Neither backend factors the bordered `system.matrix`.  The unbordered
-    block [[A, -B^T], [B, C]] determines the pressure up to a constant
-    (1^T B = 0 and C 1 = 0, so its pressure rows sum to zero), so each
-    backend solves it on zero-mean pressures, with the part of the pressure
-    data along the mean weights removed, and refines that solution once
-    against the unbordered residual, read through `system.matrix` with a
-    zero multiplier and without its last row.
+    Neither backend factors or reads the bordered `system.matrix`.  Each
+    builds a solve of the unbordered block [[A, -B^T], [B, C]], which
+    `_zero_mean` turns into the solution on zero-mean pressures of data
+    whose part along the mean weights w is removed.  That solution is
+    refined once against the block residual (f - A u + B^T p,
+    g - B u - C p), computed from the blocks.
 
     "splu" pins the first pressure dof to zero, drops its implied equation,
     scales the remaining block symmetrically, permutes it into a
     nested-dissection order of the grid and factors it by `splu` in that
     order (SuperLU's symmetric mode, diagonal pivots unless one falls below
     1% of its column).  That block is built from the system's A, B and C
-    blocks, never sliced out of `system.matrix`.  `rcond_est` is the
-    `_scaled_rcond` of that scaled, pinned factor, repeatable bit for bit,
-    and does not depend on the mesh's units.  `stats` holds the factor's
-    size (`factor_nnz`, `fill_factor`), its off-diagonal pivot count, and
-    the seconds spent ordering (`order_s`), factoring (`factor_s`) and
-    estimating rcond (`rcond_s`).
+    blocks.  `rcond_est` is the `_scaled_rcond` of that scaled, pinned
+    factor, repeatable bit for bit, and does not depend on the mesh's
+    units.  `stats` holds the factor's size (`factor_nnz`, `fill_factor`),
+    its off-diagonal pivot count, and the seconds spent ordering
+    (`order_s`), factoring (`factor_s`) and estimating rcond (`rcond_s`).
 
     "schur-cg" runs preconditioned CG on the zero-mean pressure system
     S p = g - B A^-1 f, S = B A^-1 B^T + C, with the grid's factor-free
     velocity solve `A1_solve` for A^-1 and the diagonal pressure mass as
     preconditioner, then recovers u = A^-1 (f + B^T p) (see
-    `_schur_cg_solution`).  It needs no factor, and its step count does not
+    `_schur_cg_block`).  It needs no factor, and its step count does not
     grow with the grid.  `stats` holds the CG steps of both passes
     (`cg_iters`), their seconds (`cg_s`) and the extreme Ritz values of the
     preconditioned S (`ritz_min`, `ritz_max`); `rcond_est` is their ratio.
@@ -452,36 +442,44 @@ def solve(
     CG passes (`peak_rss_mb`).  It is a high-water mark: a solve that did
     not raise it reports the two equal.
 
-    Then, shared by both: the pressure is shifted to the mean the last row
-    asks for, the multiplier recovered from the full pressure rows, and the
-    relative residual measured against the full bordered `system.matrix`.
-    The returned pressure has exactly zero area-weighted mean.  The report
-    is flagged singular when the factorization fails, when a CG pass stops
-    short of its tolerance, when `rcond_est` falls below `rcond_floor`, when
-    the residual exceeds `tol`, or when the system was assembled from the
-    unstabilized cell-pressure scheme, whose checkerboard pressure mode
-    loses control under refinement and must be surfaced rather than
-    silently solved.  A flagged system may still carry the solution when
-    one was computed.
+    Then the pressure is shifted to the mean the last row asks for, and the
+    multiplier mu recovered from the pressure rows.  The relative residual
+    is that of the bordered system, from the blocks: f - A u + B^T p,
+    g - B u - C p - w mu and the mean datum less w^T p.  The returned
+    pressure has exactly zero area-weighted mean.  The report is flagged
+    singular when the factorization fails, when a CG pass stops short of
+    its tolerance, when `rcond_est` falls below 1e-12, when the residual
+    exceeds `tol`, or when the system was assembled from the unstabilized
+    cell-pressure scheme, whose checkerboard pressure mode loses control
+    under refinement and must be surfaced rather than silently solved.  A
+    flagged system may still carry the solution when one was computed.
     """
     if tol <= 0:
         raise SolverError("tolerance must be positive")
     if backend not in BACKENDS:
         raise SolverError(f"unknown backend {backend!r}")
-    matrix = system.matrix.tocsc()
-    rhs = system.rhs
+    A, B, C, rhs = system.A, system.B, system.C, system.rhs
     pin = system.n_velocity  # first pressure dof
     m = pin + system.n_p  # size of the unbordered block
     w = system.mean_weights
-    b = rhs[:m]
 
-    def unbordered_residual(x):
-        # b - [[A, -B^T], [B, C]] x, as the bordered matrix times [x; 0]
-        return b - (matrix @ np.append(x, 0.0))[:m]
+    def residual(x, multiplier=0.0):
+        # rhs - matrix @ [x; multiplier], from the blocks
+        u, p = x[:pin], x[pin:]
+        return rhs - np.concatenate([A @ u - B.T @ p, B @ u + C @ p + w * multiplier, [w @ p]])
 
     stats: dict = {"backend": backend, "peak_rss_before_mb": _peak_rss_mb()}
-    solution = _direct_solution if backend == "splu" else _schur_cg_solution
-    x, rcond, reason = solution(system, b, unbordered_residual, stats)
+    build = _direct_block if backend == "splu" else _schur_cg_block
+    try:
+        solve_block, outcome = build(system, stats)
+    except RuntimeError as err:
+        x, rcond, reason = None, None, f"factorization failed: {err}"
+    else:
+        zero_mean = _zero_mean(system, solve_block)
+        x = zero_mean(rhs[:m])
+        # one step of iterative refinement
+        x = x + zero_mean(residual(x)[:m])
+        rcond, reason = outcome()
     singular = reason is not None
 
     if x is not None and not np.all(np.isfinite(x)):
@@ -489,9 +487,9 @@ def solve(
         reason = reason or "the solve produced non-finite values"
         x = None
 
-    if rcond is not None and not rcond >= rcond_floor:
+    if rcond is not None and not rcond >= _RCOND_FLOOR:
         singular = True
-        reason = reason or f"reciprocal condition estimate {rcond:.2e} below {rcond_floor:.0e}"
+        reason = reason or f"reciprocal condition estimate {rcond:.2e} below {_RCOND_FLOOR:.0e}"
 
     if system.spec.kind == NATURAL:
         # Structurally unstable pressure space: no jump control, inf-sup
@@ -509,20 +507,17 @@ def solve(
 
     # the mean constraint row, then the multiplier from the pressure rows
     x[pin:] += rhs[-1] / w.sum()
-    r_p = unbordered_residual(x)[pin:]
-    multiplier = float(w @ r_p / (w @ w))
-    x = np.append(x, multiplier)
+    multiplier = float(w @ residual(x)[pin:m] / (w @ w))
 
-    res = rhs - matrix @ x
     rhs_norm = float(np.linalg.norm(rhs))
-    residual = float(np.linalg.norm(res)) / (rhs_norm if rhs_norm > 0 else 1.0)
-    if residual > tol and not singular:
+    relative = float(np.linalg.norm(residual(x, multiplier))) / (rhs_norm if rhs_norm > 0 else 1.0)
+    if relative > tol and not singular:
         singular = True
-        reason = f"relative residual {residual:.2e} above tolerance {tol:.0e}"
+        reason = f"relative residual {relative:.2e} above tolerance {tol:.0e}"
 
     u = array_to_vector_field(system.grid, x[:pin])
-    p = zero_mean_project(system.cell_pressure(x[pin:m]))
-    return SolveReport(u, p, multiplier, residual, singular, reason, rcond, stats)
+    p = zero_mean_project(system.cell_pressure(x[pin:]))
+    return SolveReport(u, p, multiplier, relative, singular, reason, rcond, stats)
 
 
 def schur_smallest_eigen(system: SaddleSystem) -> float | None:
@@ -535,7 +530,7 @@ def schur_smallest_eigen(system: SaddleSystem) -> float | None:
 
     Shift-invert Lanczos at shift 0 (Ericsson and Ruhe, Math. Comp. 35,
     1980): the saddle block [[A, -B^T], [B, 0]] is factored as in `solve`,
-    and its zero-mean solve maps pressure data g to the zero-mean p with
+    and its `_zero_mean` solve maps pressure data g to the zero-mean p with
     B A^-1 B^T p = g.  In the variables y = M^1/2 p this is the inverse of
     M^-1/2 B A^-1 B^T M^-1/2 on the complement of M^1/2 1, so `eigsh` finds
     its largest eigenvalue theta, and beta^2 = 1/theta.  The system's
@@ -545,7 +540,7 @@ def schur_smallest_eigen(system: SaddleSystem) -> float | None:
     Rounding may still let that block factor and the iteration return a
     finite, unrelated value, so 0.0 is returned whenever the factorization
     fails or the reciprocal condition estimate of the scaled pinned block
-    falls below `solve`'s default `rcond_floor`, 1e-12.
+    falls below `solve`'s floor, 1e-12.
     """
     n_p = system.n_p
     if n_p <= 1:
@@ -553,18 +548,19 @@ def schur_smallest_eigen(system: SaddleSystem) -> float | None:
     pin = system.n_velocity
     w = system.mean_weights
     try:
-        lu = _factor_pinned(system, sp.csr_matrix((n_p, n_p)), {})
+        solve_block, rcond = _factor_pinned(system, sp.csr_matrix((n_p, n_p)), {})
     except RuntimeError:  # SuperLU found an exactly zero pivot
         return 0.0
-    if not _scaled_rcond(lu) >= _RCOND_FLOOR:  # also when the estimate is nan
+    if not rcond >= _RCOND_FLOOR:  # also when the estimate is nan
         return 0.0
 
     sqrt_m = np.sqrt(w)
     data = np.zeros(pin + n_p)
+    zero_mean = _zero_mean(system, solve_block)
 
     def inverse(y):
         data[pin:] = sqrt_m * np.ravel(y)
-        return sqrt_m * _zero_mean_solve(lu, data, pin, w)[pin:]
+        return sqrt_m * zero_mean(data)[pin:]
 
     # a fixed start vector off the kernel direction M^1/2 1 of the operator
     start = np.random.default_rng(0).standard_normal(n_p)

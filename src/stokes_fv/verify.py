@@ -8,7 +8,6 @@ manufactured-solution convergence studies.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,11 +18,11 @@ from .errors import ConfigError, GridError, SolverError
 from .fields import (
     ScalarField,
     VectorField,
-    _fmt,
     h1_norm,
     l2_norm,
     jump_seminorm,
     split_seminorms,
+    write_table,
     zero_mean_project,
 )
 from .grid import ClusterPartition, Grid, build_uniform, make_clusters
@@ -383,25 +382,12 @@ def run_convergence(
 # -- CSV emission ----------------------------------------------------------------
 
 def write_convergence_csv(table: ConvergenceTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(
-            ["scheme", "lambda", "n", "h", "err_u_h1", "err_p_l2", "order_u", "order_p"]
-        )
-        lam = "" if table.lam is None else _fmt(table.lam)
-        for r in table.rows:
-            out.writerow(
-                [
-                    table.scheme,
-                    lam,
-                    r.n,
-                    _fmt(r.h),
-                    _fmt(r.err_u_h1),
-                    _fmt(r.err_p_l2),
-                    "" if r.order_u is None else _fmt(r.order_u),
-                    "" if r.order_p is None else _fmt(r.order_p),
-                ]
-            )
+    header = ["scheme", "lambda", "n", "h", "err_u_h1", "err_p_l2", "order_u", "order_p"]
+    rows = [
+        [table.scheme, table.lam, r.n, r.h, r.err_u_h1, r.err_p_l2, r.order_u, r.order_p]
+        for r in table.rows
+    ]
+    write_table(path, header, rows)
 
 
 def checkerboard_sweep(n_list):
@@ -428,42 +414,19 @@ def checkerboard_sweep(n_list):
 
 
 def write_checkerboard_csv(rows, exponent, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["n", "h", "dual_norm", "l2_norm", "ratio", "fitted_exponent"])
-        for r in rows:
-            out.writerow(
-                [
-                    r["n"],
-                    _fmt(r["h"]),
-                    _fmt(r["dual_norm"]),
-                    _fmt(r["l2_norm"]),
-                    _fmt(r["ratio"]),
-                    _fmt(exponent),
-                ]
-            )
+    keys = ["n", "h", "dual_norm", "l2_norm", "ratio"]
+    write_table(path, keys + ["fitted_exponent"], [[r[k] for k in keys] + [exponent] for r in rows])
 
 
 def write_infsup_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["space", "n", "h", "beta_h"])
-        for r in rows:
-            out.writerow([r["space"], r["n"], _fmt(r["h"]), _fmt(r["beta_h"])])
+    keys = ["space", "n", "h", "beta_h"]
+    write_table(path, keys, [[r[k] for k in keys] for r in rows])
 
 
 def write_consistency_csv(label, report: ConsistencyReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["grid", "max_interior_defect", "max_boundary_defect"])
-        out.writerow(
-            [label, _fmt(report.max_interior_defect), _fmt(report.max_boundary_defect)]
-        )
+    row = [label, report.max_interior_defect, report.max_boundary_defect]
+    write_table(path, ["grid", "max_interior_defect", "max_boundary_defect"], [row])
 
 
 def write_regularity_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["grid", "criterion"])
-        for label, value in rows:
-            out.writerow([label, _fmt(value)])
+    write_table(path, ["grid", "criterion"], rows)

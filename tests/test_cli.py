@@ -233,6 +233,36 @@ def test_config_file_with_flag_override(tmp_path):
     assert dict(read_csv(out_a / "summary.csv")[1:])["nx"] == "4"
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"solver": {"tl": 1e-30}}, "solver.tl"),
+        ({"lamda": 3}, "lamda"),
+        ({"solver": {"tol": 1e-9}, "nn": 8}, "nn"),
+    ],
+)
+def test_config_file_unknown_key_is_config_error(tmp_path, capsys, config, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scheme": "bp", "lambda": 0.05, "n": 4, **config}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_config_file_accepts_every_key_read(tmp_path):
+    keys = {
+        "scheme": "bp", "lam": 0.05, "lambda": 0.05, "case": "ms1", "n": 4,
+        "out": str(tmp_path / "out"), "tol": 1e-9, "solver": {"tol": 1e-9}, "quad": 2,
+        "what": "regularity", "space": "cluster",
+    }
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(keys))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert main(["probe", "--config", str(cfg)]) == 0
+    cfg.write_text(json.dumps({**keys, "grid": "uniform n=4"}))
+    assert main(["solve", "--config", str(cfg)]) == 0
+
+
 def test_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("STOKES_FV_OUT", str(tmp_path / "envout"))
     code = main(["probe", "--what", "regularity", "--n", "4"])

@@ -207,6 +207,14 @@ def test_csv_writers_match_csv_module_bytes(tmp_path, monkeypatch):
     assert (tmp_path / "v.csv").read_bytes() == reference(["i", "j", "vx", "vy"], [vals, vals[::-1]])
 
 
+def test_write_table_formats_floats_and_empties_none(tmp_path):
+    # the cells csv.writer gets: _fmt for floats (NumPy's too), "" for None
+    rows = [[0.1, None, 3, "x,y", True], (np.float64(2.5), math.nan, -1, "", False)]
+    fields.write_table(tmp_path / "t.csv", ["a", "b", "c", "d", "e"], iter(rows))
+    expected = 'a,b,c,d,e\r\n0.10000000000000001,,3,"x,y",True\r\n2.5,nan,-1,,False\r\n'
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
 GOOD_SCALAR_ROWS = ["0,0,1.5", "1,0,2.5", "0,1,3.5", "1,1,4.5"]
 
 

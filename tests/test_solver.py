@@ -227,6 +227,22 @@ def test_schur_cg_flags_a_singular_schur_complement():
     assert solve(system).singular  # the direct path agrees
 
 
+@pytest.mark.parametrize("kind", _KINDS)
+def test_solver_never_reads_the_bordered_matrix(kind):
+    # random data give a nonzero multiplier and mean datum
+    system = _random_rhs(_ms1_system(kind, 8), 5)
+    blind = dataclasses.replace(system, matrix=None)
+    for backend in BACKENDS:
+        seen, report = solve(system, backend=backend), solve(blind, backend=backend)
+        for name in ("u", "p"):
+            np.testing.assert_array_equal(getattr(report, name).values, getattr(seen, name).values)
+        np.testing.assert_array_equal(
+            [report.multiplier, report.residual_norm, report.rcond_est],
+            [seen.multiplier, seen.residual_norm, seen.rcond_est],
+        )
+    assert schur_smallest_eigen(blind) == schur_smallest_eigen(system)
+
+
 def test_schur_cg_flags_the_step_cap(monkeypatch):
     monkeypatch.setattr("stokes_fv.solver._CG_MAXITER", 3)
     report = solve(_ms1_system("bp", 16), backend="schur-cg")
