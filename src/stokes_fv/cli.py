@@ -97,7 +97,9 @@ def _build_grid(args, cfg):
     return build_uniform(int(n))
 
 
-def _build_spec(args, cfg, grid) -> SchemeSpec:
+def _scheme_settings(args, cfg):
+    """The scheme kind, lambda (or None), forcing quadrature order and
+    solver tolerance that flags and config file ask for."""
     kind = _setting(args, cfg, "scheme")
     if kind is None:
         raise ConfigError("missing scheme (--scheme)")
@@ -105,10 +107,9 @@ def _build_spec(args, cfg, grid) -> SchemeSpec:
         raise ConfigError(f"unknown scheme {kind!r}; choose from {_SCHEMES}")
     lam = _setting(args, cfg, "lam", _setting(args, cfg, "lambda"))
     lam = None if lam is None else float(lam)
-    partition = None
-    if kind in ("cluster", "cluster-constant"):
-        partition = make_clusters(grid)
-    return SchemeSpec(kind, lam, partition)
+    quad = int(_setting(args, cfg, "quad", 3))
+    tol = float(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)))
+    return kind, lam, quad, tol
 
 
 def _get_case(args, cfg):
@@ -118,19 +119,14 @@ def _get_case(args, cfg):
     return CASES[case_id]
 
 
-def _write_summary(path, items) -> None:
-    write_table(path, ["key", "value"], items)
-
-
 def cmd_solve(args) -> int:
     # `main` names the stage in an out-of-memory report
     args.stage = "grid"
     cfg = _load_config(args.config)
     grid = _build_grid(args, cfg)
-    spec = _build_spec(args, cfg, grid)
+    kind, lam, quad, tol = _scheme_settings(args, cfg)
+    spec = verify._scheme_for(kind, lam, grid)
     case = _get_case(args, cfg)
-    quad = int(_setting(args, cfg, "quad", 3))
-    tol = float(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)))
     out = _out_dir(args, cfg)
 
     args.stage = "assemble"
@@ -166,7 +162,7 @@ def cmd_solve(args) -> int:
         "peak_rss_mb", "peak_rss_before_mb",
     )
     summary += [(key, report.stats.get(key, "")) for key in stat_keys]
-    _write_summary(out / "summary.csv", summary)
+    write_table(out / "summary.csv", ["key", "value"], summary)
 
     if report.singular:
         print(f"singular system: {report.singular_reason}", file=sys.stderr)
@@ -177,14 +173,8 @@ def cmd_solve(args) -> int:
 def cmd_convergence(args) -> int:
     cfg = _load_config(args.config)
     n_list = _parse_n_list(_setting(args, cfg, "n"))
+    kind, lam, quad, tol = _scheme_settings(args, cfg)
     case = _get_case(args, cfg)
-    kind = _setting(args, cfg, "scheme")
-    if kind is None:
-        raise ConfigError("missing scheme (--scheme)")
-    lam = _setting(args, cfg, "lam", _setting(args, cfg, "lambda"))
-    lam = None if lam is None else float(lam)
-    quad = int(_setting(args, cfg, "quad", 3))
-    tol = float(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)))
     out = _out_dir(args, cfg)
 
     # run_convergence builds each level's partition

@@ -19,25 +19,48 @@ from .errors import GridError
 from .grid import ClusterPartition, Grid
 
 
-class ScalarField:
-    """One real value per cell."""
+class _CellField:
+    """Values on the cells of a grid, one row of shape `_ROW` per cell;
+    fields of the same class add, subtract and scale."""
 
     __slots__ = ("grid", "values")
+    _ROW: tuple = ()
 
     def __init__(self, grid: Grid, values):
         values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_cells,):
-            raise GridError(
-                f"expected {grid.n_cells} values, got shape {values.shape}"
-            )
+        shape = (grid.n_cells, *self._ROW)
+        if values.shape != shape:
+            raise GridError(f"expected shape {shape}, got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise GridError("field values must be finite")
         self.grid = grid
         self.values = values
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.n_cells))
+    def zeros(cls, grid: Grid):
+        return cls(grid, np.zeros((grid.n_cells, *cls._ROW)))
+
+    def copy(self):
+        return type(self)(self.grid, self.values.copy())
+
+    def __sub__(self, other):
+        _check_same_grid(self, other)
+        return type(self)(self.grid, self.values - other.values)
+
+    def __add__(self, other):
+        _check_same_grid(self, other)
+        return type(self)(self.grid, self.values + other.values)
+
+    def __mul__(self, a: float):
+        return type(self)(self.grid, self.values * float(a))
+
+    __rmul__ = __mul__
+
+
+class ScalarField(_CellField):
+    """One real value per cell."""
+
+    __slots__ = ()
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "ScalarField":
@@ -49,47 +72,12 @@ class ScalarField:
         g = self.grid
         return float(np.dot(g.cell_areas, self.values) / g.cell_areas.sum())
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
 
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __mul__(self, a: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(a))
-
-    __rmul__ = __mul__
-
-
-class VectorField:
+class VectorField(_CellField):
     """Two-component field stored as an (n_cells, 2) array."""
 
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_cells, 2):
-            raise GridError(
-                f"expected shape ({grid.n_cells}, 2), got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise GridError("field values must be finite")
-        self.grid = grid
-        self.values = values
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        return cls(grid, np.zeros((grid.n_cells, 2)))
-
-    @classmethod
-    def from_components(cls, u1: ScalarField, u2: ScalarField) -> "VectorField":
-        _check_same_grid(u1, u2)
-        return cls(u1.grid, np.column_stack([u1.values, u2.values]))
+    __slots__ = ()
+    _ROW = (2,)
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "VectorField":
@@ -102,22 +90,6 @@ class VectorField:
 
     def component(self, c: int) -> ScalarField:
         return ScalarField(self.grid, self.values[:, c].copy())
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy())
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.values - other.values)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.values + other.values)
-
-    def __mul__(self, a: float) -> "VectorField":
-        return VectorField(self.grid, self.values * float(a))
-
-    __rmul__ = __mul__
 
 
 def _check_same_grid(a, b):

@@ -28,11 +28,12 @@ IMA J. Numer. Anal. 4, 1984), with the grid's factor-free velocity solve for
 A^-1 and the diagonal pressure mass as preconditioner: no factor, and a
 step count that does not grow with the grid.
 
-`schur_smallest_eigen`, the inf-sup probe, factors the pinned block without
-its stabilization the same way as "splu" and runs shift-invert Lanczos at
-shift 0 on the same `_zero_mean` wrapping of its solve: a few dozen solves
-with one sparse factor, and no dense array.  It returns 0 when that block
-is singular to working precision.
+`schur_smallest_eigen`, the inf-sup probe, factors the system with C
+replaced by zero through `_direct_block`, the function that factors for
+"splu", and runs shift-invert Lanczos at shift 0 on the same `_zero_mean`
+wrapping of its solve: a few dozen solves with one sparse factor, and no
+dense array.  It returns 0 when that block is singular to working
+precision.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -87,10 +88,13 @@ class SolveReport:
     p: ScalarField | None
     multiplier: float
     residual_norm: float
-    singular: bool
     singular_reason: str | None
     rcond_est: float | None
     stats: dict = field(default_factory=dict)
+
+    @property
+    def singular(self) -> bool:
+        return self.singular_reason is not None
 
 
 def _dissection_blocks(ny: int, nx: int) -> np.ndarray:
@@ -142,26 +146,24 @@ def _dissection_order(system: SaddleSystem) -> np.ndarray:
     return np.argsort(np.concatenate([cell_ranks, cell_ranks, ranks]), kind="stable")
 
 
-def _symmetric_scaling(system: SaddleSystem, C: sp.spmatrix) -> np.ndarray:
+def _symmetric_scaling(system: SaddleSystem) -> np.ndarray:
     """Diagonal D with unit-sized diagonal in D [[A, -B^T], [B, C]] D.
 
     Velocities get diag(A)^-1/2; pressures get the inverse square root of
     the diagonal of B diag(A)^-1 B^T + C, or 1 where that is zero.
     """
     a_diag = system.A.diagonal()
-    p_diag = system.B.multiply(system.B) @ (1.0 / a_diag) + C.diagonal()
+    p_diag = system.B.multiply(system.B) @ (1.0 / a_diag) + system.C.diagonal()
     p_scale = np.ones_like(p_diag)
     np.power(p_diag, -0.5, out=p_scale, where=p_diag > 0)
     return np.concatenate([a_diag**-0.5, p_scale])
 
 
-def _pinned_block(
-    system: SaddleSystem, C: sp.spmatrix
-) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """The matrix `_factor_pinned` factors, built from the system's blocks.
+def _pinned_block(system: SaddleSystem) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """The matrix `_direct_block` factors, built from the system's blocks.
 
     K = (D M D)[perm][:, perm], where M is the saddle block [[A, -B^T],
-    [B, C]] of the system's A and B without the row and column of its first
+    [B, C]] of the system's blocks without the row and column of its first
     pressure dof, D the `_symmetric_scaling` and perm the nested-dissection
     order of the kept dofs.  The COO triplets of A, -B^T, B and C are mapped
     straight to their positions in K, so no copy of the saddle block or of
@@ -172,11 +174,11 @@ def _pinned_block(
     m = pin + system.n_p
     order = _dissection_order(system)
     order = order[order != pin]
-    scale = _symmetric_scaling(system, C)
+    scale = _symmetric_scaling(system)
     # position in K of every dof of M; -1 drops the pinned one
     position = np.full(m, -1, dtype=np.int32)
     position[order] = np.arange(m - 1, dtype=np.int32)
-    A, B, C = system.A.tocoo(), system.B.tocoo(), C.tocoo()
+    A, B, C = system.A.tocoo(), system.B.tocoo(), system.C.tocoo()
     B_row = B.row + pin
     triplets = [
         (A.row, A.col, A.data),
@@ -198,45 +200,6 @@ def _pinned_block(
         vals[start:end] = (data * scale[row] * scale[col])[kept]
     K = sp.csc_matrix((vals[:end], (rows[:end], cols[:end])), shape=(m - 1, m - 1))
     return K, order - (order > pin), np.delete(scale, pin)
-
-
-def _factor_pinned(system: SaddleSystem, C: sp.spmatrix, stats: dict):
-    """Factor the saddle block [[A, -B^T], [B, C]] of the system's A and B
-    without the row and column of its first pressure dof, as the scaled,
-    permuted `_pinned_block` K.  Only K is alive while SuperLU factors it.
-
-    Returns the factor's solve with the unpinned block, x = D P^T K^-1 P D b
-    on the kept dofs with b's pinned entry (its implied equation) dropped
-    and x = 0 there, and the factor's `_scaled_rcond`.
-    """
-    t0 = time.perf_counter()
-    K, perm, scale = _pinned_block(system, C)
-    stats["order_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    lu = spla.splu(
-        K,
-        permc_spec="NATURAL",
-        diag_pivot_thresh=_DIAG_PIVOT_THRESH,
-        options=dict(SymmetricMode=True),
-    )
-    stats["factor_s"] = time.perf_counter() - t0
-    stats["peak_rss_mb"] = _peak_rss_mb()
-    # the values SuperLU stores for L and U; building `lu.L` and `lu.U` to
-    # count them would copy the whole factor
-    stats["factor_nnz"] = int(lu.nnz)
-    stats["offdiag_pivots"] = int(np.count_nonzero(lu.perm_r != np.arange(K.shape[0])))
-    t0 = time.perf_counter()
-    rcond = _scaled_rcond(lu)
-    stats["rcond_s"] = time.perf_counter() - t0
-    pin = system.n_velocity
-
-    def solve_block(b: np.ndarray) -> np.ndarray:
-        x = np.empty(scale.size)
-        x[perm] = lu.solve((scale * np.delete(b, pin))[perm])
-        return np.insert(scale * x, pin, 0.0)
-
-    return solve_block, rcond
 
 
 def _zero_mean(system: SaddleSystem, solve_block):
@@ -285,14 +248,46 @@ def _peak_rss_mb() -> float:
 
 
 def _direct_block(system: SaddleSystem, stats: dict):
-    """The unbordered block's solve by the sparse factor of its pinned
-    form; its report is the factor's `_scaled_rcond` and no failure.
-    Raises RuntimeError when SuperLU finds an exactly zero pivot."""
-    solve_block, rcond = _factor_pinned(system, system.C, stats)
+    """Factor the saddle block [[A, -B^T], [B, C]] of the system's blocks
+    without the row and column of its first pressure dof, as the scaled,
+    permuted `_pinned_block` K.  Only K is alive while SuperLU factors it.
+
+    Returns the factor's solve with the unpinned block, x = D P^T K^-1 P D b
+    on the kept dofs with b's pinned entry (its implied equation) dropped
+    and x = 0 there, and its report: the factor's `_scaled_rcond` and no
+    failure.  Raises RuntimeError when SuperLU finds an exactly zero pivot.
+    """
+    t0 = time.perf_counter()
+    K, perm, scale = _pinned_block(system)
+    stats["order_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    lu = spla.splu(
+        K,
+        permc_spec="NATURAL",
+        diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+        options=dict(SymmetricMode=True),
+    )
+    stats["factor_s"] = time.perf_counter() - t0
+    stats["peak_rss_mb"] = _peak_rss_mb()
+    # the values SuperLU stores for L and U; building `lu.L` and `lu.U` to
+    # count them would copy the whole factor
+    stats["factor_nnz"] = int(lu.nnz)
+    stats["offdiag_pivots"] = int(np.count_nonzero(lu.perm_r != np.arange(K.shape[0])))
+    t0 = time.perf_counter()
+    rcond = _scaled_rcond(lu)
+    stats["rcond_s"] = time.perf_counter() - t0
     # the bordered matrix's stored entries, counted from its blocks:
     # A, -B^T and B, C, and the mean weights as a column and a row
     matrix_nnz = system.A.nnz + 2 * system.B.nnz + system.C.nnz + 2 * system.n_p
     stats["fill_factor"] = float(stats["factor_nnz"] / max(matrix_nnz, 1))
+    pin = system.n_velocity
+
+    def solve_block(b: np.ndarray) -> np.ndarray:
+        x = np.empty(scale.size)
+        x[perm] = lu.solve((scale * np.delete(b, pin))[perm])
+        return np.insert(scale * x, pin, 0.0)
+
     return solve_block, lambda: (rcond, None)
 
 
@@ -446,13 +441,13 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
     multiplier mu recovered from the pressure rows.  The relative residual
     is that of the bordered system, from the blocks: f - A u + B^T p,
     g - B u - C p - w mu and the mean datum less w^T p.  The returned
-    pressure has exactly zero area-weighted mean.  The report is flagged
-    singular when the factorization fails, when a CG pass stops short of
-    its tolerance, when `rcond_est` falls below 1e-12, when the residual
-    exceeds `tol`, or when the system was assembled from the unstabilized
-    cell-pressure scheme, whose checkerboard pressure mode loses control
-    under refinement and must be surfaced rather than silently solved.  A
-    flagged system may still carry the solution when one was computed.
+    pressure has exactly zero area-weighted mean.  `singular_reason` is
+    set, and so `singular` true, when the factorization fails, when a CG
+    pass stops short of its tolerance, when `rcond_est` falls below 1e-12,
+    when the residual exceeds `tol`, or when the system was assembled from
+    the unstabilized cell-pressure scheme, whose checkerboard pressure mode
+    loses control under refinement and must be surfaced rather than
+    silently solved.  A flagged report still carries any computed solution.
     """
     if tol <= 0:
         raise SolverError("tolerance must be positive")
@@ -480,21 +475,17 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
         # one step of iterative refinement
         x = x + zero_mean(residual(x)[:m])
         rcond, reason = outcome()
-    singular = reason is not None
 
     if x is not None and not np.all(np.isfinite(x)):
-        singular = True
         reason = reason or "the solve produced non-finite values"
         x = None
 
     if rcond is not None and not rcond >= _RCOND_FLOOR:
-        singular = True
         reason = reason or f"reciprocal condition estimate {rcond:.2e} below {_RCOND_FLOOR:.0e}"
 
     if system.spec.kind == NATURAL:
         # Structurally unstable pressure space: no jump control, inf-sup
         # constant of the checkerboard mode decays under refinement.
-        singular = True
         reason = (
             "unstabilized cell-pressure scheme: checkerboard pressure mode "
             "is not controlled (rcond_est="
@@ -503,7 +494,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
         )
 
     if x is None:
-        return SolveReport(None, None, float("nan"), float("inf"), True, reason, rcond, stats)
+        return SolveReport(None, None, float("nan"), float("inf"), reason, rcond, stats)
 
     # the mean constraint row, then the multiplier from the pressure rows
     x[pin:] += rhs[-1] / w.sum()
@@ -511,13 +502,12 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
 
     rhs_norm = float(np.linalg.norm(rhs))
     relative = float(np.linalg.norm(residual(x, multiplier))) / (rhs_norm if rhs_norm > 0 else 1.0)
-    if relative > tol and not singular:
-        singular = True
+    if relative > tol and reason is None:
         reason = f"relative residual {relative:.2e} above tolerance {tol:.0e}"
 
     u = array_to_vector_field(system.grid, x[:pin])
     p = zero_mean_project(system.cell_pressure(x[pin:]))
-    return SolveReport(u, p, multiplier, relative, singular, reason, rcond, stats)
+    return SolveReport(u, p, multiplier, relative, reason, rcond, stats)
 
 
 def schur_smallest_eigen(system: SaddleSystem) -> float | None:
@@ -529,12 +519,13 @@ def schur_smallest_eigen(system: SaddleSystem) -> float | None:
     `None` when that subspace is trivial (one pressure dof).
 
     Shift-invert Lanczos at shift 0 (Ericsson and Ruhe, Math. Comp. 35,
-    1980): the saddle block [[A, -B^T], [B, 0]] is factored as in `solve`,
-    and its `_zero_mean` solve maps pressure data g to the zero-mean p with
-    B A^-1 B^T p = g.  In the variables y = M^1/2 p this is the inverse of
-    M^-1/2 B A^-1 B^T M^-1/2 on the complement of M^1/2 1, so `eigsh` finds
-    its largest eigenvalue theta, and beta^2 = 1/theta.  The system's
-    stabilization block C plays no part.
+    1980): the system with its stabilization block C replaced by zero,
+    [[A, -B^T], [B, 0]], is factored by `_direct_block`, the function that
+    factors for `solve`'s "splu" backend, and its `_zero_mean` solve maps
+    pressure data g to the zero-mean p with B A^-1 B^T p = g.  In the
+    variables y = M^1/2 p this is the inverse of M^-1/2 B A^-1 B^T M^-1/2 on
+    the complement of M^1/2 1, so `eigsh` finds its largest eigenvalue
+    theta, and beta^2 = 1/theta.
 
     A pressure in the kernel of B^T makes the block singular and beta^2 = 0.
     Rounding may still let that block factor and the iteration return a
@@ -547,10 +538,12 @@ def schur_smallest_eigen(system: SaddleSystem) -> float | None:
         return None
     pin = system.n_velocity
     w = system.mean_weights
+    unstabilized = replace(system, C=sp.csr_matrix((n_p, n_p)), matrix=None)
     try:
-        solve_block, rcond = _factor_pinned(system, sp.csr_matrix((n_p, n_p)), {})
+        solve_block, outcome = _direct_block(unstabilized, {})
     except RuntimeError:  # SuperLU found an exactly zero pivot
         return 0.0
+    rcond, _ = outcome()
     if not rcond >= _RCOND_FLOOR:  # also when the estimate is nan
         return 0.0
 

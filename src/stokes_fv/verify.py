@@ -151,32 +151,21 @@ def gradient_dual_norm(q: ScalarField) -> float:
 def cluster_test_velocity(q: ScalarField, partition: ClusterPartition) -> VectorField:
     """Velocity probing the cross-cluster jumps of q.
 
-    Per cell, each component is the jump of q toward the neighbour across
-    the cross-cluster edge in that direction (x, y), signed by the outward
-    direction of that edge so the gradient pairing accumulates the squared
-    cross jumps; zero when the cell sits on the domain boundary in that
-    direction.
+    Per cell, each component is the jump q[l] - q[k] across the cell's
+    cross-cluster edge k -> l in that direction (x, y), taken along the
+    edge's normal, so the gradient pairing accumulates the squared cross
+    jumps; zero when the cell has no cross-cluster edge in that direction
+    (it sits on the domain boundary).
     """
     grid = q.grid
     if not partition.grid.same_mesh(grid):
         raise GridError("partition belongs to a different grid")
-    i = grid.cell_ij[:, 0]
-    j = grid.cell_ij[:, 1]
+    e = np.flatnonzero(partition.cross_edge_mask)
+    k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
+    # interior normals are +x or +y; a cell has one cross edge per direction
+    axis = (grid.edge_normal[e, 1] != 0).astype(np.intp)
     vals = np.zeros((grid.n_cells, 2))
-    for axis, idx in ((0, i), (1, j)):
-        limit = grid.nx if axis == 0 else grid.ny
-        # within each index pair (2m, 2m+1) the cross-cluster neighbour sits
-        # on the even cell's left and the odd cell's right
-        cross = np.where(idx % 2 == 0, idx - 1, idx + 1)
-        sign = np.where(idx % 2 == 0, -1.0, 1.0)
-        valid = (cross >= 0) & (cross < limit)
-        if axis == 0:
-            neighbour = j * grid.nx + cross
-        else:
-            neighbour = cross * grid.nx + i
-        neighbour_safe = np.where(valid, neighbour, 0)
-        jump = q.values[neighbour_safe] - q.values
-        vals[:, axis] = np.where(valid, sign * jump, 0.0)
+    vals[k, axis] = vals[l, axis] = q.values[l] - q.values[k]
     return VectorField(grid, vals)
 
 
@@ -217,17 +206,14 @@ class StabilityFit:
     skipped: bool = False
 
 
-def gradient_stability_probe(
-    grid: Grid, samples, probe: PressureGradientProbe | None = None
-) -> StabilityFit:
+def gradient_stability_probe(grid: Grid, samples) -> StabilityFit:
     """Fit stability constants over sampled zero-mean pressures.
 
     For each sample q the probe records dual/l2 and h*jump/l2; c1 anchors at
     the sample median of dual/l2 and c2 is the smallest slope rescuing every
     sample, so that dual >= c1*l2 - c2*h*jump holds across the whole sample.
     """
-    if probe is None:
-        probe = PressureGradientProbe(grid)
+    probe = PressureGradientProbe(grid)
     h = grid.h if grid.is_uniform else float(max(grid.dx.max(), grid.dy.max()))
     ratios = []
     slopes = []

@@ -33,6 +33,7 @@ scatter and in-place triplet arrays must agree bit for bit
 (`triplet_operator` runs an operator builder on the list version).
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -311,12 +312,12 @@ def sliced_pinned_block(system, zero_c=False):
     if zero_c:
         C = sp.csr_matrix((system.n_p, system.n_p))
         block = sp.bmat([[system.A, -system.B.T], [system.B, C]], format="csc")
+        system = dataclasses.replace(system, C=C, matrix=None)
     else:
-        C = system.C
         block = system.matrix.tocsc()[:m, :m]
     order = _dissection_order(system)
     order = order[order != pin]
-    scale = _symmetric_scaling(system, C)
+    scale = _symmetric_scaling(system)
     position = np.full(m, -1)
     position[order] = np.arange(m - 1)
     coo = block.tocoo()

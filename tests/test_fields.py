@@ -174,6 +174,43 @@ def test_field_validation():
         ScalarField(g, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("cls, row", [(ScalarField, ()), (VectorField, (2,))], ids=["scalar", "vector"])
+def test_field_classes_share_checks_and_arithmetic(cls, row, rng):
+    g = build_uniform(3)
+    shape = (g.n_cells, *row)
+    with pytest.raises(GridError):
+        cls(g, np.zeros((g.n_cells + 1, *row)))
+    with pytest.raises(GridError):
+        cls(g, np.zeros((g.n_cells, 3)))
+    bad = np.zeros(shape)
+    bad.flat[4] = np.inf
+    with pytest.raises(GridError):
+        cls(g, bad)
+
+    zero = cls.zeros(g)
+    assert zero.values.shape == shape and not zero.values.any()
+    assert cls.zeros(g).values is not zero.values
+    a = cls(g, rng.standard_normal(shape))
+    b = cls(g, rng.standard_normal(shape))
+    a_copy = a.copy()
+    a_copy.values[0] += 1.0
+    assert a_copy.values.flat[0] != a.values.flat[0]
+
+    for result, expected in (
+        (a + b, a.values + b.values),
+        (a - b, a.values - b.values),
+        (a * 2.5, a.values * 2.5),
+        (2.5 * a, a.values * 2.5),
+    ):
+        assert type(result) is cls and result.grid is g
+        assert np.array_equal(result.values, expected)
+
+    other = cls.zeros(build_uniform(4))
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(GridError):
+            op(a, other)
+
+
 def test_csv_round_trip(tmp_path, rng):
     g = build_uniform(3)
     s = ScalarField(g, rng.standard_normal(g.n_cells))

@@ -187,7 +187,7 @@ def test_rcond_estimate_tracks_dense_scaled_condition(kind):
     # the estimate is of the scaled, pinned block that is factored, so it
     # does not depend on the mesh's units
     system = _ms1_system(kind, 16)
-    dense = 1.0 / np.linalg.cond(_pinned_block(system, system.C)[0].toarray(), 2)
+    dense = 1.0 / np.linalg.cond(_pinned_block(system)[0].toarray(), 2)
     report = solve(system)
     assert dense / 3 <= report.rcond_est <= 3 * dense
 
@@ -343,8 +343,9 @@ def test_pinned_block_matches_sliced_oracle(kind, grid, zero_c):
     lam = {"bp": 0.05, "cluster": 1.0}.get(kind)
     system = assemble(SchemeSpec(kind, lam, part), g, CASES["ms1"].forcing, quad_order=1)
     expected = sliced_pinned_block(system, zero_c=zero_c)
-    C = sp.csr_matrix((system.n_p, system.n_p)) if zero_c else system.C
-    K = _pinned_block(system, C)[0]
+    if zero_c:  # as the inf-sup probe factors it
+        system = dataclasses.replace(system, C=sp.csr_matrix((system.n_p, system.n_p)), matrix=None)
+    K = _pinned_block(system)[0]
     assert K.shape == expected.shape
     for name in ("indptr", "indices", "data"):
         got, want = getattr(K, name), getattr(expected, name)
@@ -403,6 +404,18 @@ def test_schur_full_space_decays():
 
 def test_schur_single_cluster_empty_space():
     assert schur_smallest_eigen(_system("cluster-constant", 2)) is None
+
+
+@pytest.mark.parametrize("grid", ["8", "tensor-10x8"])
+def test_schur_ignores_the_stabilization(grid):
+    # the probe factors the system with C replaced by zero, so the
+    # stabilized cell-pressure schemes share the natural scheme's beta^2
+    g = _seeded_tensor(10, 8) if grid == "tensor-10x8" else build_uniform(int(grid))
+    part = make_clusters(g)
+    specs = [SchemeSpec("natural"), SchemeSpec("bp", 0.05), SchemeSpec("cluster", 1.0, part)]
+    betas = [schur_smallest_eigen(assemble(s, g, CASES["ms1"].forcing, quad_order=1)) for s in specs]
+    assert betas[0] > 0
+    assert betas[1] == betas[0] and betas[2] == betas[0]
 
 
 def _zero_forcing_system(kind, g):

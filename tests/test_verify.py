@@ -128,6 +128,25 @@ def test_cluster_velocity_constant_field_zero():
     assert np.abs(v.values).max() == 0.0
 
 
+def _seeded_tensor(nx, ny):
+    rng = np.random.default_rng(3)
+    return build_tensor(*(np.cumsum(rng.uniform(0.2, 1.0, n + 1)) for n in (nx, ny)))
+
+
+@pytest.mark.parametrize(
+    "grid", [build_uniform(4), _seeded_tensor(6, 4)], ids=["uniform-4x4", "tensor-6x4"]
+)
+def test_cluster_velocity_values(grid):
+    # q = i + 10 j jumps by 1 across every x edge and by 10 across every y
+    # edge; a cell has a cross-cluster neighbour in a direction unless it
+    # sits in the first or last column (row) of the grid
+    part = make_clusters(grid)
+    i, j = grid.cell_ij.T
+    v = cluster_test_velocity(ScalarField(grid, i + 10.0 * j), part)
+    assert np.array_equal(v.values[:, 0], np.where((i > 0) & (i < grid.nx - 1), 1.0, 0.0))
+    assert np.array_equal(v.values[:, 1], np.where((j > 0) & (j < grid.ny - 1), 10.0, 0.0))
+
+
 def test_cluster_velocity_boundary_components_zeroed(rng):
     g = build_uniform(4)
     part = make_clusters(g)
@@ -170,7 +189,7 @@ def test_stability_probe_constants_positive_and_feasible(rng):
     probe = PressureGradientProbe(g)
     samples = [ScalarField(g, rng.standard_normal(g.n_cells)) for _ in range(20)]
     samples.append(checkerboard_field(g))
-    fit = gradient_stability_probe(g, samples, probe)
+    fit = gradient_stability_probe(g, samples)
     assert fit.c1 > 0 and fit.c2 >= 0
     # fitted pair satisfies the inequality on the whole sample
     from stokes_fv.fields import jump_seminorm
