@@ -33,14 +33,23 @@ _CONFIG_KEYS = {
 }
 
 
+def _number(value, key: str, kind=float):
+    """`value` as `kind` (int or float), or a ConfigError naming `key`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, not {value!r}") from err
+
+
 def _parse_n_list(text) -> list[int]:
     if text is None:
         raise ConfigError("missing refinement list (--n)")
     if isinstance(text, (list, tuple)):
-        values = [int(v) for v in text]
+        values = [_number(v, "n", int) for v in text]
     else:
         parts = [p for p in str(text).split(",") if p.strip()]
-        values = [int(p) for p in parts]
+        values = [_number(p, "n", int) for p in parts]
     if not values:
         raise ConfigError("empty refinement list")
     return values
@@ -94,7 +103,7 @@ def _build_grid(args, cfg):
         raise ConfigError("need --grid or --n")
     if isinstance(n, str) and "," in n:
         raise ConfigError("solve takes a single n; use convergence for sweeps")
-    return build_uniform(int(n))
+    return build_uniform(_number(n, "n", int))
 
 
 def _scheme_settings(args, cfg):
@@ -106,9 +115,9 @@ def _scheme_settings(args, cfg):
     if kind not in _SCHEMES:
         raise ConfigError(f"unknown scheme {kind!r}; choose from {_SCHEMES}")
     lam = _setting(args, cfg, "lam", _setting(args, cfg, "lambda"))
-    lam = None if lam is None else float(lam)
-    quad = int(_setting(args, cfg, "quad", 3))
-    tol = float(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)))
+    lam = None if lam is None else _number(lam, "lambda")
+    quad = _number(_setting(args, cfg, "quad", 3), "quad", int)
+    tol = _number(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)), "tol")
     return kind, lam, quad, tol
 
 

@@ -28,12 +28,26 @@ IMA J. Numer. Anal. 4, 1984), with the grid's factor-free velocity solve for
 A^-1 and the diagonal pressure mass as preconditioner: no factor, and a
 step count that does not grow with the grid.
 
-`schur_smallest_eigen`, the inf-sup probe, factors the system with C
-replaced by zero through `_direct_block`, the function that factors for
-"splu", and runs shift-invert Lanczos at shift 0 on the same `_zero_mean`
-wrapping of its solve: a few dozen solves with one sparse factor, and no
-dense array.  It returns 0 when that block is singular to working
-precision.
+`schur_smallest_eigen`, the inf-sup probe, computes beta^2, the smallest
+eigenvalue of B A^-1 B^T on zero-mean pressures against the pressure mass,
+by one of two methods, chosen by the pressure space:
+
+- Cluster pressures ("cluster-constant"): block LOBPCG (Knyazev, SIAM J.
+  Sci. Comput. 23, 2001) on the mass-scaled Schur complement, applied
+  through the grid's factor-free velocity solve, with the constant mode
+  moved out of the way by a shift.  No sparse factor: n=512 takes about
+  11 s and 420 MB, where shift-invert took 57 s and 2.9 GB.  The paper
+  bounds this space's beta^2 below, so the step count does not grow with
+  the grid.
+- Cell pressures: shift-invert Lanczos at shift 0 on the system with C
+  replaced by zero, factored by `_direct_block`, the function that
+  factors for "splu", and wrapped by the same `_zero_mean`.  Here beta^2
+  decays like h^2, LOBPCG's step count grows with it, and one factor with
+  a few dozen solves is the faster method.
+
+Both return 0 when B^T has a kernel: LOBPCG when its smallest Ritz value
+is at or below `_RCOND_FLOOR` of the spectrum's scale, shift-invert when
+the factor fails or its rcond estimate falls below that floor.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ from __future__ import annotations
 import resource
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,6 +91,21 @@ _RCOND_FLOOR = 1e-12
 # at n = 256.
 _CG_RTOL = 1e-10
 _CG_MAXITER = 1000
+# The cluster-space inf-sup probe's LOBPCG: its block size, and the residual
+# of the smallest Ritz pair, relative to the scale of the spectrum, at which
+# it stops.  SciPy's LOBPCG runs until every block column converges, and a
+# fourth eigenvalue close to the fifth can hold the block for a hundred steps
+# and more after the smallest pair has converged; so it runs at most
+# `_LOBPCG_RUN` steps at a time, restarted from its Ritz vectors until the
+# smallest pair converges, and gives up after `_LOBPCG_MAXITER` steps.  On
+# uniform grids the smallest pair converges in 22-38 steps and the block in
+# 29-43 for n = 16..512, and the first run suffices at n=1024; on 150 random
+# cluster grids of 4-64 cells per side, widths 0.1-10, the smallest pair
+# converges within 37 steps.
+_LOBPCG_BLOCK = 4
+_LOBPCG_RTOL = 1e-9
+_LOBPCG_RUN = 50
+_LOBPCG_MAXITER = 200
 # `ru_maxrss` is in kilobytes on Linux and in bytes on macOS.
 _MAXRSS_PER_MB = 1024.0**2 if sys.platform == "darwin" else 1024.0
 
@@ -516,26 +546,107 @@ def schur_smallest_eigen(system: SaddleSystem) -> float | None:
     Returns the squared inf-sup constant of the system's pressure space:
     the smallest eigenvalue of M^-1 (B A^-1 B^T) restricted to the subspace
     of zero area-weighted mean, with M the diagonal pressure mass matrix;
-    `None` when that subspace is trivial (one pressure dof).
+    `None` when that subspace is trivial (one pressure dof).  The
+    stabilization block C plays no part.  In the variables y = M^1/2 p this
+    is the smallest eigenvalue of T = M^-1/2 B A^-1 B^T M^-1/2 on the
+    complement of M^1/2 1, the kernel that 1^T B = 0 gives T.
 
-    Shift-invert Lanczos at shift 0 (Ericsson and Ruhe, Math. Comp. 35,
-    1980): the system with its stabilization block C replaced by zero,
+    The method follows the pressure space.  Where the pressure lives on
+    clusters ("cluster-constant"), the paper bounds beta^2 below, and
+    `_lobpcg_beta_sq` runs block LOBPCG on T with no sparse factor: A^-1 is
+    the grid's fast velocity solve, so `system.A` must be the grid's
+    velocity block, as `assemble` makes it.  Its step count does not grow
+    with the grid (22-38 steps for n = 16..512, at most 50 at n=1024).  On
+    the cell space, beta^2 decays like h^2; there LOBPCG needs 161-203
+    steps already at n = 8..32, and `_shift_invert_beta_sq`, Lanczos on
+    one sparse factor, is the faster method.
+
+    A pressure in the kernel of B^T gives beta^2 = 0, which rounding may
+    hide behind a small finite value.  So 0.0 is returned whenever the
+    smallest Ritz value of LOBPCG is at or below `solve`'s floor, 1e-12,
+    times the scale of T's spectrum, and, on the cell space, whenever the
+    factor fails or its reciprocal condition estimate falls below that
+    floor.  Raises SolverError when LOBPCG stops short of its tolerance.
+    """
+    if system.n_p <= 1:
+        return None
+    if system.spec.kind == CLUSTER_CONSTANT:
+        return _lobpcg_beta_sq(system)
+    return _shift_invert_beta_sq(system)
+
+
+def _lobpcg_beta_sq(system: SaddleSystem) -> float:
+    """beta^2 by block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on
+    T = M^-1/2 B A^-1 B^T M^-1/2, with no sparse factor.
+
+    T is applied to a whole block at once: B^T, then the grid's
+    `A1_solve` on both velocity components of every column, then B.  The
+    kernel direction q = M^1/2 1 / |M^1/2 1| of T is moved up the spectrum
+    by the shift T + s q q^T rather than held off by LOBPCG's constraint
+    argument: SciPy solves small problems (fewer than five times the block
+    size of unknowns) densely, and its dense path takes no constraint.  The
+    shift s is the largest Rayleigh quotient of T over the fixed random
+    start block, projected off q: never below beta^2, so the smallest
+    eigenvalue of the shifted operator is beta^2, and it serves as the
+    scale of T's spectrum for the stopping residual and the kernel test.
+    """
+    n, n_p, B = system.grid.n_cells, system.n_p, system.B
+    a1_solve = _grid_operators(system.grid).A1_solve
+    sqrt_m = np.sqrt(system.mean_weights)[:, None]
+    q = sqrt_m / np.linalg.norm(sqrt_m)
+
+    def schur(Y):
+        k = Y.shape[1]
+        velocity = (B.T @ (Y / sqrt_m)).T.reshape(2 * k, n)
+        return (B @ a1_solve(velocity).reshape(k, 2 * n).T) / sqrt_m
+
+    X = np.random.default_rng(0).standard_normal((n_p, min(_LOBPCG_BLOCK, n_p)))
+    X -= q @ (q.T @ X)
+    X /= np.linalg.norm(X, axis=0)
+    scale = float(np.max(np.sum(X * schur(X), axis=0)))
+    if not scale > 0:  # B^T vanishes on the start block
+        return 0.0
+
+    def shifted(Y):
+        return schur(Y) + q @ (scale * (q.T @ Y))
+
+    tol = _LOBPCG_RTOL * scale
+    steps = 0
+    with warnings.catch_warnings():
+        # SciPy warns on its dense path and whenever a run ends with a
+        # block column short of tol; the smallest pair is checked here
+        warnings.simplefilter("ignore", UserWarning)
+        while True:
+            run = min(_LOBPCG_RUN, _LOBPCG_MAXITER - steps)
+            ritz, X, *history = spla.lobpcg(
+                shifted, X, tol=tol, maxiter=run, largest=False, retResidualNormsHistory=True
+            )
+            steps += run
+            # the dense path returns no history: its eigenpairs are exact
+            if not history or history[0][-1][np.argmin(ritz)] <= tol:
+                break
+            if steps >= _LOBPCG_MAXITER:
+                raise SolverError(f"LOBPCG stopped short of residual {tol:.1e} in {steps} steps")
+    beta_sq = float(np.min(ritz))
+    return 0.0 if beta_sq <= _RCOND_FLOOR * scale else beta_sq
+
+
+def _shift_invert_beta_sq(system: SaddleSystem) -> float:
+    """beta^2 by shift-invert Lanczos at shift 0 (Ericsson and Ruhe, Math.
+    Comp. 35, 1980), on any pressure space.
+
+    The system with its stabilization block C replaced by zero,
     [[A, -B^T], [B, 0]], is factored by `_direct_block`, the function that
     factors for `solve`'s "splu" backend, and its `_zero_mean` solve maps
     pressure data g to the zero-mean p with B A^-1 B^T p = g.  In the
-    variables y = M^1/2 p this is the inverse of M^-1/2 B A^-1 B^T M^-1/2 on
-    the complement of M^1/2 1, so `eigsh` finds its largest eigenvalue
-    theta, and beta^2 = 1/theta.
-
-    A pressure in the kernel of B^T makes the block singular and beta^2 = 0.
-    Rounding may still let that block factor and the iteration return a
-    finite, unrelated value, so 0.0 is returned whenever the factorization
-    fails or the reciprocal condition estimate of the scaled pinned block
-    falls below `solve`'s floor, 1e-12.
+    variables y = M^1/2 p this is the inverse of T on the complement of
+    M^1/2 1, so `eigsh` finds its largest eigenvalue theta, and
+    beta^2 = 1/theta.  Returns 0.0 when the factorization fails or the
+    reciprocal condition estimate of the scaled pinned block falls below
+    `_RCOND_FLOOR`: a kernel of B^T may still let that block factor, and
+    the iteration return a finite, unrelated value.
     """
     n_p = system.n_p
-    if n_p <= 1:
-        return None
     pin = system.n_velocity
     w = system.mean_weights
     unstabilized = replace(system, C=sp.csr_matrix((n_p, n_p)), matrix=None)

@@ -287,3 +287,44 @@ def test_cli_grid_spec_solve(tmp_path):
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_probe_non_integer_n_is_config_error(tmp_path, capsys, source):
+    if source == "flag":
+        args = ["--what", "infsup", "--n", "4,x"]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"what": "infsup", "n": [4, "x"]}))
+        args = ["--config", str(cfg)]
+    assert main(["probe", *args, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: n must be an integer, not 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"quad": "x"}, "quad"),
+        ({"lambda": "x"}, "lambda"),
+        ({"lam": "x"}, "lambda"),
+        ({"tol": "x"}, "tol"),
+        ({"solver": {"tol": "x"}}, "tol"),
+        ({"n": "x"}, "n"),
+        ({"n": [8]}, "n"),
+    ],
+)
+def test_config_file_non_numeric_value_is_config_error(tmp_path, capsys, config, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scheme": "bp", "lambda": 0.05, "n": 4, **config}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_probe_infsup_lobpcg_step_cap_exits_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("stokes_fv.solver._LOBPCG_MAXITER", 2)
+    code = main(["probe", "--what", "infsup", "--space", "cluster", "--n", "16", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: LOBPCG stopped short")
+    assert not (tmp_path / "probe_infsup.csv").exists()
