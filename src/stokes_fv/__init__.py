@@ -26,7 +26,6 @@ from .fields import (
     h1_norm,
     jump_inner,
     jump_seminorm,
-    l2_inner,
     l2_norm,
     split_seminorms,
     zero_mean_project,

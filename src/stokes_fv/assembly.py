@@ -15,16 +15,20 @@ the stabilization block is symmetric positive semidefinite, and the gradient
 block is minus the transpose of the divergence block.
 
 Only the mass balance (stabilization, lambda, pressure space) depends on the
-scheme.  The velocity block and the cell divergence depend on the grid alone,
-so they are built once per Grid object and shared, read-only, by every system
-assembled on it.  Each system's bordered matrix is scattered from its blocks
-straight into CSC arrays, with no COO copy of any block.
+scheme.  The velocity block is diag(A1, A1), the scalar H1 stiffness A1 on
+each component, and is never stored: A1 and the cell divergence depend on
+the grid alone, so they are built once per Grid object and shared,
+read-only, by every system assembled on it, and the velocity block is
+applied and inverted through A1 on both stacked components.  Each system's
+bordered matrix is scattered from its blocks straight into CSC arrays,
+with no COO copy of any block.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -65,9 +69,8 @@ class SchemeSpec:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ConfigError(f"unknown scheme kind {self.kind!r}")
-        if self.kind in _STABILIZED:
-            if self.lam is None or self.lam <= 0:
-                raise ConfigError(f"scheme {self.kind!r} needs lambda > 0")
+        if self.kind in _STABILIZED and (self.lam is None or not 0 < self.lam < math.inf):
+            raise ConfigError(f"scheme {self.kind!r} needs a finite lambda > 0, not {self.lam!r}")
 
     def validate_for(self, grid: Grid) -> None:
         if self.kind in _NEEDS_PARTITION:
@@ -81,32 +84,34 @@ class SchemeSpec:
 class SaddleSystem:
     """Assembled sparse system and its blocks.
 
-    `matrix` is the full (2n + n_p + 1) square operator; A, B, C are the
-    velocity, divergence and stabilization blocks on the system's own
-    pressure space (cells, or clusters for cluster-constant pressure).  The
-    gradient block of `matrix` is -B^T.  A, and B for cell pressures, are the
-    grid's shared read-only operators: an in-place edit raises ValueError.
+    `matrix` is the full (2n + n_p + 1) square operator; B and C are the
+    divergence and stabilization blocks on the system's own pressure space
+    (cells, or clusters for cluster-constant pressure), and n_p its size.
+    The velocity block is diag(A1, A1) with A1 the grid's scalar stiffness,
+    and the gradient block is -B^T.  B for cell pressures is the grid's
+    shared read-only divergence: an in-place edit raises ValueError.
     """
 
     grid: Grid
     spec: SchemeSpec
     matrix: sp.csc_matrix
     rhs: np.ndarray
-    A: sp.csr_matrix
     B: sp.csr_matrix
     C: sp.csr_matrix
     mean_weights: np.ndarray
-    n_p: int
-    prolongation: sp.csr_matrix | None = None
 
     @property
     def n_velocity(self) -> int:
         return 2 * self.grid.n_cells
 
+    @property
+    def n_p(self) -> int:
+        return self.B.shape[0]
+
     def cell_pressure(self, p_raw: np.ndarray) -> ScalarField:
         """Expand a pressure-space vector to one value per cell."""
-        if self.prolongation is not None:
-            return ScalarField(self.grid, self.prolongation @ p_raw)
+        if self.spec.kind == CLUSTER_CONSTANT:
+            return ScalarField(self.grid, p_raw[self.spec.partition.cluster_of])
         return ScalarField(self.grid, p_raw.copy())
 
 
@@ -135,28 +140,20 @@ def cell_means(f, grid: Grid, quad_order: int = 3) -> VectorField:
     return VectorField(grid, np.column_stack([mean_x, mean_y]))
 
 
-def _cluster_prolongation(partition: ClusterPartition) -> sp.csr_matrix:
-    n = partition.grid.n_cells
-    rows = np.arange(n)
-    cols = partition.cluster_of
-    vals = np.ones(n)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, partition.n_clusters)).tocsr()
-
-
 class _GridOperators:
-    """Scalar stiffness A1, cell divergence B_cells and velocity block
-    A = diag(A1, A1) of one grid, each built once and then shared, plus the
-    gradient G and the jump matrices J (all interior edges) and J_intra
-    (intra-cluster edges) that the operators' apply forms multiply by, and
-    `A1_solve`, the factor-free inverse of A1 that the gradient probe and
-    the Schur-complement solver apply.
+    """Scalar stiffness A1 and cell divergence B_cells of one grid, each
+    built once and then shared, plus the gradient G and the jump matrices J
+    (all interior edges) and J_intra (intra-cluster edges) that the
+    operators' apply forms multiply by, and `A1_solve`, the factor-free
+    inverse of A1.  `velocity_apply` and `velocity_solve` apply the velocity
+    block diag(A1, A1) and its inverse to stacked velocities [u1; u2].
 
     Their arrays are read-only, so a caller editing one in place gets a
-    ValueError instead of silently changing every system on the grid.  A,
-    G, J, J_intra and A1_solve are built on first use: the gradient probe
-    needs only A1_solve and B_cells, and assembly never needs G, the jump
-    matrices or A1_solve.  The grid is held by a weak reference, so the
-    memo does not keep it alive.
+    ValueError instead of silently changing every system on the grid.  G,
+    J, J_intra and A1_solve are built on first use: the gradient probe needs
+    only A1_solve and B_cells, and assembly never needs G, the jump matrices
+    or A1_solve.  The grid is held by a weak reference, so the memo does not
+    keep it alive.
     """
 
     def __init__(self, grid: Grid):
@@ -164,9 +161,17 @@ class _GridOperators:
         self.A1 = _read_only(h1_stiffness_matrix(grid))
         self.B_cells = _read_only(divergence_matrix(grid))
 
-    @functools.cached_property
-    def A(self) -> sp.csr_matrix:
-        return _read_only(sp.block_diag([self.A1, self.A1], format="csr"))
+    def velocity_apply(self, u: np.ndarray) -> np.ndarray:
+        """diag(A1, A1) u for stacked velocities u = [u1; u2]."""
+        n = self.A1.shape[0]
+        return np.concatenate([self.A1 @ u[:n], self.A1 @ u[n:]])
+
+    def velocity_solve(self, f: np.ndarray) -> np.ndarray:
+        """diag(A1, A1)^-1 f for stacked velocities f = [f1; f2], one vector
+        of length 2n or a block of columns of shape (2n, k): every
+        component of every column goes to `A1_solve` in one call."""
+        rows = f.T.reshape(-1, self.A1.shape[0])
+        return self.A1_solve(rows).reshape(f.T.shape).T
 
     @functools.cached_property
     def G(self) -> sp.csr_matrix:
@@ -197,8 +202,7 @@ class _GridOperators:
         A1^-1 b = W ((W^T b V) / (mu_j + lambda_i)) V^T: four dense products.
 
         The returned function maps an array of shape (..., n_cells), one
-        right-hand side per row (both velocity components at once), to the
-        solutions in the same shape.
+        right-hand side per row, to the solutions in the same shape.
         """
         grid = self._grid()
         lam, V = _line_eigenpairs(grid.xs)
@@ -245,9 +249,10 @@ def _grid_operators(grid: Grid) -> _GridOperators:
     return ops
 
 
-def _bordered(A, B, C, mean_weights) -> sp.csc_matrix:
+def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
     """The bordered saddle matrix [[A, -B^T, 0], [B, C, w], [0, w^T, 0]],
-    w = `mean_weights`, scattered straight into CSC arrays.
+    A = diag(A1, A1) and w = `mean_weights`, scattered straight into CSC
+    arrays.
 
     The column counts come first and `indptr` is their cumulative sum; then
     each block's entries go to the next free slots of their columns, one
@@ -256,18 +261,19 @@ def _bordered(A, B, C, mean_weights) -> sp.csc_matrix:
     row offset, so the result is canonical without a sort.  Its `indptr`,
     `indices` and `data` are those of SciPy's block stacking of the same
     blocks, which copies every block into COO form and sorts the stack
-    back.  The CSR arrays of B are the CSC arrays of B^T, and those of the
-    velocity block A its own CSC arrays: A is bitwise symmetric, as the
-    tests check.
+    back.  The CSR arrays of B are the CSC arrays of B^T, and those of A1
+    its own CSC arrays: A1 is bitwise symmetric, as the tests check.
     """
-    m, n_p = A.shape[0], B.shape[0]
+    n, n_p = A1.shape[0], B.shape[0]
+    m = 2 * n
     size = m + n_p + 1
     B_csc, C_csc = B.tocsc(), C.tocsc()
     ramp = np.arange(n_p + 1, dtype=np.int32)
     # (first column, row offset, CSC indptr, indices, data, negated) per
     # block; w^T has one entry in each of its columns, w all n_p in its one
     blocks = [
-        (0, 0, A.indptr, A.indices, A.data, False),
+        (0, 0, A1.indptr, A1.indices, A1.data, False),
+        (n, n, A1.indptr, A1.indices, A1.data, False),
         (0, m, B_csc.indptr, B_csc.indices, B_csc.data, False),
         (m, 0, B.indptr, B.indices, B.data, True),
         (m, m, C_csc.indptr, C_csc.indices, C_csc.data, False),
@@ -309,20 +315,18 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
 
     n = grid.n_cells
     ops = _grid_operators(grid)
-    A, B_cells = ops.A, ops.B_cells
     areas = grid.cell_areas
 
-    prolongation = None
     if spec.kind == CLUSTER_CONSTANT:
-        prolongation = _cluster_prolongation(spec.partition)
-        B = (prolongation.T @ B_cells).tocsr()
-        mean_weights = np.asarray(prolongation.T @ areas).ravel()
-        n_p = spec.partition.n_clusters
-        C = sp.csr_matrix((n_p, n_p))
+        part = spec.partition
+        # the prolongation P from clusters to cells: B = P^T B_cells
+        P = sp.csr_matrix((np.ones(n), (np.arange(n), part.cluster_of)), (n, part.n_clusters))
+        B = (P.T @ ops.B_cells).tocsr()
+        mean_weights = part.cluster_areas.copy()
+        C = sp.csr_matrix((part.n_clusters, part.n_clusters))
     else:
-        B = B_cells
+        B = ops.B_cells
         mean_weights = areas.copy()
-        n_p = n
         if spec.kind == NATURAL:
             C = sp.csr_matrix((n, n))
         elif spec.kind == BP:
@@ -333,23 +337,11 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
                 * jump_stabilization_matrix(grid, spec.partition.intra_edge_mask)
             ).tocsr()
 
-    matrix = _bordered(A, B, C, mean_weights)
-    rhs = np.zeros(2 * n + n_p + 1)
+    matrix = _bordered(ops.A1, B, C, mean_weights)
+    rhs = np.zeros(2 * n + B.shape[0] + 1)
     rhs[:n] = areas * f_cells.values[:, 0]
     rhs[n : 2 * n] = areas * f_cells.values[:, 1]
-
-    return SaddleSystem(
-        grid=grid,
-        spec=spec,
-        matrix=matrix,
-        rhs=rhs,
-        A=A,
-        B=B,
-        C=C,
-        mean_weights=mean_weights,
-        n_p=n_p,
-        prolongation=prolongation,
-    )
+    return SaddleSystem(grid, spec, matrix, rhs, B, C, mean_weights)
 
 
 def energy_functional(system: SaddleSystem, u: VectorField, p: ScalarField):
@@ -360,7 +352,7 @@ def energy_functional(system: SaddleSystem, u: VectorField, p: ScalarField):
     at the solution.
     """
     uvec = vector_field_to_array(u)
-    velocity_sq = float(uvec @ (system.A @ uvec))
+    velocity_sq = float(uvec @ _grid_operators(system.grid).velocity_apply(uvec))
     stab_sq = 0.0
     if system.C.nnz and system.C.shape[0] == system.grid.n_cells:
         stab_sq = float(p.values @ (system.C @ p.values))

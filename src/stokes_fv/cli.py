@@ -118,6 +118,8 @@ def _scheme_settings(args, cfg):
     lam = None if lam is None else _number(lam, "lambda")
     quad = _number(_setting(args, cfg, "quad", 3), "quad", int)
     tol = _number(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)), "tol")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, not {tol!r}")
     return kind, lam, quad, tol
 
 

@@ -132,14 +132,6 @@ def l2_norm(v) -> float:
     return math.sqrt(float(np.dot(g.cell_areas, v.values**2)))
 
 
-def l2_inner(v, w) -> float:
-    _check_same_grid(v, w)
-    g = v.grid
-    if isinstance(v, VectorField):
-        return float(np.dot(g.cell_areas, (v.values * w.values).sum(axis=1)))
-    return float(np.dot(g.cell_areas, v.values * w.values))
-
-
 def jump_inner(p: ScalarField, q: ScalarField) -> float:
     """Unweighted inner product of interior-edge jumps."""
     _check_same_grid(p, q)

@@ -153,9 +153,6 @@ class ClusterPartition:
         j = grid.cell_ij[:, 1]
         self.cluster_of = (j // 2) * ncx + (i // 2)
 
-        # cells of each cluster in ascending index order
-        self.members = np.argsort(self.cluster_of, kind="stable").reshape(-1, 4)
-
         k = grid.edge_cell_k
         l = grid.edge_cell_l
         interior = grid.interior_mask
@@ -167,9 +164,6 @@ class ClusterPartition:
         self.cluster_areas = np.bincount(
             self.cluster_of, weights=grid.cell_areas, minlength=self.n_clusters
         )
-
-    def members_of(self, g: int):
-        return self.members[g]
 
     def __repr__(self):
         return f"ClusterPartition({self.ncx}x{self.ncy} clusters)"

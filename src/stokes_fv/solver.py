@@ -6,21 +6,24 @@ Each only builds a solve of the unbordered block [[A, -B^T], [B, C]];
 `solve` wraps it in the one zero-mean operator `_zero_mean`, refines once,
 recovers the zero mean and the multiplier, and measures every residual
 from the A, B and C blocks and the mean weights.  The bordered
-`system.matrix` is never read.
+`system.matrix` is never read.  Nor is any stored velocity block: A is
+diag(A1, A1), applied and inverted through the grid's scalar stiffness A1
+on both components, and the Schur complement B A^-1 B^T of both the CG
+backend and the cluster-space probe is the one `_schur_complement`.
 
 The direct backend, "splu" (the default, used by `stokes-fv solve`),
 factors the block with the first pressure dof pinned.  The pinned block is
-assembled, scaled and permuted in one pass straight from the system's A, B
-and C blocks, so the only sparse matrix alive next to the factor is the one
-SuperLU factors: no slice or copy of the bordered matrix.  Every block of
-the saddle matrix couples a node (a cell, or a 2x2 cluster for
-cluster-constant pressure) only to its four neighbours, so the pinned block
-is factored in a nested-dissection order of the node rectangle, the
-fill-optimal order on a regular mesh (George, SIAM J. Numer. Anal. 10,
-1973), after a symmetric diagonal scaling that makes SuperLU's diagonal
-pivot test independent of the mesh size and the stabilization strength.
-Its rcond estimate is taken on that scaled block, so it does not track the
-mesh's units.
+assembled, scaled and permuted in one pass straight from A1 and the
+system's B and C blocks, so the only sparse matrix alive next to the
+factor is the one SuperLU factors: no slice or copy of the bordered
+matrix.  Every block of the saddle matrix couples a node (a cell, or a 2x2
+cluster for cluster-constant pressure) only to its four neighbours, so the
+pinned block is factored in a nested-dissection order of the node
+rectangle, the fill-optimal order on a regular mesh (George, SIAM J.
+Numer. Anal. 10, 1973), after a symmetric diagonal scaling that makes
+SuperLU's diagonal pivot test independent of the mesh size and the
+stabilization strength.  Its rcond estimate is taken on that scaled block,
+so it does not track the mesh's units.
 
 The iterative backend, "schur-cg" (used by the convergence studies), runs
 preconditioned CG on the pressure Schur complement B A^-1 B^T + C (Verfuerth,
@@ -52,6 +55,7 @@ the factor fails or its rcond estimate falls below that floor.
 
 from __future__ import annotations
 
+import math
 import resource
 import sys
 import time
@@ -182,7 +186,7 @@ def _symmetric_scaling(system: SaddleSystem) -> np.ndarray:
     Velocities get diag(A)^-1/2; pressures get the inverse square root of
     the diagonal of B diag(A)^-1 B^T + C, or 1 where that is zero.
     """
-    a_diag = system.A.diagonal()
+    a_diag = np.tile(_grid_operators(system.grid).A1.diagonal(), 2)
     p_diag = system.B.multiply(system.B) @ (1.0 / a_diag) + system.C.diagonal()
     p_scale = np.ones_like(p_diag)
     np.power(p_diag, -0.5, out=p_scale, where=p_diag > 0)
@@ -195,10 +199,10 @@ def _pinned_block(system: SaddleSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
     K = (D M D)[perm][:, perm], where M is the saddle block [[A, -B^T],
     [B, C]] of the system's blocks without the row and column of its first
     pressure dof, D the `_symmetric_scaling` and perm the nested-dissection
-    order of the kept dofs.  The COO triplets of A, -B^T, B and C are mapped
-    straight to their positions in K, so no copy of the saddle block or of
-    the bordered `system.matrix` is made.  Returns K, perm and the kept
-    entries of D.
+    order of the kept dofs.  The COO triplets of A (those of A1, once per
+    velocity component), -B^T, B and C are mapped straight to their
+    positions in K, so no copy of the saddle block or of the bordered
+    `system.matrix` is made.  Returns K, perm and the kept entries of D.
     """
     pin = system.n_velocity
     m = pin + system.n_p
@@ -208,10 +212,12 @@ def _pinned_block(system: SaddleSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
     # position in K of every dof of M; -1 drops the pinned one
     position = np.full(m, -1, dtype=np.int32)
     position[order] = np.arange(m - 1, dtype=np.int32)
-    A, B, C = system.A.tocoo(), system.B.tocoo(), system.C.tocoo()
-    B_row = B.row + pin
+    A1 = _grid_operators(system.grid).A1.tocoo()
+    B, C = system.B.tocoo(), system.C.tocoo()
+    n, B_row = system.grid.n_cells, B.row + pin
     triplets = [
-        (A.row, A.col, A.data),
+        (A1.row, A1.col, A1.data),
+        (A1.row + n, A1.col + n, A1.data),
         (B.col, B_row, -B.data),
         (B_row, B.col, B.data),
         (C.row + pin, C.col + pin, C.data),
@@ -308,8 +314,9 @@ def _direct_block(system: SaddleSystem, stats: dict):
     rcond = _scaled_rcond(lu)
     stats["rcond_s"] = time.perf_counter() - t0
     # the bordered matrix's stored entries, counted from its blocks:
-    # A, -B^T and B, C, and the mean weights as a column and a row
-    matrix_nnz = system.A.nnz + 2 * system.B.nnz + system.C.nnz + 2 * system.n_p
+    # A1 twice, -B^T and B, C, and the mean weights as a column and a row
+    a1_nnz = _grid_operators(system.grid).A1.nnz
+    matrix_nnz = 2 * a1_nnz + 2 * system.B.nnz + system.C.nnz + 2 * system.n_p
     stats["fill_factor"] = float(stats["factor_nnz"] / max(matrix_nnz, 1))
     pin = system.n_velocity
 
@@ -364,29 +371,32 @@ def _pcg(apply, h: np.ndarray, precondition):
     return p, alphas.size, converged, (ritz[0], ritz[-1])
 
 
+def _schur_complement(system: SaddleSystem):
+    """q -> B A^-1 B^T q, for one pressure vector or a block of columns,
+    with A^-1 the grid's factor-free `velocity_solve`."""
+    B, velocity_solve = system.B, _grid_operators(system.grid).velocity_solve
+    return lambda q: B @ velocity_solve(B.T @ q)
+
+
 def _schur_cg_block(system: SaddleSystem, stats: dict):
     """The unbordered block's solve by CG on its pressure Schur complement,
     and a report of the CG passes' rcond estimate and failure.
 
     Velocity data f and pressure data g, which `_zero_mean` has made sum to
-    zero, give S p = g - B A^-1 f with S = B A^-1 B^T + C on zero-mean
-    pressures, then u = A^-1 (f + B^T p).  A^-1 is the grid's factor-free
-    `A1_solve` on both components at once, so `system.A` must be the grid's
-    velocity block, as `assemble` makes it; the preconditioner is the
-    diagonal pressure mass (`mean_weights`) with the mean projected out.
-    The rcond estimate is the ratio of the extreme Ritz values of that
-    preconditioned S; the reason is set when a CG pass stops short of its
-    tolerance.
+    zero, give S p = g - B A^-1 f with S = `_schur_complement` + C on
+    zero-mean pressures, then u = A^-1 (f + B^T p), A^-1 the grid's
+    factor-free `velocity_solve`.  The preconditioner is the diagonal
+    pressure mass (`mean_weights`) with the mean projected out.  The rcond
+    estimate is the ratio of the extreme Ritz values of that preconditioned
+    S; the reason is set when a CG pass stops short of its tolerance.
     """
-    n, pin = system.grid.n_cells, system.n_velocity
+    pin = system.n_velocity
     w, B, C = system.mean_weights, system.B, system.C
-    a1_solve = _grid_operators(system.grid).A1_solve
-
-    def velocity_solve(f):
-        return a1_solve(f.reshape(2, n)).ravel()
+    velocity_solve = _grid_operators(system.grid).velocity_solve
+    schur_complement = _schur_complement(system)
 
     def schur(q):
-        return B @ velocity_solve(B.T @ q) + C @ q
+        return schur_complement(q) + C @ q
 
     def precondition(r):
         z = r / w
@@ -442,8 +452,8 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
     scales the remaining block symmetrically, permutes it into a
     nested-dissection order of the grid and factors it by `splu` in that
     order (SuperLU's symmetric mode, diagonal pivots unless one falls below
-    1% of its column).  That block is built from the system's A, B and C
-    blocks.  `rcond_est` is the `_scaled_rcond` of that scaled, pinned
+    1% of its column).  That block is built from A1 and the system's B and
+    C blocks.  `rcond_est` is the `_scaled_rcond` of that scaled, pinned
     factor, repeatable bit for bit, and does not depend on the mesh's
     units.  `stats` holds the factor's size (`factor_nnz`, `fill_factor`),
     its off-diagonal pivot count, and the seconds spent ordering
@@ -451,7 +461,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
 
     "schur-cg" runs preconditioned CG on the zero-mean pressure system
     S p = g - B A^-1 f, S = B A^-1 B^T + C, with the grid's factor-free
-    velocity solve `A1_solve` for A^-1 and the diagonal pressure mass as
+    `velocity_solve` for A^-1 and the diagonal pressure mass as
     preconditioner, then recovers u = A^-1 (f + B^T p) (see
     `_schur_cg_block`).  It needs no factor, and its step count does not
     grow with the grid.  `stats` holds the CG steps of both passes
@@ -469,21 +479,24 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
 
     Then the pressure is shifted to the mean the last row asks for, and the
     multiplier mu recovered from the pressure rows.  The relative residual
-    is that of the bordered system, from the blocks: f - A u + B^T p,
-    g - B u - C p - w mu and the mean datum less w^T p.  The returned
-    pressure has exactly zero area-weighted mean.  `singular_reason` is
-    set, and so `singular` true, when the factorization fails, when a CG
-    pass stops short of its tolerance, when `rcond_est` falls below 1e-12,
-    when the residual exceeds `tol`, or when the system was assembled from
-    the unstabilized cell-pressure scheme, whose checkerboard pressure mode
-    loses control under refinement and must be surfaced rather than
-    silently solved.  A flagged report still carries any computed solution.
+    is that of the bordered system, from the blocks: f - A u + B^T p, with
+    A u taken as A1 on each component, g - B u - C p - w mu and the mean
+    datum less w^T p.  The returned pressure has exactly zero area-weighted
+    mean.  `singular_reason` is set, and so `singular` true, when the
+    factorization fails, when a CG pass stops short of its tolerance, when
+    `rcond_est` falls below 1e-12, when the residual exceeds `tol`, or when
+    the system was assembled from the unstabilized cell-pressure scheme,
+    whose checkerboard pressure mode loses control under refinement and
+    must be surfaced rather than silently solved.  A flagged report still
+    carries any computed solution.  A `tol` that is not finite and positive
+    raises SolverError.
     """
-    if tol <= 0:
-        raise SolverError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise SolverError(f"tolerance must be finite and positive, not {tol!r}")
     if backend not in BACKENDS:
         raise SolverError(f"unknown backend {backend!r}")
-    A, B, C, rhs = system.A, system.B, system.C, system.rhs
+    B, C, rhs = system.B, system.C, system.rhs
+    velocity_apply = _grid_operators(system.grid).velocity_apply
     pin = system.n_velocity  # first pressure dof
     m = pin + system.n_p  # size of the unbordered block
     w = system.mean_weights
@@ -491,7 +504,9 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
     def residual(x, multiplier=0.0):
         # rhs - matrix @ [x; multiplier], from the blocks
         u, p = x[:pin], x[pin:]
-        return rhs - np.concatenate([A @ u - B.T @ p, B @ u + C @ p + w * multiplier, [w @ p]])
+        return rhs - np.concatenate(
+            [velocity_apply(u) - B.T @ p, B @ u + C @ p + w * multiplier, [w @ p]]
+        )
 
     stats: dict = {"backend": backend, "peak_rss_before_mb": _peak_rss_mb()}
     build = _direct_block if backend == "splu" else _schur_cg_block
@@ -553,13 +568,12 @@ def schur_smallest_eigen(system: SaddleSystem) -> float | None:
 
     The method follows the pressure space.  Where the pressure lives on
     clusters ("cluster-constant"), the paper bounds beta^2 below, and
-    `_lobpcg_beta_sq` runs block LOBPCG on T with no sparse factor: A^-1 is
-    the grid's fast velocity solve, so `system.A` must be the grid's
-    velocity block, as `assemble` makes it.  Its step count does not grow
-    with the grid (22-38 steps for n = 16..512, at most 50 at n=1024).  On
-    the cell space, beta^2 decays like h^2; there LOBPCG needs 161-203
-    steps already at n = 8..32, and `_shift_invert_beta_sq`, Lanczos on
-    one sparse factor, is the faster method.
+    `_lobpcg_beta_sq` runs block LOBPCG on T with no sparse factor, through
+    `_schur_complement`.  Its step count does not grow with the grid (22-38
+    steps for n = 16..512, at most 50 at n=1024).  On the cell space,
+    beta^2 decays like h^2; there LOBPCG needs 161-203 steps already at
+    n = 8..32, and `_shift_invert_beta_sq`, Lanczos on one sparse factor,
+    is the faster method.
 
     A pressure in the kernel of B^T gives beta^2 = 0, which rounding may
     hide behind a small finite value.  So 0.0 is returned whenever the
@@ -579,8 +593,8 @@ def _lobpcg_beta_sq(system: SaddleSystem) -> float:
     """beta^2 by block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on
     T = M^-1/2 B A^-1 B^T M^-1/2, with no sparse factor.
 
-    T is applied to a whole block at once: B^T, then the grid's
-    `A1_solve` on both velocity components of every column, then B.  The
+    T is applied to a whole block at once by `_schur_complement`, which
+    inverts A on both velocity components of every column in one call.  The
     kernel direction q = M^1/2 1 / |M^1/2 1| of T is moved up the spectrum
     by the shift T + s q q^T rather than held off by LOBPCG's constraint
     argument: SciPy solves small problems (fewer than five times the block
@@ -590,15 +604,12 @@ def _lobpcg_beta_sq(system: SaddleSystem) -> float:
     eigenvalue of the shifted operator is beta^2, and it serves as the
     scale of T's spectrum for the stopping residual and the kernel test.
     """
-    n, n_p, B = system.grid.n_cells, system.n_p, system.B
-    a1_solve = _grid_operators(system.grid).A1_solve
+    n_p, schur_complement = system.n_p, _schur_complement(system)
     sqrt_m = np.sqrt(system.mean_weights)[:, None]
     q = sqrt_m / np.linalg.norm(sqrt_m)
 
     def schur(Y):
-        k = Y.shape[1]
-        velocity = (B.T @ (Y / sqrt_m)).T.reshape(2 * k, n)
-        return (B @ a1_solve(velocity).reshape(k, 2 * n).T) / sqrt_m
+        return schur_complement(Y / sqrt_m) / sqrt_m
 
     X = np.random.default_rng(0).standard_normal((n_p, min(_LOBPCG_BLOCK, n_p)))
     X -= q @ (q.T @ X)

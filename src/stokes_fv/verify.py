@@ -121,15 +121,13 @@ class PressureGradientProbe:
     """Exact dual norm of the discrete pressure gradient on one grid.
 
     sup over velocities of the gradient pairing per unit H1 norm, computed
-    as the inverse-stiffness norm of the gradient load vector: one solve
-    with the grid's factor-free `A1_solve` for both components at once.
+    as the inverse-stiffness norm of the gradient load vector -B^T q: one
+    factor-free `velocity_solve` of the grid.  The load's sign drops out.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        ops = _grid_operators(grid)
-        self._solve = ops.A1_solve
-        self._G = -ops.B_cells.T
+        self._ops = _grid_operators(grid)
 
     def dual_norm(self, q: ScalarField) -> float:
         if not q.grid.same_mesh(self.grid):
@@ -137,8 +135,8 @@ class PressureGradientProbe:
         scale = float(np.max(np.abs(q.values))) or 1.0
         if abs(q.mean()) > 1e-9 * scale:
             raise GridError("gradient dual norm expects a zero-mean field")
-        load = (self._G @ q.values).reshape(2, -1)
-        total = float(np.sum(load * self._solve(load)))
+        load = self._ops.B_cells.T @ q.values
+        total = float(np.sum(load * self._ops.velocity_solve(load)))
         return math.sqrt(max(total, 0.0))
 
 

@@ -6,13 +6,18 @@ schemes straight into dense arrays.  It shares nothing with the sparse
 edge-based assembly beyond the grid coordinates; used to cross-check the
 production assembly entrywise.
 
-`loop_edges`, `loop_members` and `loop_cluster_regularity` are per-entity
-loop versions of the grid's array-built edge table, cluster members and
-cluster regularity criterion.
+`loop_edges` and `loop_cluster_regularity` are per-entity loop versions
+of the grid's array-built edge table and cluster regularity criterion.
 
 `loop_laplacian`, `loop_gradient`, `loop_divergence` and `loop_jump` are
 per-edge flux loops computing the cell-update forms of the operators,
 independent of the sparse matrices the production apply forms multiply by.
+
+`velocity_block` stacks the velocity block diag(A1, A1) with
+`sp.block_diag`, and `cluster_prolongation` builds the cluster-to-cell
+prolongation P as a sparse matrix: the stored objects that the production
+code replaced by applying A1 to each component and by indexing with
+`cluster_of`.
 
 `dense_schur_smallest_eigen` forms the whole pressure Schur complement
 B A^-1 B^T densely and takes every eigenvalue of its projection onto the
@@ -186,14 +191,6 @@ def loop_edges(xs, ys):
     }
 
 
-def loop_members(partition):
-    """(n_clusters, 4) cell indices of each cluster, one cluster at a time."""
-    members = np.empty((partition.n_clusters, 4), dtype=int)
-    for g in range(partition.n_clusters):
-        members[g] = np.flatnonzero(partition.cluster_of == g)
-    return members
-
-
 def min_direction_strength(normals) -> float:
     """Squared smallest singular value of the 2-by-m matrix of column normals."""
     mat = np.array(normals, dtype=float).T  # 2 x m
@@ -281,13 +278,27 @@ def loop_jump(grid, p, cluster_of=None):
     return out / grid.cell_areas
 
 
+def velocity_block(grid):
+    """The velocity block A = diag(A1, A1) of `grid`, by `sp.block_diag`."""
+    a1 = h1_stiffness_matrix(grid)
+    return sp.block_diag([a1, a1], format="csr")
+
+
+def cluster_prolongation(partition):
+    """The (n_cells, n_clusters) 0/1 matrix P that copies each cluster's
+    value to its cells, from its COO triplets."""
+    n = partition.grid.n_cells
+    triplets = (np.ones(n), (np.arange(n), partition.cluster_of))
+    return sp.coo_matrix(triplets, shape=(n, partition.n_clusters)).tocsr()
+
+
 def dense_schur_smallest_eigen(system):
     """Smallest eigenvalue of M^-1 (B A^-1 B^T) on zero area-weighted mean
     pressures, from the dense Schur complement; `None` for one pressure dof."""
     n_p = system.n_p
     if n_p <= 1:
         return None
-    lu = spla.splu(system.A.tocsc())
+    lu = spla.splu(velocity_block(system.grid).tocsc())
     s_mat = system.B @ lu.solve(system.B.T.toarray())
     s_mat = 0.5 * (s_mat + s_mat.T)
     d_inv_sqrt = 1.0 / np.sqrt(system.mean_weights)
@@ -311,7 +322,8 @@ def sliced_pinned_block(system, zero_c=False):
     m = pin + system.n_p
     if zero_c:
         C = sp.csr_matrix((system.n_p, system.n_p))
-        block = sp.bmat([[system.A, -system.B.T], [system.B, C]], format="csc")
+        A = velocity_block(system.grid)
+        block = sp.bmat([[A, -system.B.T], [system.B, C]], format="csc")
         system = dataclasses.replace(system, C=C, matrix=None)
     else:
         block = system.matrix.tocsc()[:m, :m]

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 from conftest import matrix_bytes, tensor_lines, traced_peak
+from dense_oracle import velocity_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,13 @@ def test_spec_validation():
     g = build_uniform(4)
     with pytest.raises(ClusterError):
         assemble(SchemeSpec("cluster", 1.0), g, lambda x, y: (0 * x, 0 * y))
+
+
+@pytest.mark.parametrize("kind", ["bp", "cluster"])
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0, 0.0])
+def test_spec_rejects_a_lambda_that_is_not_finite_and_positive(kind, lam):
+    with pytest.raises(ConfigError, match="finite lambda > 0"):
+        SchemeSpec(kind, lam)
 
 
 def test_cell_means_constant_and_affine():
@@ -92,8 +100,8 @@ def test_system_block_structure(rng):
     part = make_clusters(g)
     system = assemble(SchemeSpec("cluster", 0.5, part), g, CASES["ms1"].forcing)
     n = g.n_cells
-    # A symmetric positive definite
-    a = system.A.toarray()
+    # A = diag(A1, A1) symmetric positive definite
+    a = velocity_block(g).toarray()
     np.testing.assert_allclose(a, a.T, atol=1e-15)
     assert np.linalg.eigvalsh(a).min() > 0
     # C symmetric positive semidefinite
@@ -166,9 +174,8 @@ def test_cluster_constant_pressure_space():
     report = solve(system)
     # expanded pressure is constant over each cluster
     for gidx in range(part.n_clusters):
-        members = part.members_of(gidx)
-        vals = report.p.values[members]
-        assert np.ptp(vals) < 1e-12
+        vals = report.p.values[part.cluster_of == gidx]
+        assert vals.size == 4 and np.ptp(vals) < 1e-12
 
 
 def test_export_and_import_round_trip(tmp_path):
@@ -227,8 +234,16 @@ def _stable_specs(part):
 def test_schemes_on_one_grid_share_the_velocity_block():
     g = build_uniform(4)
     f = cell_means(CASES["ms1"].forcing, g)
-    bp, cluster, constant = (assemble(spec, g, f) for spec in _stable_specs(make_clusters(g)))
-    assert bp.A is cluster.A is constant.A
+    specs = _stable_specs(make_clusters(g))
+    bp, cluster, constant = (assemble(spec, g, f) for spec in specs)
+    # each velocity block is scattered from the one A1 of the grid's memo,
+    # built once and not again for a later system
+    a1 = _grid_operators(g).A1
+    assemble(specs[0], g, f)
+    assert _grid_operators(g).A1 is a1
+    n = g.n_cells
+    for system in (bp, cluster, constant):
+        assert abs(system.matrix[: 2 * n, : 2 * n] - velocity_block(g)).max() == 0.0
     assert bp.B is cluster.B
 
 
@@ -243,7 +258,7 @@ def test_assembly_after_a_solve_matches_a_fresh_grid():
     for spec in specs:
         again = assemble(spec, g, f)
         new = assemble(spec, fresh, f)
-        assert again.A is not new.A
+        assert _grid_operators(again.grid).A1 is not _grid_operators(new.grid).A1
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(again.matrix, name), getattr(new.matrix, name))
         np.testing.assert_array_equal(again.rhs, new.rhs)
@@ -308,11 +323,11 @@ def test_assembly_traced_memory_stays_near_the_bordered_matrix(kind):
 def test_shared_operators_are_read_only():
     g = build_uniform(4)
     system = assemble(SchemeSpec("bp", 0.1), g, CASES["ms1"].forcing)
+    a1 = _grid_operators(g).A1
     with pytest.raises(ValueError):
-        system.A.data[0] = 1.0
+        a1.data[0] = 1.0
     with pytest.raises(ValueError):
         system.B.indices[0] = 0
-    a1 = _grid_operators(g).A1
     with pytest.raises(ValueError):
         a1.indptr[0] = 1
 

@@ -322,6 +322,29 @@ def test_config_file_non_numeric_value_is_config_error(tmp_path, capsys, config,
     assert not (tmp_path / "summary.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize(
+    "scheme, key", [("bp", "tol"), ("bp", "lambda"), ("cluster", "lambda")]
+)
+def test_number_not_finite_and_positive_is_config_error(
+    tmp_path, capsys, scheme, key, value, source
+):
+    settings = {"scheme": scheme, "n": 8, "lambda": 0.5, key: float(value)}
+    if source == "flag":
+        args = [f"--{name}={setting}" for name, setting in settings.items()]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(settings))  # NaN and Infinity, as json reads them
+        args = ["--config", str(cfg)]
+    assert main(["solve", *args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f" {key} " in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_probe_infsup_lobpcg_step_cap_exits_numerical_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("stokes_fv.solver._LOBPCG_MAXITER", 2)
     code = main(["probe", "--what", "infsup", "--space", "cluster", "--n", "16", "--out", str(tmp_path)])

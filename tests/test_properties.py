@@ -9,11 +9,13 @@ import pytest
 from conftest import assert_same_arrays, tensor_lines
 from dense_oracle import (
     bmat_bordered,
+    cluster_prolongation,
     loop_divergence,
     loop_gradient,
     loop_jump,
     loop_laplacian,
     triplet_operator,
+    velocity_block,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,7 @@ from stokes_fv import (
     solve,
     stab_laplacian_apply,
 )
+from stokes_fv.assembly import _grid_operators
 from stokes_fv.operators import vector_field_to_array
 from stokes_fv.verify import CASES
 
@@ -123,7 +126,7 @@ def _assert_bordered_matches_bmat(specs, g):
     f = cell_means(CASES["ms1"].forcing, g)
     for spec in specs:
         system = assemble(spec, g, f)
-        oracle = bmat_bordered(system.A, system.B, system.C, system.mean_weights)
+        oracle = bmat_bordered(velocity_block(g), system.B, system.C, system.mean_weights)
         assert_same_arrays(system.matrix, oracle)
 
 
@@ -141,6 +144,40 @@ def test_clustered_bordered_matrix_matches_bmat_bitwise(lines):
     part = make_clusters(g)
     specs = (SchemeSpec("cluster", 1.0, part), SchemeSpec("cluster-constant", None, part))
     _assert_bordered_matches_bmat(specs, g)
+
+
+@PROPERTY
+@given(EVEN_COUNTS, SEEDS)
+def test_velocity_block_and_cluster_expansion_match_the_stored_constructions(lines, seed):
+    # no system stores A = diag(A1, A1) or the cluster prolongation P: the
+    # bordered matrix, the stacked apply and solve, and the cluster pressure
+    # space agree with `sp.block_diag` and with P built as a matrix
+    g = build_tensor(*lines)
+    part = make_clusters(g)
+    f = cell_means(CASES["ms1"].forcing, g)
+    A, P, m = velocity_block(g), cluster_prolongation(part), 2 * g.n_cells
+    specs = (
+        SchemeSpec("natural"),
+        SchemeSpec("bp", 0.05),
+        SchemeSpec("cluster", 1.0, part),
+        SchemeSpec("cluster-constant", None, part),
+    )
+    for spec in specs:
+        assert_same_arrays(assemble(spec, g, f).matrix[:m, :m], A.tocsc())
+    ops = _grid_operators(g)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(m)
+    assert_close(ops.velocity_apply(x), A @ x, rtol=1e-11)
+    # one vector, or a block of columns
+    for x in (x, rng.standard_normal((m, 3))):
+        back = ops.velocity_solve(A @ x)
+        assert back.shape == x.shape
+        assert np.linalg.norm(back - x) <= 1e-11 * np.linalg.norm(x)
+    system = assemble(specs[-1], g, f)
+    assert_same_arrays(system.B, (P.T @ ops.B_cells).tocsr())
+    assert np.array_equal(system.mean_weights, P.T @ g.cell_areas)
+    p = rng.standard_normal(part.n_clusters)
+    assert np.array_equal(system.cell_pressure(p).values, P @ p)
 
 
 @PROPERTY

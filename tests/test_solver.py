@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import matrix_bytes, tensor_lines, traced_peak
-from dense_oracle import bmat_bordered, dense_schur_smallest_eigen, sliced_pinned_block
+from dense_oracle import bmat_bordered, dense_schur_smallest_eigen, sliced_pinned_block, velocity_block
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,8 +84,9 @@ def test_solve_superposition_linear_in_f():
 def test_bad_tolerance_rejected():
     g = build_uniform(4)
     system = assemble(SchemeSpec("bp", 0.1), g, CASES["ms1"].forcing)
-    with pytest.raises(SolverError):
-        solve(system, tol=0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(SolverError, match="finite and positive"):
+            solve(system, tol=tol)
     with pytest.raises(SolverError):
         solve(system, backend="mystery")
     with pytest.raises(SolverError):
@@ -218,7 +219,7 @@ def _merge_pressure_rows(system, i, j):
 def _with_merged_pressure_rows(system):
     # rows 3 and 4 merged, and the bordered matrix rebuilt to match
     merged = _merge_pressure_rows(system, 3, 4)
-    matrix = bmat_bordered(merged.A, merged.B, merged.C, merged.mean_weights)
+    matrix = bmat_bordered(velocity_block(merged.grid), merged.B, merged.C, merged.mean_weights)
     return dataclasses.replace(merged, matrix=matrix)
 
 
@@ -277,7 +278,8 @@ def test_fill_factor_counts_the_bordered_matrix_from_its_blocks():
         spec = SchemeSpec(kind, lam, part if kind.startswith("cluster") else None)
         system = assemble(spec, g, CASES["ms1"].forcing)
         stats = solve(system).stats
-        assert system.A.nnz + 2 * system.B.nnz + system.C.nnz + 2 * system.n_p == system.matrix.nnz
+        a_nnz = velocity_block(g).nnz
+        assert a_nnz + 2 * system.B.nnz + system.C.nnz + 2 * system.n_p == system.matrix.nnz
         assert stats["fill_factor"] == stats["factor_nnz"] / system.matrix.nnz, kind
 
 
@@ -568,11 +570,10 @@ def test_schur_invariant_under_pressure_permutation():
         spec=system.spec,
         matrix=system.matrix,
         rhs=system.rhs,
-        A=system.A,
         B=(p_mat @ system.B).tocsr(),
         C=system.C,
         mean_weights=system.mean_weights[perm],
-        n_p=system.n_p,
     )
+    assert permuted.n_p == system.n_p
     assert schur_smallest_eigen(permuted) == pytest.approx(base, rel=1e-10)
     assert base >= 0.0
