@@ -37,7 +37,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 
-from .errors import ClusterError, ConfigError, GridError
+from .errors import ConfigError, GridError
 from .fields import ScalarField, VectorField, write_table
 from .grid import ClusterPartition, Grid, make_clusters
 from .operators import (
@@ -55,12 +55,19 @@ CLUSTER_CONSTANT = "cluster-constant"
 SCHEME_KINDS = (NATURAL, BP, CLUSTER_JUMP, CLUSTER_CONSTANT)
 
 _STABILIZED = (BP, CLUSTER_JUMP)
-_NEEDS_PARTITION = (CLUSTER_JUMP, CLUSTER_CONSTANT)
 
 
 @dataclass
 class SchemeSpec:
-    """Scheme selection: kind, stabilization strength, cluster partition."""
+    """Scheme selection: kind and stabilization strength lambda.
+
+    `bp` and `cluster` need a finite lambda > 0; `natural` and
+    `cluster-constant` read none, and a lambda given to them is a
+    ConfigError.  The cluster schemes need no partition: `assemble` derives
+    the 2x2 partition from the grid.  `partition` is accepted as a third
+    argument for perfbench's `SchemeSpec(kind, lam, partition)` call and is
+    never read; it goes once perfbench stops passing it.
+    """
 
     kind: str
     lam: float | None = None
@@ -71,13 +78,8 @@ class SchemeSpec:
             raise ConfigError(f"unknown scheme kind {self.kind!r}")
         if self.kind in _STABILIZED and (self.lam is None or not 0 < self.lam < math.inf):
             raise ConfigError(f"scheme {self.kind!r} needs a finite lambda > 0, not {self.lam!r}")
-
-    def validate_for(self, grid: Grid) -> None:
-        if self.kind in _NEEDS_PARTITION:
-            if self.partition is None:
-                raise ClusterError(f"scheme {self.kind!r} needs a cluster partition")
-            if not self.partition.grid.same_mesh(grid):
-                raise ClusterError("partition belongs to a different grid")
+        if self.kind not in _STABILIZED and self.lam is not None:
+            raise ConfigError(f"scheme {self.kind!r} takes no lambda, got {self.lam!r}")
 
 
 @dataclass
@@ -111,7 +113,7 @@ class SaddleSystem:
     def cell_pressure(self, p_raw: np.ndarray) -> ScalarField:
         """Expand a pressure-space vector to one value per cell."""
         if self.spec.kind == CLUSTER_CONSTANT:
-            return ScalarField(self.grid, p_raw[self.spec.partition.cluster_of])
+            return ScalarField(self.grid, p_raw[make_clusters(self.grid).cluster_of])
         return ScalarField(self.grid, p_raw.copy())
 
 
@@ -303,9 +305,9 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
     """Assemble the full saddle system for scheme `spec` with forcing `f`.
 
     `f` is either a VectorField of cell means or a callable (x, y) -> (fx, fy)
-    averaged by `cell_means`.
+    averaged by `cell_means`.  The cluster schemes take the 2x2 partition
+    `make_clusters(grid)`, which raises ClusterError on odd cell counts.
     """
-    spec.validate_for(grid)
     if isinstance(f, VectorField):
         if not f.grid.same_mesh(grid):
             raise GridError("forcing field lives on a different grid")
@@ -318,7 +320,7 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
     areas = grid.cell_areas
 
     if spec.kind == CLUSTER_CONSTANT:
-        part = spec.partition
+        part = make_clusters(grid)
         # the prolongation P from clusters to cells: B = P^T B_cells
         P = sp.csr_matrix((np.ones(n), (np.arange(n), part.cluster_of)), (n, part.n_clusters))
         B = (P.T @ ops.B_cells).tocsr()
@@ -332,10 +334,8 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
         elif spec.kind == BP:
             C = (spec.lam * jump_stabilization_matrix(grid)).tocsr()
         else:  # cluster jump stabilization
-            C = (
-                spec.lam
-                * jump_stabilization_matrix(grid, spec.partition.intra_edge_mask)
-            ).tocsr()
+            intra = make_clusters(grid).intra_edge_mask
+            C = (spec.lam * jump_stabilization_matrix(grid, intra)).tocsr()
 
     matrix = _bordered(ops.A1, B, C, mean_weights)
     rhs = np.zeros(2 * n + B.shape[0] + 1)

@@ -69,6 +69,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .fields import ScalarField, VectorField, zero_mean_project
+from .grid import make_clusters
 from .assembly import CLUSTER_CONSTANT, NATURAL, SaddleSystem, _grid_operators
 from .operators import array_to_vector_field
 
@@ -171,7 +172,7 @@ def _dissection_order(system: SaddleSystem) -> np.ndarray:
     """
     grid = system.grid
     if system.spec.kind == CLUSTER_CONSTANT:
-        part = system.spec.partition
+        part = make_clusters(grid)
         ranks = _dissection_blocks(part.ncy, part.ncx)
         cell_ranks = ranks[part.cluster_of]
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import NATURAL, SchemeSpec, _grid_operators, assemble, cell_means, _NEEDS_PARTITION
+from .assembly import NATURAL, SchemeSpec, _grid_operators, assemble, cell_means
 from .errors import ConfigError, GridError, SolverError
 from .fields import (
     ScalarField,
@@ -25,7 +25,7 @@ from .fields import (
     write_table,
     zero_mean_project,
 )
-from .grid import ClusterPartition, Grid, build_uniform, make_clusters
+from .grid import ClusterPartition, Grid, build_uniform
 from .operators import (
     diffusion_fluxes,
     gradient_apply,
@@ -311,14 +311,6 @@ class ConvergenceTable:
     case_id: str
     rows: list
 
-    def to_csv(self, path) -> None:
-        write_convergence_csv(self, path)
-
-
-def _scheme_for(kind: str, lam, grid: Grid) -> SchemeSpec:
-    partition = make_clusters(grid) if kind in _NEEDS_PARTITION else None
-    return SchemeSpec(kind, lam, partition)
-
 
 def run_convergence(
     spec: SchemeSpec,
@@ -330,8 +322,10 @@ def run_convergence(
     """Solve `case` on a uniform grid per n and compare against the
     interpolated analytic solution (H1 for velocity, aligned L2 for pressure).
 
-    Each level is solved by Schur-complement CG (`solve(backend="schur-cg")`),
-    which needs no sparse factor and a step count that does not grow with n.
+    Every level is assembled from `spec` itself; the cluster schemes derive
+    their partition from each level's grid.  Each level is solved by
+    Schur-complement CG (`solve(backend="schur-cg")`), which needs no sparse
+    factor and a step count that does not grow with n.
     """
     if spec.kind == NATURAL:
         raise ConfigError("convergence studies need a stabilized or cluster-constant scheme")
@@ -343,9 +337,8 @@ def run_convergence(
     rows = []
     for n in n_list:
         grid = build_uniform(n)
-        spec_n = _scheme_for(spec.kind, spec.lam, grid)
         f_cells = cell_means(case.forcing, grid, quad_order)
-        system = assemble(spec_n, grid, f_cells)
+        system = assemble(spec, grid, f_cells)
         report = solve(system, tol=tol, backend="schur-cg")
         if report.u is None or report.singular:
             raise SolverError(f"solve failed at n={n}: {report.singular_reason}")

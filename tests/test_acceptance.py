@@ -149,9 +149,8 @@ def test_criterion_5_solvability_and_stability():
         for lam in lam_sweep:
             for n in n_sweep:
                 g = build_uniform(n)
-                part = make_clusters(g) if kind == "cluster" else None
                 f = cell_means(case.forcing, g)
-                report = solve(assemble(SchemeSpec(kind, lam, part), g, f))
+                report = solve(assemble(SchemeSpec(kind, lam), g, f))
                 if report.singular:
                     no_warnings = False
                 all_s[(kind, lam, n)] = (h1_norm(report.u) + l2_norm(report.p)) / l2_norm(f)
@@ -184,7 +183,7 @@ def test_criterion_6_infsup():
         g = build_uniform(n)
         zero_f = lambda x, y: (0.0 * x, 0.0 * y)
         sys_cc = assemble(
-            SchemeSpec("cluster-constant", None, make_clusters(g)), g, zero_f, quad_order=1
+            SchemeSpec("cluster-constant"), g, zero_f, quad_order=1
         )
         cluster_betas.append(math.sqrt(schur_smallest_eigen(sys_cc)))
         sys_full = assemble(SchemeSpec("natural"), g, zero_f, quad_order=1)
@@ -208,8 +207,7 @@ def test_criterion_7_first_order_convergence():
     details = []
     ok = True
     for kind, lam in (("bp", 0.05), ("cluster", 1.0)):
-        part = make_clusters(build_uniform(8)) if kind == "cluster" else None
-        table = run_convergence(SchemeSpec(kind, lam, part), case, [8, 16, 32, 64])
+        table = run_convergence(SchemeSpec(kind, lam), case, [8, 16, 32, 64])
         last = table.rows[-1]
         ok = ok and last.order_u >= 0.8 and last.order_p >= 0.8
         details.append(f"{kind}: order_u {last.order_u:.3f}, order_p {last.order_p:.3f}")
@@ -222,13 +220,12 @@ def test_criterion_8_lambda_robustness():
     t0 = time.time()
     case = CASES["ms1"]
     g = build_uniform(32)
-    part = make_clusters(g)
     f = cell_means(case.forcing, g)
     u_ref = VectorField.from_function(g, case.velocity)
     p_ref = zero_mean_project(ScalarField.from_function(g, case.pressure))
     errs_u, errs_p = [], []
     for lam in (0.05, 1.0, 20.0):
-        report = solve(assemble(SchemeSpec("cluster", lam, part), g, f))
+        report = solve(assemble(SchemeSpec("cluster", lam), g, f))
         errs_u.append(h1_norm(report.u - u_ref))
         errs_p.append(l2_norm(zero_mean_project(report.p) - p_ref))
     spread_u = max(errs_u) / min(errs_u)
@@ -248,12 +245,11 @@ def test_criterion_9_dense_oracle_equivalence():
     t0 = time.time()
     n = 4
     g = build_uniform(n)
-    part = make_clusters(g)
     case = CASES["ms1"]
     f = cell_means(case.forcing, g)
     worst = 0.0
     for kind, lam in (("natural", None), ("bp", 0.1), ("cluster", 0.5)):
-        spec = SchemeSpec(kind, lam, part if kind == "cluster" else None)
+        spec = SchemeSpec(kind, lam)
         system = assemble(spec, g, f)
         dense = dense_assemble_uniform(n, kind, lam)
         worst = max(worst, float(np.abs(system.matrix.toarray() - dense).max()))

@@ -43,15 +43,24 @@ def test_spec_validation():
         SchemeSpec("bp")  # missing lambda
     with pytest.raises(ConfigError):
         SchemeSpec("cluster", -1.0)
-    g = build_uniform(4)
-    with pytest.raises(ClusterError):
-        assemble(SchemeSpec("cluster", 1.0), g, lambda x, y: (0 * x, 0 * y))
+    # the cluster schemes derive their partition from the grid in `assemble`
+    odd = build_tensor([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 1.0])
+    for spec in (SchemeSpec("cluster", 1.0), SchemeSpec("cluster-constant")):
+        with pytest.raises(ClusterError, match="even cell counts"):
+            assemble(spec, odd, lambda x, y: (0 * x, 0 * y))
 
 
 @pytest.mark.parametrize("kind", ["bp", "cluster"])
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0, 0.0])
 def test_spec_rejects_a_lambda_that_is_not_finite_and_positive(kind, lam):
     with pytest.raises(ConfigError, match="finite lambda > 0"):
+        SchemeSpec(kind, lam)
+
+
+@pytest.mark.parametrize("kind", ["natural", "cluster-constant"])
+@pytest.mark.parametrize("lam", [float("nan"), 1.0])
+def test_spec_rejects_a_lambda_for_a_scheme_that_reads_none(kind, lam):
+    with pytest.raises(ConfigError, match="takes no lambda"):
         SchemeSpec(kind, lam)
 
 
@@ -76,11 +85,10 @@ def test_cell_means_quadratic_matches_closed_form():
 
 def test_zero_forcing_gives_zero_solution():
     g = build_uniform(4)
-    part = make_clusters(g)
     for spec in (
         SchemeSpec("bp", 0.1),
-        SchemeSpec("cluster", 1.0, part),
-        SchemeSpec("cluster-constant", None, part),
+        SchemeSpec("cluster", 1.0),
+        SchemeSpec("cluster-constant"),
     ):
         system = assemble(spec, g, lambda x, y: (0.0 * x, 0.0 * y))
         report = solve(system)
@@ -97,8 +105,7 @@ def test_gradient_block_is_minus_divergence_transpose():
 
 def test_system_block_structure(rng):
     g = build_uniform(4)
-    part = make_clusters(g)
-    system = assemble(SchemeSpec("cluster", 0.5, part), g, CASES["ms1"].forcing)
+    system = assemble(SchemeSpec("cluster", 0.5), g, CASES["ms1"].forcing)
     n = g.n_cells
     # A = diag(A1, A1) symmetric positive definite
     a = velocity_block(g).toarray()
@@ -131,9 +138,8 @@ def test_natural_checkerboard_gradient_boundary_support():
 
 def test_energy_identity_bp_and_cluster():
     g = build_uniform(8)
-    part = make_clusters(g)
     f = cell_means(CASES["ms1"].forcing, g)
-    for spec in (SchemeSpec("bp", 0.05), SchemeSpec("cluster", 1.0, part)):
+    for spec in (SchemeSpec("bp", 0.05), SchemeSpec("cluster", 1.0)):
         system = assemble(spec, g, f)
         report = solve(system)
         assert not report.singular
@@ -152,13 +158,12 @@ def test_energy_functional_zero_fields():
 def test_nonsingular_across_kinds_and_grids():
     for n in (4, 6):
         g = build_uniform(n)
-        part = make_clusters(g)
         f = cell_means(CASES["ms1"].forcing, g)
         for spec in (
             SchemeSpec("bp", 0.01),
             SchemeSpec("bp", 10.0),
-            SchemeSpec("cluster", 0.1, part),
-            SchemeSpec("cluster-constant", None, part),
+            SchemeSpec("cluster", 0.1),
+            SchemeSpec("cluster-constant"),
         ):
             system = assemble(spec, g, f)
             report = solve(system)
@@ -169,7 +174,7 @@ def test_nonsingular_across_kinds_and_grids():
 def test_cluster_constant_pressure_space():
     g = build_uniform(4)
     part = make_clusters(g)
-    system = assemble(SchemeSpec("cluster-constant", None, part), g, CASES["ms1"].forcing)
+    system = assemble(SchemeSpec("cluster-constant"), g, CASES["ms1"].forcing)
     assert system.n_p == part.n_clusters
     report = solve(system)
     # expanded pressure is constant over each cluster
@@ -223,18 +228,18 @@ def test_operator_matrix_matrixmarket_export(tmp_path):
 
 # -- grid operators shared between the systems of one grid ----------------------
 
-def _stable_specs(part):
+def _stable_specs():
     return (
         SchemeSpec("bp", 0.05),
-        SchemeSpec("cluster", 1.0, part),
-        SchemeSpec("cluster-constant", None, part),
+        SchemeSpec("cluster", 1.0),
+        SchemeSpec("cluster-constant"),
     )
 
 
 def test_schemes_on_one_grid_share_the_velocity_block():
     g = build_uniform(4)
     f = cell_means(CASES["ms1"].forcing, g)
-    specs = _stable_specs(make_clusters(g))
+    specs = _stable_specs()
     bp, cluster, constant = (assemble(spec, g, f) for spec in specs)
     # each velocity block is scattered from the one A1 of the grid's memo,
     # built once and not again for a later system
@@ -251,7 +256,7 @@ def test_assembly_after_a_solve_matches_a_fresh_grid():
     lines = ([0.0, 0.1, 0.35, 0.5, 0.8, 1.0, 1.2], [0.0, 0.3, 0.4, 0.9, 1.0])
     g = build_tensor(*lines)
     f = cell_means(CASES["ms1"].forcing, g)
-    specs = _stable_specs(make_clusters(g))
+    specs = _stable_specs()
     for spec in specs:
         assert not solve(assemble(spec, g, f)).singular
     fresh = build_tensor(*lines)
@@ -266,9 +271,8 @@ def test_assembly_after_a_solve_matches_a_fresh_grid():
 
 def test_saddle_gradient_block_is_exactly_minus_b_transpose():
     g = build_uniform(4)
-    part = make_clusters(g)
     n = g.n_cells
-    for spec in (SchemeSpec("natural"),) + _stable_specs(part):
+    for spec in (SchemeSpec("natural"),) + _stable_specs():
         system = assemble(spec, g, CASES["ms1"].forcing)
         block = system.matrix[: 2 * n, 2 * n : 2 * n + system.n_p]
         assert abs(block + system.B.T).max() == 0.0, spec.kind
@@ -291,7 +295,7 @@ def test_grid_operators_die_with_their_grid():
 def test_assembly_leaves_the_velocity_solve_unbuilt():
     # its eigendecompositions are paid only by the callers that apply it
     g = build_uniform(4)
-    for spec in (SchemeSpec("natural"),) + _stable_specs(make_clusters(g)):
+    for spec in (SchemeSpec("natural"),) + _stable_specs():
         assemble(spec, g, CASES["ms1"].forcing)
     assert "A1_solve" not in vars(_grid_operators(g))
 
@@ -313,8 +317,7 @@ def test_assembly_traced_memory_stays_near_the_bordered_matrix(kind):
     # stacking by sp.bmat, through COO copies of every block, peaked at
     # 3.0-3.2x; the grid's shared operators are built before the trace
     g = build_uniform(64)
-    part = make_clusters(g) if kind.startswith("cluster") else None
-    spec = SchemeSpec(kind, {"bp": 0.05, "cluster": 1.0}.get(kind), part)
+    spec = SchemeSpec(kind, {"bp": 0.05, "cluster": 1.0}.get(kind))
     f = cell_means(CASES["ms1"].forcing, g)
     matrix = assemble(spec, g, f).matrix
     assert traced_peak(assemble, spec, g, f) <= 2.25 * matrix_bytes(matrix)

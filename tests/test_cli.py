@@ -8,7 +8,7 @@ from stokes_fv.assembly import load_system
 from stokes_fv.cli import main
 from stokes_fv.grid import build_uniform
 from stokes_fv.verify import CASES, run_convergence, write_convergence_csv
-from stokes_fv import SchemeSpec, make_clusters
+from stokes_fv import SchemeSpec
 
 
 def read_csv(path):
@@ -76,6 +76,18 @@ def test_solve_cluster_odd_n_is_config_error(tmp_path):
         ["solve", "--scheme", "cluster", "--lambda", "1", "--n", "7", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("scheme", [["cluster", "--lambda", "1"], ["cluster-constant"]])
+@pytest.mark.parametrize(
+    "grid", [["--n", "9"], ["--grid", '{"x": [0, 0.2, 0.5, 1], "y": [0, 0.1, 0.3, 0.6, 1]}']]
+)
+def test_solve_cluster_odd_grid_is_config_error_before_any_output(tmp_path, capsys, scheme, grid):
+    out = tmp_path / "out"
+    assert main(["solve", "--scheme", *scheme, *grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: cluster partition needs even cell counts per direction\n"
+    assert not out.exists()
 
 
 def test_solve_missing_scheme_is_config_error(tmp_path):
@@ -351,3 +363,25 @@ def test_probe_infsup_lobpcg_step_cap_exits_numerical_failure(tmp_path, monkeypa
     assert code == 3
     assert capsys.readouterr().err.startswith("numerical failure: LOBPCG stopped short")
     assert not (tmp_path / "probe_infsup.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "1"])
+@pytest.mark.parametrize("scheme", ["natural", "cluster-constant"])
+def test_lambda_for_a_scheme_that_reads_none_is_config_error(
+    tmp_path, capsys, scheme, value, source, command
+):
+    settings = {"scheme": scheme, "n": 8 if command == "solve" else "4,8", "lambda": float(value)}
+    if source == "flag":
+        args = [f"--{name}={setting}" for name, setting in settings.items()]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(settings))
+        args = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "lambda" in err
+    assert not out.exists()

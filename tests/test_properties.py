@@ -141,9 +141,30 @@ def test_cell_pressure_bordered_matrix_matches_bmat_bitwise(lines):
 @given(EVEN_COUNTS)
 def test_clustered_bordered_matrix_matches_bmat_bitwise(lines):
     g = build_tensor(*lines)
-    part = make_clusters(g)
-    specs = (SchemeSpec("cluster", 1.0, part), SchemeSpec("cluster-constant", None, part))
+    specs = (SchemeSpec("cluster", 1.0), SchemeSpec("cluster-constant"))
     _assert_bordered_matches_bmat(specs, g)
+
+
+@PROPERTY
+@given(EVEN_COUNTS, EVEN_COUNTS)
+def test_cluster_schemes_derive_their_partition_from_the_grid(lines, other_lines):
+    # a spec without a partition, with the grid's own and with another
+    # grid's assemble and solve to the same bits
+    g = build_tensor(*lines)
+    f = cell_means(CASES["ms1"].forcing, g)
+    carried = (None, make_clusters(g), make_clusters(build_tensor(*other_lines)))
+    for kind, lam in (("cluster", 1.0), ("cluster-constant", None)):
+        systems = [assemble(SchemeSpec(kind, lam, part), g, f) for part in carried]
+        reports = [solve(system) for system in systems]
+        for system, report in zip(systems[1:], reports[1:]):
+            for name in ("matrix", "B", "C"):
+                assert_same_arrays(getattr(system, name), getattr(systems[0], name))
+            for name in ("rhs", "mean_weights"):
+                assert getattr(system, name).tobytes() == getattr(systems[0], name).tobytes()
+            assert report.u.values.tobytes() == reports[0].u.values.tobytes()
+            assert report.p.values.tobytes() == reports[0].p.values.tobytes()
+            scalars = ("multiplier", "residual_norm", "singular_reason", "rcond_est")
+            assert [getattr(report, k) for k in scalars] == [getattr(reports[0], k) for k in scalars]
 
 
 @PROPERTY
@@ -159,8 +180,8 @@ def test_velocity_block_and_cluster_expansion_match_the_stored_constructions(lin
     specs = (
         SchemeSpec("natural"),
         SchemeSpec("bp", 0.05),
-        SchemeSpec("cluster", 1.0, part),
-        SchemeSpec("cluster-constant", None, part),
+        SchemeSpec("cluster", 1.0),
+        SchemeSpec("cluster-constant"),
     )
     for spec in specs:
         assert_same_arrays(assemble(spec, g, f).matrix[:m, :m], A.tocsc())
@@ -185,7 +206,7 @@ def test_velocity_block_and_cluster_expansion_match_the_stored_constructions(lin
 def test_energy_identity_after_solve(lines):
     g = build_tensor(*lines)
     f = cell_means(CASES["ms1"].forcing, g)
-    for spec in (SchemeSpec("bp", 0.05), SchemeSpec("cluster", 1.0, make_clusters(g))):
+    for spec in (SchemeSpec("bp", 0.05), SchemeSpec("cluster", 1.0)):
         system = assemble(spec, g, f)
         report = solve(system)
         assert not report.singular, report.singular_reason

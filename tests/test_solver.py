@@ -16,7 +16,6 @@ from stokes_fv import (
     build_tensor,
     build_uniform,
     cell_means,
-    make_clusters,
     schur_smallest_eigen,
     solve,
 )
@@ -97,8 +96,7 @@ def test_bad_tolerance_rejected():
 
 def _system(kind, n, lam=None, forcing=lambda x, y: (0 * x, 0 * y)):
     g = build_uniform(n)
-    part = make_clusters(g) if kind in ("cluster", "cluster-constant") else None
-    spec = SchemeSpec(kind, lam, part)
+    spec = SchemeSpec(kind, lam)
     return assemble(spec, g, forcing, quad_order=1)
 
 
@@ -151,8 +149,7 @@ _EVEN_LINES = tensor_lines(st.integers(1, 6).map(lambda h: 2 * h))
 def _random_tensor_system(kind, lam, data, seed):
     xs, ys = data.draw(_EVEN_LINES if kind.startswith("cluster") else _ODD_LINES)
     g = build_tensor(xs, ys)
-    part = make_clusters(g) if kind.startswith("cluster") else None
-    system = assemble(SchemeSpec(kind, lam, part), g, CASES["ms1"].forcing, quad_order=1)
+    system = assemble(SchemeSpec(kind, lam), g, CASES["ms1"].forcing, quad_order=1)
     return _random_rhs(system, seed)
 
 
@@ -272,10 +269,9 @@ def test_pinned_factor_fill():
 
 def test_fill_factor_counts_the_bordered_matrix_from_its_blocks():
     g = _seeded_tensor(14, 10)
-    part = make_clusters(g)
     for kind in _KINDS:
         lam = {"bp": 0.05, "cluster": 1.0}.get(kind)
-        spec = SchemeSpec(kind, lam, part if kind.startswith("cluster") else None)
+        spec = SchemeSpec(kind, lam)
         system = assemble(spec, g, CASES["ms1"].forcing)
         stats = solve(system).stats
         a_nnz = velocity_block(g).nnz
@@ -312,10 +308,9 @@ def test_stable_schemes_factor_on_diagonal_pivots(grid):
     # the scaled nested-dissection order keeps every pivot on the diagonal,
     # whatever h, lambda or the cell aspect ratios
     g = _grid(grid)
-    part = make_clusters(g)
     for kind, lam in [("bp", 0.05), ("bp", 1e-3), ("cluster", 1.0), ("cluster", 1e-3),
                       ("cluster-constant", None)]:
-        spec = SchemeSpec(kind, lam, part if kind.startswith("cluster") else None)
+        spec = SchemeSpec(kind, lam)
         report = solve(assemble(spec, g, CASES["ms1"].forcing, quad_order=1))
         assert not report.singular, (kind, lam)
         assert report.stats["offdiag_pivots"] == 0, (kind, lam)
@@ -331,10 +326,9 @@ def test_dissection_order_fill(grid, max_fill):
     # n=64, and on the 90x62 grid an order that swaps the two directions
     # gives about 100 for bp and cluster
     g = _grid(grid)
-    part = make_clusters(g)
     schemes = [("bp", 0.05), ("cluster", 1.0), ("cluster-constant", None)]
     for (kind, lam), bound in zip(schemes, max_fill):
-        spec = SchemeSpec(kind, lam, part if kind.startswith("cluster") else None)
+        spec = SchemeSpec(kind, lam)
         report = solve(assemble(spec, g, CASES["ms1"].forcing, quad_order=1))
         assert report.stats["fill_factor"] <= bound, kind
         assert report.stats["order_s"] > 0
@@ -347,9 +341,8 @@ def test_pinned_block_matches_sliced_oracle(kind, grid, zero_c):
     # the same K, bit for bit, as slicing the bordered matrix made it: the
     # factor, the fields and beta^2 then stay bitwise the same too
     g = _seeded_tensor(30, 22) if grid == "tensor-30x22" else build_uniform(int(grid))
-    part = make_clusters(g) if kind.startswith("cluster") else None
     lam = {"bp": 0.05, "cluster": 1.0}.get(kind)
-    system = assemble(SchemeSpec(kind, lam, part), g, CASES["ms1"].forcing, quad_order=1)
+    system = assemble(SchemeSpec(kind, lam), g, CASES["ms1"].forcing, quad_order=1)
     expected = sliced_pinned_block(system, zero_c=zero_c)
     if zero_c:  # as the inf-sup probe factors it
         system = dataclasses.replace(system, C=sp.csr_matrix((system.n_p, system.n_p)), matrix=None)
@@ -419,16 +412,14 @@ def test_schur_ignores_the_stabilization(grid):
     # the probe factors the system with C replaced by zero, so the
     # stabilized cell-pressure schemes share the natural scheme's beta^2
     g = _seeded_tensor(10, 8) if grid == "tensor-10x8" else build_uniform(int(grid))
-    part = make_clusters(g)
-    specs = [SchemeSpec("natural"), SchemeSpec("bp", 0.05), SchemeSpec("cluster", 1.0, part)]
+    specs = [SchemeSpec("natural"), SchemeSpec("bp", 0.05), SchemeSpec("cluster", 1.0)]
     betas = [schur_smallest_eigen(assemble(s, g, CASES["ms1"].forcing, quad_order=1)) for s in specs]
     assert betas[0] > 0
     assert betas[1] == betas[0] and betas[2] == betas[0]
 
 
 def _zero_forcing_system(kind, g):
-    part = make_clusters(g) if kind == "cluster-constant" else None
-    return assemble(SchemeSpec(kind, None, part), g, lambda x, y: (0 * x, 0 * y), quad_order=1)
+    return assemble(SchemeSpec(kind), g, lambda x, y: (0 * x, 0 * y), quad_order=1)
 
 
 def _uniform_lines(nx, ny):

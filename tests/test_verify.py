@@ -254,9 +254,8 @@ def test_stability_constant_under_refinement():
         constants = []
         for n in (4, 8, 16):
             g = build_uniform(n)
-            part = make_clusters(g) if kind == "cluster" else None
             f = cell_means(case.forcing, g)
-            report = solve(assemble(SchemeSpec(kind, lam, part), g, f))
+            report = solve(assemble(SchemeSpec(kind, lam), g, f))
             constants.append((h1_norm(report.u) + l2_norm(report.p)) / l2_norm(f))
         assert max(constants) <= 1.1 * constants[0]
 
