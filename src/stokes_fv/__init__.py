@@ -54,7 +54,6 @@ from .solver import SolveReport, schur_smallest_eigen, solve
 from .verify import (
     CASES,
     ManufacturedCase,
-    PressureGradientProbe,
     checkerboard_field,
     cluster_inequality_terms,
     cluster_test_velocity,

@@ -354,7 +354,7 @@ def energy_functional(system: SaddleSystem, u: VectorField, p: ScalarField):
     uvec = vector_field_to_array(u)
     velocity_sq = float(uvec @ _grid_operators(system.grid).velocity_apply(uvec))
     stab_sq = 0.0
-    if system.C.nnz and system.C.shape[0] == system.grid.n_cells:
+    if system.C.nnz:
         stab_sq = float(p.values @ (system.C @ p.values))
     return velocity_sq, stab_sq
 

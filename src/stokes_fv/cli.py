@@ -188,10 +188,9 @@ def cmd_convergence(args) -> int:
     kind, lam, quad, tol = _scheme_settings(args, cfg)
     spec = SchemeSpec(kind, lam)
     case = _get_case(args, cfg)
-    out = _out_dir(args, cfg)
 
     table = verify.run_convergence(spec, case, n_list, quad_order=quad, tol=tol)
-    verify.write_convergence_csv(table, out / "convergence.csv")
+    verify.write_convergence_csv(table, _out_dir(args, cfg) / "convergence.csv")
     for row in table.rows:
         print(
             f"n={row.n:4d} err_u={row.err_u_h1:.6e} err_p={row.err_p_l2:.6e}"
@@ -203,12 +202,12 @@ def cmd_convergence(args) -> int:
 def cmd_probe(args) -> int:
     cfg = _load_config(args.config)
     what = _setting(args, cfg, "what")
-    out = _out_dir(args, cfg)
 
     if what == "checkerboard":
         n_list = _parse_n_list(_setting(args, cfg, "n"))
         rows, exponent = verify.checkerboard_sweep(n_list)
-        verify.write_checkerboard_csv(rows, exponent, out / "probe_checkerboard.csv")
+        path = _out_dir(args, cfg) / "probe_checkerboard.csv"
+        verify.write_checkerboard_csv(rows, exponent, path)
         print(f"fitted decay exponent: {exponent:.4f}")
         return 0
 
@@ -226,7 +225,7 @@ def cmd_probe(args) -> int:
             beta = math.sqrt(beta_sq) if beta_sq is not None else float("nan")
             rows.append({"space": space, "n": n, "h": 1.0 / n, "beta_h": beta})
             print(f"n={n:4d} beta_h={beta:.6f}")
-        verify.write_infsup_csv(rows, out / "probe_infsup.csv")
+        verify.write_infsup_csv(rows, _out_dir(args, cfg) / "probe_infsup.csv")
         return 0
 
     if what == "consistency":
@@ -235,7 +234,8 @@ def cmd_probe(args) -> int:
             raise ConfigError("consistency probe needs --grid")
         grid = parse_grid_config(str(grid_text))
         report = verify.consistency_check(grid)
-        verify.write_consistency_csv(str(grid_text), report, out / "probe_consistency.csv")
+        path = _out_dir(args, cfg) / "probe_consistency.csv"
+        verify.write_consistency_csv(str(grid_text), report, path)
         print(
             f"max interior defect {report.max_interior_defect:.3e}, "
             f"boundary defect {report.max_boundary_defect:.3e}"
@@ -250,7 +250,7 @@ def cmd_probe(args) -> int:
             value = cluster_regularity(grid, make_clusters(grid))
             rows.append((f"uniform n={n}", value))
             print(f"n={n:4d} criterion={value:.6f}")
-        verify.write_regularity_csv(rows, out / "probe_regularity.csv")
+        verify.write_regularity_csv(rows, _out_dir(args, cfg) / "probe_regularity.csv")
         return 0
 
     raise ConfigError(f"unknown probe {what!r}")

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .errors import GridError
-from .grid import ClusterPartition, Grid
+from .grid import Grid, make_clusters
 
 
 class _CellField:
@@ -145,11 +145,11 @@ def jump_seminorm(q: ScalarField) -> float:
     return math.sqrt(max(jump_inner(q, q), 0.0))
 
 
-def split_seminorms(q: ScalarField, partition: ClusterPartition):
-    """Split the jump seminorm into (cross-cluster, intra-cluster) parts."""
-    if not partition.grid.same_mesh(q.grid):
-        raise GridError("partition belongs to a different grid")
+def split_seminorms(q: ScalarField):
+    """Split the jump seminorm into (cross-cluster, intra-cluster) parts over
+    the 2x2 clusters of the field's own grid (ClusterError on an odd grid)."""
     g = q.grid
+    partition = make_clusters(g)
     k, l = g.edge_cell_k, g.edge_cell_l
 
     def part(mask):

@@ -139,13 +139,14 @@ class ClusterPartition:
     """Partition of the cells into 2x2 patches ("clusters").
 
     Interior edges split into two disjoint sets: edges between two cells of
-    the same cluster (intra) and edges between two clusters (cross).
+    the same cluster (intra) and edges between two clusters (cross).  Plain
+    data derived from a grid, holding no reference back to it: only the
+    cluster areas depend on the coordinates, the rest on (nx, ny) alone.
     """
 
     def __init__(self, grid: Grid):
         if grid.nx % 2 or grid.ny % 2:
             raise ClusterError("cluster partition needs even cell counts per direction")
-        self.grid = grid
         ncx, ncy = grid.nx // 2, grid.ny // 2
         self.ncx, self.ncy = ncx, ncy
         self.n_clusters = ncx * ncy
@@ -193,10 +194,12 @@ def cluster_regularity(grid: Grid, partition: ClusterPartition) -> float:
     For each cell with neighbours outside its own cluster, form the 2-by-m
     matrix of unit normals toward those neighbours; the cell value is the
     squared smallest singular value.  Returns the minimum over cells, or
-    +inf when every cell's neighbours lie inside its cluster.
+    +inf when every cell's neighbours lie inside its cluster.  Only the
+    partition's cross-cluster edges are read, and they depend on the cell
+    counts alone, so a partition of any grid of the same shape will do.
     """
-    if partition.grid is not grid and not partition.grid.same_mesh(grid):
-        raise ClusterError("partition belongs to a different grid")
+    if (2 * partition.ncx, 2 * partition.ncy) != (grid.nx, grid.ny):
+        raise ClusterError(f"partition of {partition!r} does not fit {grid!r}")
     cross = partition.cross_edge_mask
     cells = np.concatenate([grid.edge_cell_k[cross], grid.edge_cell_l[cross]])
     if cells.size == 0:

@@ -30,9 +30,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ClusterError, GridError
+from .errors import GridError
 from .fields import ScalarField, VectorField, _check_same_grid
-from .grid import ClusterPartition, Grid
+from .grid import Grid
 
 
 # -- flux form ---------------------------------------------------------------
@@ -113,25 +113,18 @@ def divergence_apply(u: VectorField) -> ScalarField:
     return ScalarField(g, _shared(g).B_cells @ vector_field_to_array(u) / g.cell_areas)
 
 
-def stab_laplacian_apply(
-    p: ScalarField, variant: str = "full", partition: ClusterPartition | None = None
-) -> ScalarField:
+def stab_laplacian_apply(p: ScalarField, variant: str = "full") -> ScalarField:
     """Pressure-jump stabilization operator, per cell.
 
     Edge weight |sigma| * d  (h^2 on a uniform grid), normalized by the cell
     area; `variant` selects all interior edges ("full") or only the edges
-    inside a cluster ("intra_cluster", needs `partition`).
+    inside a 2x2 cluster of the grid ("intra_cluster", ClusterError on an
+    odd grid).
     """
     g = p.grid
     if variant == "full":
         jump = _shared(g).J
     elif variant == "intra_cluster":
-        if partition is None:
-            raise ClusterError("intra_cluster variant needs a cluster partition")
-        if not partition.grid.same_mesh(g):
-            raise ClusterError("partition belongs to a different grid")
-        # a partition is determined by its mesh, so the grid's own one has
-        # the same intra-cluster edges
         jump = _shared(g).J_intra
     else:
         raise ValueError(f"unknown variant {variant!r}")

@@ -25,7 +25,7 @@ from .fields import (
     write_table,
     zero_mean_project,
 )
-from .grid import ClusterPartition, Grid, build_uniform
+from .grid import Grid, build_uniform, make_clusters
 from .operators import (
     diffusion_fluxes,
     gradient_apply,
@@ -117,37 +117,26 @@ def checkerboard_field(grid: Grid) -> ScalarField:
     return ScalarField(grid, np.where(ij_sum % 2 == 0, 1.0, -1.0))
 
 
-class PressureGradientProbe:
-    """Exact dual norm of the discrete pressure gradient on one grid.
+def gradient_dual_norm(q: ScalarField) -> float:
+    """Exact dual norm of the discrete pressure gradient of a zero-mean q.
 
     sup over velocities of the gradient pairing per unit H1 norm, computed
     as the inverse-stiffness norm of the gradient load vector -B^T q: one
     factor-free `velocity_solve` of the grid.  The load's sign drops out.
     """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self._ops = _grid_operators(grid)
-
-    def dual_norm(self, q: ScalarField) -> float:
-        if not q.grid.same_mesh(self.grid):
-            raise GridError("field lives on a different grid")
-        scale = float(np.max(np.abs(q.values))) or 1.0
-        if abs(q.mean()) > 1e-9 * scale:
-            raise GridError("gradient dual norm expects a zero-mean field")
-        load = self._ops.B_cells.T @ q.values
-        total = float(np.sum(load * self._ops.velocity_solve(load)))
-        return math.sqrt(max(total, 0.0))
-
-
-def gradient_dual_norm(q: ScalarField) -> float:
-    return PressureGradientProbe(q.grid).dual_norm(q)
+    scale = float(np.max(np.abs(q.values))) or 1.0
+    if abs(q.mean()) > 1e-9 * scale:
+        raise GridError("gradient dual norm expects a zero-mean field")
+    ops = _grid_operators(q.grid)
+    load = ops.B_cells.T @ q.values
+    return math.sqrt(max(float(np.sum(load * ops.velocity_solve(load))), 0.0))
 
 
 # -- constructive cluster inequality ------------------------------------------
 
-def cluster_test_velocity(q: ScalarField, partition: ClusterPartition) -> VectorField:
-    """Velocity probing the cross-cluster jumps of q.
+def cluster_test_velocity(q: ScalarField) -> VectorField:
+    """Velocity probing the cross-cluster jumps of q, over the 2x2 clusters
+    of its own grid (ClusterError on an odd grid).
 
     Per cell, each component is the jump q[l] - q[k] across the cell's
     cross-cluster edge k -> l in that direction (x, y), taken along the
@@ -156,9 +145,7 @@ def cluster_test_velocity(q: ScalarField, partition: ClusterPartition) -> Vector
     (it sits on the domain boundary).
     """
     grid = q.grid
-    if not partition.grid.same_mesh(grid):
-        raise GridError("partition belongs to a different grid")
-    e = np.flatnonzero(partition.cross_edge_mask)
+    e = np.flatnonzero(make_clusters(grid).cross_edge_mask)
     k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
     # interior normals are +x or +y; a cell has one cross edge per direction
     axis = (grid.edge_normal[e, 1] != 0).astype(np.intp)
@@ -174,21 +161,22 @@ def gradient_velocity_pairing(q: ScalarField, v: VectorField) -> float:
     return float(np.dot(grid.cell_areas, np.einsum("ij,ij->i", gq.values, v.values)))
 
 
-def cluster_inequality_terms(q: ScalarField, partition: ClusterPartition):
+def cluster_inequality_terms(q: ScalarField):
     """Returns (pairing, bound) of the cluster lower-bound inequality
-    pairing >= (h/2) (cross^2 - intra^2) on a uniform grid."""
+    pairing >= (h/2) (cross^2 - intra^2) on a uniform grid, over the 2x2
+    clusters of the field's own grid."""
     grid = q.grid
     if not grid.is_uniform:
         raise GridError("cluster inequality is stated on uniform grids")
-    v = cluster_test_velocity(q, partition)
+    v = cluster_test_velocity(q)
     pairing = gradient_velocity_pairing(q, v)
-    cross, intra = split_seminorms(q, partition)
+    cross, intra = split_seminorms(q)
     bound = 0.5 * grid.h * (cross**2 - intra**2)
     return pairing, bound
 
 
-def cluster_inequality_residual(q: ScalarField, partition: ClusterPartition) -> float:
-    pairing, bound = cluster_inequality_terms(q, partition)
+def cluster_inequality_residual(q: ScalarField) -> float:
+    pairing, bound = cluster_inequality_terms(q)
     return pairing - bound
 
 
@@ -211,16 +199,17 @@ def gradient_stability_probe(grid: Grid, samples) -> StabilityFit:
     the sample median of dual/l2 and c2 is the smallest slope rescuing every
     sample, so that dual >= c1*l2 - c2*h*jump holds across the whole sample.
     """
-    probe = PressureGradientProbe(grid)
     h = grid.h if grid.is_uniform else float(max(grid.dx.max(), grid.dy.max()))
     ratios = []
     slopes = []
     for q in samples:
+        if not q.grid.same_mesh(grid):
+            raise GridError("field lives on a different grid")
         q = zero_mean_project(q)
         l2 = l2_norm(q)
         if l2 <= 1e-14:
             continue
-        ratios.append(probe.dual_norm(q) / l2)
+        ratios.append(gradient_dual_norm(q) / l2)
         slopes.append(h * jump_seminorm(q) / l2)
     if not ratios:
         return StabilityFit(float("nan"), float("nan"), 0, skipped=True)
@@ -376,9 +365,8 @@ def checkerboard_sweep(n_list):
     rows = []
     for n in n_list:
         grid = build_uniform(n)
-        probe = PressureGradientProbe(grid)
         cb = checkerboard_field(grid)
-        dual = probe.dual_norm(cb)
+        dual = gradient_dual_norm(cb)
         l2 = l2_norm(cb)
         rows.append({"n": n, "h": 1.0 / n, "dual_norm": dual, "l2_norm": l2, "ratio": dual / l2})
     if len(rows) >= 2:

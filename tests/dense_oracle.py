@@ -287,7 +287,7 @@ def velocity_block(grid):
 def cluster_prolongation(partition):
     """The (n_cells, n_clusters) 0/1 matrix P that copies each cluster's
     value to its cells, from its COO triplets."""
-    n = partition.grid.n_cells
+    n = partition.cluster_of.size
     triplets = (np.ones(n), (np.arange(n), partition.cluster_of))
     return sp.coo_matrix(triplets, shape=(n, partition.n_clusters)).tocsr()
 

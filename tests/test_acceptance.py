@@ -21,8 +21,8 @@ from stokes_fv import (
     build_tensor,
     build_uniform,
     cell_means,
+    gradient_dual_norm,
     h1_inner,
-    make_clusters,
     schur_smallest_eigen,
     solve,
     zero_mean_project,
@@ -31,7 +31,6 @@ from stokes_fv.fields import h1_norm, l2_norm
 from stokes_fv.operators import laplacian_apply, duality_defect, gradient_apply, divergence_apply
 from stokes_fv.verify import (
     CASES,
-    PressureGradientProbe,
     checkerboard_sweep,
     cluster_inequality_residual,
     consistency_check,
@@ -102,11 +101,10 @@ def test_criterion_3_checkerboard_instability():
     smooth_ratios = []
     for n in (4, 8, 16, 32):
         g = build_uniform(n)
-        probe = PressureGradientProbe(g)
         q = zero_mean_project(
             ScalarField.from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
         )
-        smooth_ratios.append(probe.dual_norm(q) / l2_norm(q))
+        smooth_ratios.append(gradient_dual_norm(q) / l2_norm(q))
     contrast = max(smooth_ratios) / min(smooth_ratios)
     elapsed = time.time() - t0
     ok = monotone and exponent >= 0.5 and contrast < 2.0 and elapsed < 30.0
@@ -122,12 +120,11 @@ def test_criterion_3_checkerboard_instability():
 def test_criterion_4_cluster_inequality():
     t0 = time.time()
     g = build_uniform(8)
-    part = make_clusters(g)
     rng = np.random.default_rng(404)
     worst = math.inf
     for _ in range(1000):
         q = zero_mean_project(ScalarField(g, rng.standard_normal(g.n_cells)))
-        worst = min(worst, cluster_inequality_residual(q, part))
+        worst = min(worst, cluster_inequality_residual(q))
     elapsed = time.time() - t0
     ok = worst >= -1e-12 and elapsed < 10.0
     _criterion(

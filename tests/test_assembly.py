@@ -340,7 +340,7 @@ def test_apply_forms_reuse_the_grid_operators():
     p = ScalarField(g, np.arange(g.n_cells, dtype=float))
     gradient_apply(p)
     stab_laplacian_apply(p)
-    stab_laplacian_apply(p, "intra_cluster", make_clusters(g))
+    stab_laplacian_apply(p, "intra_cluster")
     ops = _grid_operators(g)
     for name in ("G", "J", "J_intra"):
         assert name in vars(ops)  # built by the first apply call

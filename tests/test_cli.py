@@ -150,13 +150,21 @@ def test_convergence_empty_n_is_config_error(tmp_path):
 
 @pytest.mark.parametrize(
     "kind, lam, n_list",
-    [("cluster", "1", "5"), ("cluster-constant", None, "4,9"), ("cluster", "1", "1"), ("bp", "0.05", "0")],
+    [
+        ("cluster", "1", "5"),
+        ("cluster", "1", "4,9"),
+        ("cluster-constant", None, "4,9"),
+        ("cluster", "1", "1"),
+        ("bp", "0.05", "0"),
+    ],
 )
 def test_convergence_odd_or_too_small_n_is_config_error(tmp_path, capsys, kind, lam, n_list):
-    argv = ["convergence", "--scheme", kind, "--n", n_list, "--out", str(tmp_path)]
+    out = tmp_path / "out"
+    argv = ["convergence", "--scheme", kind, "--n", n_list, "--out", str(out)]
     argv += [] if lam is None else ["--lambda", lam]
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convergence_cluster_scheme(tmp_path):
@@ -309,8 +317,19 @@ def test_probe_non_integer_n_is_config_error(tmp_path, capsys, source):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"what": "infsup", "n": [4, "x"]}))
         args = ["--config", str(cfg)]
-    assert main(["probe", *args, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["probe", *args, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: n must be an integer, not 'x'\n"
+    assert not out.exists()
+
+
+def test_probe_unknown_space_in_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"what": "infsup", "n": [4], "space": "bogus"}))
+    out = tmp_path / "out"
+    assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --space must be 'full' or 'cluster'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -359,10 +378,11 @@ def test_number_not_finite_and_positive_is_config_error(
 
 def test_probe_infsup_lobpcg_step_cap_exits_numerical_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("stokes_fv.solver._LOBPCG_MAXITER", 2)
-    code = main(["probe", "--what", "infsup", "--space", "cluster", "--n", "16", "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    code = main(["probe", "--what", "infsup", "--space", "cluster", "--n", "16", "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err.startswith("numerical failure: LOBPCG stopped short")
-    assert not (tmp_path / "probe_infsup.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "convergence"])

@@ -114,14 +114,14 @@ def test_split_seminorms_partition_identity(rng):
     g = build_uniform(4)
     part = make_clusters(g)
     q = ScalarField(g, rng.standard_normal(g.n_cells))
-    cross, intra = split_seminorms(q, part)
+    cross, intra = split_seminorms(q)
     assert cross**2 + intra**2 == pytest.approx(jump_seminorm(q) ** 2, rel=1e-13)
 
     const = ScalarField(g, np.full(g.n_cells, 1.5))
-    assert split_seminorms(const, part) == (0.0, 0.0)
+    assert split_seminorms(const) == (0.0, 0.0)
 
     per_cluster = ScalarField(g, rng.standard_normal(part.n_clusters)[part.cluster_of])
-    _, intra_pc = split_seminorms(per_cluster, part)
+    _, intra_pc = split_seminorms(per_cluster)
     assert intra_pc == 0.0
 
 

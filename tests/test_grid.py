@@ -121,6 +121,19 @@ def test_cluster_regularity_uniform():
         assert cluster_regularity(g, make_clusters(g)) == pytest.approx(1.0)
 
 
+def test_cluster_regularity_takes_any_partition_of_the_same_shape():
+    # the criterion reads only the partition's cross-cluster edges, which
+    # depend on (nx, ny) alone
+    g = build_tensor([0, 0.1, 0.4, 0.5, 0.8, 0.9, 1.0], [0, 0.3, 0.35, 0.9, 1.0])
+    same_shape = build_tensor(np.linspace(0, 2, 7), np.linspace(0, 1, 5))
+    own = cluster_regularity(g, make_clusters(g))
+    assert cluster_regularity(g, make_clusters(same_shape)) == own
+    transposed = build_tensor(np.linspace(0, 1, 5), np.linspace(0, 1, 7))
+    for grid, other in ((g, build_uniform(6)), (build_uniform(6), g), (g, transposed)):
+        with pytest.raises(ClusterError, match="does not fit"):
+            cluster_regularity(grid, make_clusters(other))
+
+
 def test_cluster_regularity_single_cluster_infinite():
     g = build_uniform(2)
     assert cluster_regularity(g, make_clusters(g)) == math.inf

@@ -9,6 +9,8 @@ from stokes_fv import (
     VectorField,
     build_tensor,
     build_uniform,
+    cluster_inequality_terms,
+    cluster_test_velocity,
     divergence_apply,
     divergence_matrix,
     duality_defect,
@@ -19,6 +21,7 @@ from stokes_fv import (
     jump_stabilization_matrix,
     laplacian_apply,
     make_clusters,
+    split_seminorms,
     stab_laplacian_apply,
 )
 from stokes_fv.operators import vector_field_to_array
@@ -136,10 +139,9 @@ def test_duality_defect_random(rng):
 
 def test_stab_constant_zero_both_variants():
     g = build_uniform(4)
-    part = make_clusters(g)
     p = ScalarField(g, np.full(g.n_cells, 7.0))
     assert np.abs(stab_laplacian_apply(p).values).max() == 0.0
-    assert np.abs(stab_laplacian_apply(p, "intra_cluster", part).values).max() == 0.0
+    assert np.abs(stab_laplacian_apply(p, "intra_cluster").values).max() == 0.0
 
 
 def test_stab_cluster_constant_pressure_invisible(rng):
@@ -147,7 +149,7 @@ def test_stab_cluster_constant_pressure_invisible(rng):
     part = make_clusters(g)
     per_cluster = rng.standard_normal(part.n_clusters)
     p = ScalarField(g, per_cluster[part.cluster_of])
-    out = stab_laplacian_apply(p, "intra_cluster", part)
+    out = stab_laplacian_apply(p, "intra_cluster")
     assert np.abs(out.values).max() == 0.0
     # the full variant still sees the cross-cluster jumps
     assert np.abs(stab_laplacian_apply(p).values).max() > 0.0
@@ -161,11 +163,20 @@ def test_stab_checkerboard_corner_value():
     assert out.values[0] == pytest.approx(4.0)
 
 
-def test_stab_requires_partition():
-    g = build_uniform(4)
-    p = ScalarField.zeros(g)
-    with pytest.raises(ClusterError):
-        stab_laplacian_apply(p, "intra_cluster")
+def test_cluster_functions_reject_an_odd_grid():
+    # each derives the 2x2 partition from the field's own grid, so a grid
+    # with an odd cell count in one direction has none
+    g = build_tensor(np.linspace(0.0, 0.75, 4), np.linspace(0.0, 1.0, 5))
+    assert (g.nx, g.ny) == (3, 4) and g.is_uniform
+    p = ScalarField(g, np.arange(g.n_cells, dtype=float))
+    for check in (
+        lambda: stab_laplacian_apply(p, "intra_cluster"),
+        lambda: split_seminorms(p),
+        lambda: cluster_test_velocity(p),
+        lambda: cluster_inequality_terms(p),
+    ):
+        with pytest.raises(ClusterError, match="even cell counts"):
+            check()
 
 
 # -- matrix forms agree with per-edge loops ------------------------------------
@@ -203,7 +214,7 @@ def test_matrix_and_apply_agree(rng):
             part = make_clusters(g)
             via_matrix = (jump_stabilization_matrix(g, part.intra_edge_mask) @ p.values) / areas
             np.testing.assert_array_equal(
-                stab_laplacian_apply(p, "intra_cluster", part).values, via_matrix
+                stab_laplacian_apply(p, "intra_cluster").values, via_matrix
             )
             np.testing.assert_allclose(
                 via_matrix, loop_jump(g, p.values, part.cluster_of), rtol=1e-13, atol=1e-13

@@ -33,10 +33,12 @@ from stokes_fv import (
     gradient_apply,
     gradient_matrix,
     h1_stiffness_matrix,
+    jump_seminorm,
     jump_stabilization_matrix,
     laplacian_apply,
     make_clusters,
     solve,
+    split_seminorms,
     stab_laplacian_apply,
 )
 from stokes_fv.assembly import _grid_operators
@@ -53,6 +55,16 @@ def assert_close(got, expected, rtol=1e-12):
     """Agreement relative to the size of the expected values."""
     scale = float(np.abs(expected).max())
     assert float(np.abs(got - expected).max()) <= rtol * scale
+
+
+@PROPERTY
+@given(EVEN_COUNTS, SEEDS)
+def test_cluster_split_of_the_jump_seminorm_is_exact(lines, seed):
+    # cross- and intra-cluster edges partition the interior edges
+    g = build_tensor(*lines)
+    q = ScalarField(g, np.random.default_rng(seed).standard_normal(g.n_cells))
+    cross, intra = split_seminorms(q)
+    assert cross**2 + intra**2 == pytest.approx(jump_seminorm(q) ** 2, rel=1e-13, abs=0)
 
 
 @PROPERTY
@@ -92,7 +104,7 @@ def test_intra_cluster_apply_form_is_matrix_form_over_areas(lines, seed):
     part = make_clusters(g)
     p = ScalarField(g, np.random.default_rng(seed).standard_normal(g.n_cells))
     stab = jump_stabilization_matrix(g, part.intra_edge_mask) @ p.values / g.cell_areas
-    assert np.array_equal(stab_laplacian_apply(p, "intra_cluster", part).values, stab)
+    assert np.array_equal(stab_laplacian_apply(p, "intra_cluster").values, stab)
     assert_close(stab, loop_jump(g, p.values, part.cluster_of))
 
 

@@ -23,7 +23,6 @@ from stokes_fv import (
 from stokes_fv.fields import l2_norm
 from stokes_fv.verify import (
     CASES,
-    PressureGradientProbe,
     checkerboard_sweep,
     cluster_inequality_residual,
 )
@@ -79,9 +78,8 @@ def test_dual_norm_rejects_nonzero_mean():
 def test_dual_norm_is_supremum(rng):
     # no discrete velocity can beat the computed supremum
     g = build_uniform(4)
-    probe = PressureGradientProbe(g)
     q = zero_mean_project(ScalarField(g, rng.standard_normal(g.n_cells)))
-    dual = probe.dual_norm(q)
+    dual = gradient_dual_norm(q)
     from stokes_fv import VectorField, h1_norm
     from stokes_fv.verify import gradient_velocity_pairing
 
@@ -110,11 +108,10 @@ def test_smooth_field_ratio_stays_bounded():
     ratios = []
     for n in (4, 8, 16):
         g = build_uniform(n)
-        probe = PressureGradientProbe(g)
         q = zero_mean_project(
             ScalarField.from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
         )
-        ratios.append(probe.dual_norm(q) / l2_norm(q))
+        ratios.append(gradient_dual_norm(q) / l2_norm(q))
     assert max(ratios) / min(ratios) < 2.0
 
 
@@ -122,9 +119,8 @@ def test_smooth_field_ratio_stays_bounded():
 
 def test_cluster_velocity_constant_field_zero():
     g = build_uniform(4)
-    part = make_clusters(g)
     q = ScalarField(g, np.full(g.n_cells, 3.0))
-    v = cluster_test_velocity(q, part)
+    v = cluster_test_velocity(q)
     assert np.abs(v.values).max() == 0.0
 
 
@@ -140,18 +136,16 @@ def test_cluster_velocity_values(grid):
     # q = i + 10 j jumps by 1 across every x edge and by 10 across every y
     # edge; a cell has a cross-cluster neighbour in a direction unless it
     # sits in the first or last column (row) of the grid
-    part = make_clusters(grid)
     i, j = grid.cell_ij.T
-    v = cluster_test_velocity(ScalarField(grid, i + 10.0 * j), part)
+    v = cluster_test_velocity(ScalarField(grid, i + 10.0 * j))
     assert np.array_equal(v.values[:, 0], np.where((i > 0) & (i < grid.nx - 1), 1.0, 0.0))
     assert np.array_equal(v.values[:, 1], np.where((j > 0) & (j < grid.ny - 1), 10.0, 0.0))
 
 
 def test_cluster_velocity_boundary_components_zeroed(rng):
     g = build_uniform(4)
-    part = make_clusters(g)
     q = ScalarField(g, rng.standard_normal(g.n_cells))
-    v = cluster_test_velocity(q, part)
+    v = cluster_test_velocity(q)
     i, j = g.cell_ij.T
     # column 0 cells have their cross-x neighbour outside the domain
     assert np.abs(v.values[i == 0, 0]).max() == 0.0
@@ -163,17 +157,16 @@ def test_cluster_inequality_cluster_constant(rng):
     part = make_clusters(g)
     per_cluster = rng.standard_normal(part.n_clusters)
     q = zero_mean_project(ScalarField(g, per_cluster[part.cluster_of]))
-    pairing, bound = cluster_inequality_terms(q, part)
+    pairing, bound = cluster_inequality_terms(q)
     assert pairing >= bound - 1e-12
     assert bound > 0.0
 
 
 def test_cluster_inequality_random_sample(rng):
     g = build_uniform(8)
-    part = make_clusters(g)
     for _ in range(100):
         q = zero_mean_project(ScalarField(g, rng.standard_normal(g.n_cells)))
-        assert cluster_inequality_residual(q, part) >= -1e-12
+        assert cluster_inequality_residual(q) >= -1e-12
 
 
 # -- gradient stability probe --------------------------------------------------------
@@ -184,9 +177,15 @@ def test_stability_probe_skips_degenerate_sample():
     assert fit.skipped and fit.n_samples == 0
 
 
+def test_stability_probe_rejects_a_sample_on_another_mesh(rng):
+    g = build_uniform(4)
+    other = ScalarField(build_uniform(8), rng.standard_normal(64))
+    with pytest.raises(GridError, match="different grid"):
+        gradient_stability_probe(g, [other])
+
+
 def test_stability_probe_constants_positive_and_feasible(rng):
     g = build_uniform(8)
-    probe = PressureGradientProbe(g)
     samples = [ScalarField(g, rng.standard_normal(g.n_cells)) for _ in range(20)]
     samples.append(checkerboard_field(g))
     fit = gradient_stability_probe(g, samples)
@@ -196,7 +195,7 @@ def test_stability_probe_constants_positive_and_feasible(rng):
 
     for q in samples:
         q = zero_mean_project(q)
-        dual = probe.dual_norm(q)
+        dual = gradient_dual_norm(q)
         assert dual >= fit.c1 * l2_norm(q) - fit.c2 * g.h * jump_seminorm(q) - 1e-10
 
 
