@@ -1,11 +1,14 @@
 """Command-line front end: solve, convergence studies, stability probes.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical or resource
-failure (out of memory; `solve` also names the stage that ran out: grid,
-assemble, solve or write).
-Flags override config-file keys; the config file is JSON, and a key that
-no command reads is a configuration error.  The default
-output directory is taken from the STOKES_FV_OUT environment variable.
+Each command takes only the flags it reads (`_COMMANDS`).  A grid is uniform
+(`--n`) or the JSON object `--grid '{"x": [...], "y": [...]}'` of its
+coordinate lines, never both.  A JSON `--config` file is keyed by long flag
+names and may hold the keys of every command; its values fill the flags left
+off the command line and pass the same checks.  A key that no command reads
+is a configuration error.  The default output directory is $STOKES_FV_OUT.
+Exit codes: 0 success, 2 configuration error, 3 numerical or resource failure
+(out of memory; `solve` also names the stage that ran out: grid, assemble,
+solve or write).
 """
 
 from __future__ import annotations
@@ -25,130 +28,107 @@ from .grid import build_uniform, cluster_regularity, make_clusters, parse_grid_c
 from .solver import schur_smallest_eigen, solve
 from .verify import CASES
 
-_SCHEMES = assembly.SCHEME_KINDS
-# Every top-level key a config file may hold; "solver" holds only "tol".
-_CONFIG_KEYS = {
-    "scheme", "lam", "lambda", "case", "n", "grid", "out", "tol", "quad", "what", "space",
-    "solver",
-}
+_CASES = sorted(CASES)
+_PROBES = ("checkerboard", "infsup", "consistency", "regularity")
+_SPACES = ("cluster", "full")
+_DEFAULTS = {"case": "ms1", "quad": 3, "tol": 1e-10, "space": "cluster"}
 
 
 def _number(value, key: str, kind=float):
-    """`value` as `kind` (int or float), or a ConfigError naming `key`."""
+    """`value`, a flag's text or a JSON number, as `kind` (int or float).
+    A boolean is rejected, and so is a fraction where an int is asked for."""
     try:
-        return kind(value)
+        number = kind(value)
+        if isinstance(value, bool) or (kind is int and number != float(value)):
+            raise ValueError
     except (TypeError, ValueError, OverflowError) as err:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, not {value!r}") from err
+    return number
 
 
-def _parse_n_list(text) -> list[int]:
-    if text is None:
-        raise ConfigError("missing refinement list (--n)")
-    if isinstance(text, (list, tuple)):
-        values = [_number(v, "n", int) for v in text]
-    else:
-        parts = [p for p in str(text).split(",") if p.strip()]
-        values = [_number(p, "n", int) for p in parts]
-    if not values:
-        raise ConfigError("empty refinement list")
-    return values
+def _choice(args, key: str, choices):
+    """The setting `key`, which must be one of `choices`."""
+    if args[key] not in choices:
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}, not {args[key]!r}")
+    return args[key]
 
 
-def _load_config(path):
-    if path is None:
-        return {}
+def _n_list(args) -> list[int]:
+    """The refinement list of --n: comma-separated text or a JSON list."""
+    n = "" if args["n"] is None else args["n"]
+    parts = n if isinstance(n, list) else [p for p in str(n).split(",") if p.strip()]
+    if not parts:
+        raise ConfigError("missing or empty refinement list (--n)")
+    return [_number(p, "n", int) for p in parts]
+
+
+def _merge_config(args) -> None:
+    """Fill each setting left off the command line from --config, else `_DEFAULTS`."""
+    cfg, path = {}, args["config"]
+    if path is not None:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as err:
+            raise ConfigError(f"cannot read config file {path}: {err}") from err
+        if not isinstance(cfg, dict):
+            raise ConfigError("config file must contain a JSON object")
+        unknown = [key for key in cfg if key not in _CONFIG_KEYS]
+        if unknown:
+            raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
+    for key, value in args.items():
+        if value is None:
+            args[key] = cfg.get(key, _DEFAULTS.get(key))
+
+
+def _out_dir(args) -> Path:
+    path = Path(str(args["out"] or os.environ.get("STOKES_FV_OUT") or "."))
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must contain a JSON object")
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError(f"{path}: config key 'solver' must hold a JSON object")
-    unknown = [key for key in cfg if key not in _CONFIG_KEYS]
-    unknown += [f"solver.{key}" for key in solver if key != "tol"]
-    if unknown:
-        raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
-    return cfg
-
-
-def _setting(args, cfg, key, default=None):
-    val = getattr(args, key.replace(".", "_").replace("-", "_"), None)
-    if val is not None:
-        return val
-    cur = cfg
-    for part in key.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            return default
-        cur = cur[part]
-    return cur
-
-
-def _out_dir(args, cfg) -> Path:
-    out = _setting(args, cfg, "out") or os.environ.get("STOKES_FV_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {str(path)!r}: {err.strerror}") from err
     return path
 
 
-def _build_grid(args, cfg):
-    grid_text = _setting(args, cfg, "grid")
-    n = _setting(args, cfg, "n")
-    if grid_text:
-        return parse_grid_config(str(grid_text))
-    if n is None:
-        raise ConfigError("need --grid or --n")
-    if isinstance(n, str) and "," in n:
-        raise ConfigError("solve takes a single n; use convergence for sweeps")
-    return build_uniform(_number(n, "n", int))
+def _build_grid(args):
+    """The uniform grid of --n or the grid of the --grid coordinate lines."""
+    if (args["grid"] is None) == (args["n"] is None):
+        raise ConfigError("give one of --grid and --n")
+    if args["grid"] is not None:
+        return parse_grid_config(str(args["grid"]))
+    return build_uniform(_number(args["n"], "n", int))
 
 
-def _scheme_settings(args, cfg):
-    """The scheme kind, lambda (or None), forcing quadrature order and
-    solver tolerance that flags and config file ask for."""
-    kind = _setting(args, cfg, "scheme")
-    if kind is None:
-        raise ConfigError("missing scheme (--scheme)")
-    if kind not in _SCHEMES:
-        raise ConfigError(f"unknown scheme {kind!r}; choose from {_SCHEMES}")
-    lam = _setting(args, cfg, "lam", _setting(args, cfg, "lambda"))
-    lam = None if lam is None else _number(lam, "lambda")
-    quad = _number(_setting(args, cfg, "quad", 3), "quad", int)
-    tol = _number(_setting(args, cfg, "tol", _setting(args, cfg, "solver.tol", 1e-10)), "tol")
+def _scheme_settings(args):
+    """The scheme, the case, the forcing quadrature order and the solver tolerance."""
+    kind = _choice(args, "scheme", assembly.SCHEME_KINDS)
+    case = CASES[_choice(args, "case", _CASES)]
+    lam = None if args["lambda"] is None else _number(args["lambda"], "lambda")
+    quad = _number(args["quad"], "quad", int)
+    tol = _number(args["tol"], "tol")
     if not 0 < tol < math.inf:
         raise ConfigError(f"tol must be finite and positive, not {tol!r}")
-    return kind, lam, quad, tol
-
-
-def _get_case(args, cfg):
-    case_id = _setting(args, cfg, "case", "ms1")
-    if case_id not in CASES:
-        raise ConfigError(f"unknown case {case_id!r}; choose from {sorted(CASES)}")
-    return CASES[case_id]
+    return SchemeSpec(kind, lam), case, quad, tol
 
 
 def cmd_solve(args) -> int:
+    """Assemble and solve one configuration."""
     # `main` names the stage in an out-of-memory report
-    args.stage = "grid"
-    cfg = _load_config(args.config)
-    grid = _build_grid(args, cfg)
-    kind, lam, quad, tol = _scheme_settings(args, cfg)
-    spec = SchemeSpec(kind, lam)
-    case = _get_case(args, cfg)
+    args["stage"] = "grid"
+    grid = _build_grid(args)
+    spec, case, quad, tol = _scheme_settings(args)
 
-    args.stage = "assemble"
+    args["stage"] = "assemble"
     f_cells = cell_means(case.forcing, grid, quad)
     # an odd grid fails here, for the cluster schemes, before any output
     system = assemble(spec, grid, f_cells)
-    out = _out_dir(args, cfg)
-    args.stage = "solve"
+    out = _out_dir(args)
+    args["stage"] = "solve"
     report = solve(system, tol=tol)
 
-    args.stage = "write"
-    if args.dump_system:
+    args["stage"] = "write"
+    if args["dump-system"]:
         assembly.export_system(system, out / "system.mtx", out / "rhs.csv")
 
     summary = [
@@ -183,14 +163,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    cfg = _load_config(args.config)
-    n_list = _parse_n_list(_setting(args, cfg, "n"))
-    kind, lam, quad, tol = _scheme_settings(args, cfg)
-    spec = SchemeSpec(kind, lam)
-    case = _get_case(args, cfg)
+    """Run a refinement study with observed orders."""
+    n_list = _n_list(args)
+    spec, case, quad, tol = _scheme_settings(args)
 
     table = verify.run_convergence(spec, case, n_list, quad_order=quad, tol=tol)
-    verify.write_convergence_csv(table, _out_dir(args, cfg) / "convergence.csv")
+    verify.write_convergence_csv(table, _out_dir(args) / "convergence.csv")
     for row in table.rows:
         print(
             f"n={row.n:4d} err_u={row.err_u_h1:.6e} err_p={row.err_p_l2:.6e}"
@@ -200,108 +178,92 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    cfg = _load_config(args.config)
-    what = _setting(args, cfg, "what")
-
-    if what == "checkerboard":
-        n_list = _parse_n_list(_setting(args, cfg, "n"))
-        rows, exponent = verify.checkerboard_sweep(n_list)
-        path = _out_dir(args, cfg) / "probe_checkerboard.csv"
-        verify.write_checkerboard_csv(rows, exponent, path)
-        print(f"fitted decay exponent: {exponent:.4f}")
-        return 0
-
-    if what == "infsup":
-        n_list = _parse_n_list(_setting(args, cfg, "n"))
-        space = _setting(args, cfg, "space", "cluster")
-        if space not in ("full", "cluster"):
-            raise ConfigError("--space must be 'full' or 'cluster'")
-        rows = []
-        for n in n_list:
-            grid = build_uniform(n)
-            spec = SchemeSpec("cluster-constant" if space == "cluster" else "natural")
-            system = assemble(spec, grid, lambda x, y: (0.0 * x, 0.0 * y), quad_order=1)
-            beta_sq = schur_smallest_eigen(system)
-            beta = math.sqrt(beta_sq) if beta_sq is not None else float("nan")
-            rows.append({"space": space, "n": n, "h": 1.0 / n, "beta_h": beta})
-            print(f"n={n:4d} beta_h={beta:.6f}")
-        verify.write_infsup_csv(rows, _out_dir(args, cfg) / "probe_infsup.csv")
-        return 0
+    """Run a stability or consistency diagnostic."""
+    what = _choice(args, "what", _PROBES)
 
     if what == "consistency":
-        grid_text = _setting(args, cfg, "grid")
-        if grid_text is None:
-            raise ConfigError("consistency probe needs --grid")
-        grid = parse_grid_config(str(grid_text))
+        grid = _build_grid(args)
+        label = f"uniform n={grid.nx}" if args["grid"] is None else str(args["grid"])
         report = verify.consistency_check(grid)
-        path = _out_dir(args, cfg) / "probe_consistency.csv"
-        verify.write_consistency_csv(str(grid_text), report, path)
+        verify.write_consistency_csv(label, report, _out_dir(args) / "probe_consistency.csv")
         print(
             f"max interior defect {report.max_interior_defect:.3e}, "
             f"boundary defect {report.max_boundary_defect:.3e}"
         )
         return 0
 
-    if what == "regularity":
-        n_list = _parse_n_list(_setting(args, cfg, "n"))
-        rows = []
-        for n in n_list:
-            grid = build_uniform(n)
-            value = cluster_regularity(grid, make_clusters(grid))
-            rows.append((f"uniform n={n}", value))
-            print(f"n={n:4d} criterion={value:.6f}")
-        verify.write_regularity_csv(rows, _out_dir(args, cfg) / "probe_regularity.csv")
+    n_list = _n_list(args)
+    if what == "checkerboard":
+        rows, exponent = verify.checkerboard_sweep(n_list)
+        verify.write_checkerboard_csv(rows, exponent, _out_dir(args) / "probe_checkerboard.csv")
+        print(f"fitted decay exponent: {exponent:.4f}")
         return 0
 
-    raise ConfigError(f"unknown probe {what!r}")
+    if what == "infsup":
+        space = _choice(args, "space", _SPACES)
+        rows = []
+        for n in n_list:
+            spec = SchemeSpec("cluster-constant" if space == "cluster" else "natural")
+            system = assemble(spec, build_uniform(n), lambda x, y: (0.0 * x, 0.0 * y), quad_order=1)
+            beta_sq = schur_smallest_eigen(system)
+            beta = math.sqrt(beta_sq) if beta_sq is not None else float("nan")
+            rows.append({"space": space, "n": n, "h": 1.0 / n, "beta_h": beta})
+            print(f"n={n:4d} beta_h={beta:.6f}")
+        verify.write_infsup_csv(rows, _out_dir(args) / "probe_infsup.csv")
+        return 0
+
+    rows = []
+    for n in n_list:
+        grid = build_uniform(n)
+        value = cluster_regularity(grid, make_clusters(grid))
+        rows.append((f"uniform n={n}", value))
+        print(f"n={n:4d} criterion={value:.6f}")
+    verify.write_regularity_csv(rows, _out_dir(args) / "probe_regularity.csv")
+    return 0
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags take precedence")
-    parser.add_argument("--grid", help="'uniform n=<int>' or JSON {'x':[...],'y':[...]}")
-    parser.add_argument("--n", help="cells per side, or comma list for sweeps")
-    parser.add_argument("--out", help="output directory (default $STOKES_FV_OUT or .)")
-    parser.add_argument("--tol", type=float, help="solver relative residual tolerance")
-    parser.add_argument("--quad", type=int, help="Gauss points per direction for forcing")
+_HELP = {
+    "config": "JSON config file keyed by long flag names; flags take precedence",
+    "grid": 'coordinate lines as JSON {"x": [...], "y": [...]}',
+    "n": "cells per side of a uniform grid, or a comma list for sweeps",
+    "scheme": "one of " + ", ".join(assembly.SCHEME_KINDS),
+    "lambda": "stabilization strength of bp and cluster",
+    "case": "manufactured solution, one of " + ", ".join(_CASES) + " (default ms1)",
+    "quad": "Gauss points per direction for the forcing, 1 to 3 (default 3)",
+    "tol": "solver relative residual tolerance (default 1e-10)",
+    "out": "output directory (default $STOKES_FV_OUT or .)",
+    "dump-system": "export the matrix (MatrixMarket) and right-hand side",
+    "what": "one of " + ", ".join(_PROBES),
+    "space": "infsup pressure space, one of " + ", ".join(_SPACES) + " (default cluster)",
+}
+# Each command and its flags.  A flag is stored under its long name, which is
+# also its config key (but for --config and --dump-system).
+_COMMANDS = {
+    "solve": (cmd_solve, "config grid n scheme lambda case quad tol out dump-system"),
+    "convergence": (cmd_convergence, "config n scheme lambda case quad tol out"),
+    "probe": (cmd_probe, "config what n grid space out"),
+}
+_CONFIG_KEYS = set(_HELP) - {"config", "dump-system"}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stokes-fv",
-        description="Collocated finite-volume schemes for the 2D Stokes problem",
-    )
+    description = "Collocated finite-volume schemes for the 2D Stokes problem"
+    parser = argparse.ArgumentParser(prog="stokes-fv", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="assemble and solve one configuration")
-    _add_common(p_solve)
-    p_solve.add_argument("--scheme", choices=_SCHEMES)
-    p_solve.add_argument("--lambda", dest="lam", type=float, help="stabilization strength")
-    p_solve.add_argument("--case", choices=sorted(CASES))
-    p_solve.add_argument("--dump-system", action="store_true", help="export MatrixMarket + rhs")
-    p_solve.set_defaults(fn=cmd_solve)
-
-    p_conv = sub.add_parser("convergence", help="refinement study with observed orders")
-    _add_common(p_conv)
-    p_conv.add_argument("--scheme", choices=_SCHEMES)
-    p_conv.add_argument("--lambda", dest="lam", type=float)
-    p_conv.add_argument("--case", choices=sorted(CASES))
-    p_conv.set_defaults(fn=cmd_convergence)
-
-    p_probe = sub.add_parser("probe", help="stability and consistency diagnostics")
-    _add_common(p_probe)
-    p_probe.add_argument(
-        "--what", choices=("checkerboard", "infsup", "consistency", "regularity")
-    )
-    p_probe.add_argument("--space", choices=("full", "cluster"))
-    p_probe.set_defaults(fn=cmd_probe)
+    for command, (fn, flags) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=fn.__doc__)
+        for name in flags.split():
+            action = "store_true" if name == "dump-system" else "store"
+            p_command.add_argument(f"--{name}", dest=name, action=action, help=_HELP[name])
+        p_command.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     try:
-        return args.fn(args)
+        _merge_config(args)
+        return args["fn"](args)
     except (ConfigError, GridError, ClusterError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -309,8 +271,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except MemoryError:
-        stage = getattr(args, "stage", None)
-        where = args.command + (f" ({stage})" if stage else "")
+        where = args["command"] + (f" ({args['stage']})" if "stage" in args else "")
         print(f"resource failure: out of memory in {where}", file=sys.stderr)
         return 3
 

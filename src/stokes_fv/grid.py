@@ -11,11 +11,21 @@ from __future__ import annotations
 
 import json
 import math
-import re
 
 import numpy as np
 
 from .errors import ClusterError, GridError
+
+
+def _coordinate_line(values) -> np.ndarray:
+    """`values` as a float array, if they are a flat list of finite numbers."""
+    try:
+        line = np.asarray(values)
+    except ValueError as err:  # a ragged nested list
+        raise GridError("grid coordinates must be flat lists of finite numbers") from err
+    if line.ndim != 1 or line.dtype.kind not in "iuf" or not np.isfinite(line).all():
+        raise GridError("grid coordinates must be flat lists of finite numbers")
+    return line.astype(float, copy=False)
 
 
 class Grid:
@@ -39,9 +49,8 @@ class Grid:
     """
 
     def __init__(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or ys.ndim != 1 or xs.size < 3 or ys.size < 3:
+        xs, ys = _coordinate_line(xs), _coordinate_line(ys)
+        if xs.size < 3 or ys.size < 3:
             raise GridError("need at least 2 cells per direction")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
             raise GridError("coordinates must be strictly increasing")
@@ -219,23 +228,12 @@ def cluster_regularity(grid: Grid, partition: ClusterPartition) -> float:
     return float(smallest[m > 0].min())
 
 
-_UNIFORM_RE = re.compile(r"^\s*uniform\s+n\s*=\s*(\d+)\s*$")
-
-
 def parse_grid_config(text: str) -> Grid:
-    """Build a grid from a plain-text description.
-
-    Accepts ``uniform n=<int>`` or a JSON object ``{"x": [...], "y": [...]}``
-    (optionally prefixed with ``tensor:``).
+    """Build a grid from the JSON object ``{"x": [...], "y": [...]}`` of its
+    coordinate lines; `build_uniform` builds the uniform grids.
     """
-    m = _UNIFORM_RE.match(text)
-    if m:
-        return build_uniform(int(m.group(1)))
-    body = text.strip()
-    if body.startswith("tensor:"):
-        body = body[len("tensor:"):]
     try:
-        obj = json.loads(body)
+        obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise GridError(f"unrecognized grid description: {text!r}") from err
     if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:

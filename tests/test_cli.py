@@ -214,7 +214,7 @@ def test_probe_consistency_tensor(tmp_path):
             "--what",
             "consistency",
             "--grid",
-            'tensor:{"x": [0, 0.25, 1], "y": [0, 0.5, 1]}',
+            '{"x": [0, 0.25, 1], "y": [0, 0.5, 1]}',
             "--out",
             str(tmp_path),
         ]
@@ -240,7 +240,7 @@ def test_config_file_with_flag_override(tmp_path):
                 "lambda": 0.05,
                 "case": "ms1",
                 "n": "4",
-                "solver": {"tol": 1e-9},
+                "tol": 1e-9,
             }
         )
     )
@@ -256,9 +256,11 @@ def test_config_file_with_flag_override(tmp_path):
 @pytest.mark.parametrize(
     "config, key",
     [
-        ({"solver": {"tl": 1e-30}}, "solver.tl"),
+        ({"solver": {"tol": 1e-9}}, "solver"),
         ({"lamda": 3}, "lamda"),
-        ({"solver": {"tol": 1e-9}, "nn": 8}, "nn"),
+        ({"tol": 1e-9, "nn": 8}, "nn"),
+        ({"lam": 0.05}, "lam"),
+        ({"dump-system": True}, "dump-system"),
     ],
 )
 def test_config_file_unknown_key_is_config_error(tmp_path, capsys, config, key):
@@ -271,15 +273,16 @@ def test_config_file_unknown_key_is_config_error(tmp_path, capsys, config, key):
 
 def test_config_file_accepts_every_key_read(tmp_path):
     keys = {
-        "scheme": "bp", "lam": 0.05, "lambda": 0.05, "case": "ms1", "n": 4,
-        "out": str(tmp_path / "out"), "tol": 1e-9, "solver": {"tol": 1e-9}, "quad": 2,
+        "scheme": "bp", "lambda": 0.05, "case": "ms1", "n": 4,
+        "out": str(tmp_path / "out"), "tol": 1e-9, "quad": 2,
         "what": "regularity", "space": "cluster",
     }
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(keys))
     assert main(["solve", "--config", str(cfg)]) == 0
     assert main(["probe", "--config", str(cfg)]) == 0
-    cfg.write_text(json.dumps({**keys, "grid": "uniform n=4"}))
+    del keys["n"]
+    cfg.write_text(json.dumps({**keys, "grid": '{"x": [0, 0.5, 1], "y": [0, 0.5, 1]}'}))
     assert main(["solve", "--config", str(cfg)]) == 0
 
 
@@ -299,7 +302,7 @@ def test_cli_grid_spec_solve(tmp_path):
             "--lambda",
             "0.1",
             "--grid",
-            "uniform n=4",
+            '{"x": [0, 0.25, 0.5, 0.75, 1], "y": [0, 0.25, 0.5, 0.75, 1]}',
             "--case",
             "ms0",
             "--out",
@@ -328,7 +331,8 @@ def test_probe_unknown_space_in_config_is_config_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"what": "infsup", "n": [4], "space": "bogus"}))
     out = tmp_path / "out"
     assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: --space must be 'full' or 'cluster'\n"
+    err = capsys.readouterr().err
+    assert err == "config error: space must be one of cluster, full, not 'bogus'\n"
     assert not out.exists()
 
 
@@ -337,11 +341,15 @@ def test_probe_unknown_space_in_config_is_config_error(tmp_path, capsys):
     [
         ({"quad": "x"}, "quad"),
         ({"lambda": "x"}, "lambda"),
-        ({"lam": "x"}, "lambda"),
+        ({"lambda": True}, "lambda"),
         ({"tol": "x"}, "tol"),
-        ({"solver": {"tol": "x"}}, "tol"),
+        ({"tol": True}, "tol"),
         ({"n": "x"}, "n"),
         ({"n": [8]}, "n"),
+        ({"n": 8.9}, "n"),
+        ({"n": True}, "n"),
+        ({"quad": True}, "quad"),
+        ({"quad": 2.5}, "quad"),
     ],
 )
 def test_config_file_non_numeric_value_is_config_error(tmp_path, capsys, config, key):
@@ -404,4 +412,128 @@ def test_lambda_for_a_scheme_that_reads_none_is_config_error(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "lambda" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergence", "--scheme", "bp", "--lambda", "0.05", "--n", "4,8", "--grid", "{}"],
+        ["probe", "--what", "regularity", "--n", "4", "--tol", "1e-9"],
+        ["probe", "--what", "regularity", "--n", "4", "--quad", "2"],
+    ],
+)
+def test_flag_the_command_does_not_read_exits_2(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("solve", "tol", "x"),
+        ("solve", "lambda", "x"),
+        ("solve", "quad", "x"),
+        ("solve", "quad", "7"),
+        ("solve", "scheme", "bogus"),
+        ("solve", "case", "ms9"),
+        ("probe", "what", "bogus"),
+        ("probe", "space", "bogus"),
+    ],
+)
+def test_bad_flag_and_config_values_print_the_same_error(tmp_path, capsys, command, key, value):
+    if command == "solve":
+        settings = {"scheme": "bp", "lambda": "0.05", "n": "4"}
+    else:
+        settings = {"what": "infsup", "n": "4"}
+    settings[key] = value
+    out = tmp_path / "out"
+    flags = [f"--{name}={setting}" for name, setting in settings.items()]
+    assert main([command, *flags, "--out", str(out)]) == 2
+    from_flags = capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(settings))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == from_flags
+    assert from_flags.startswith("config error: ") and from_flags.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--scheme", "bp", "--lambda", "0.05"],
+        ["probe", "--what", "consistency"],
+    ],
+)
+def test_n_and_grid_together_is_config_error_before_any_output(tmp_path, capsys, argv):
+    grid = '{"x": [0, 0.5, 1], "y": [0, 0.5, 1]}'
+    out = tmp_path / "out"
+    assert main([*argv, "--n", "4", "--grid", grid, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: give one of --grid and --n\n"
+    assert not out.exists()
+
+
+def test_probe_consistency_on_a_uniform_grid_from_n(tmp_path):
+    assert main(["probe", "--what", "consistency", "--n", "4", "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "probe_consistency.csv")
+    assert rows[1][0] == "uniform n=4" and float(rows[1][1]) <= 1e-13
+
+
+def test_one_config_file_drives_every_command(tmp_path):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "scheme": "bp", "lambda": 0.05, "case": "ms1", "n": 4, "quad": 2, "tol": 1e-9,
+                "what": "regularity", "space": "full", "out": str(tmp_path / "out"),
+            }
+        )
+    )
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert main(["convergence", "--config", str(cfg), "--n", "4,8"]) == 0
+    assert main(["probe", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert dict(read_csv(out / "summary.csv")[1:])["nx"] == "4"
+    assert len(read_csv(out / "convergence.csv")) == 3
+    assert read_csv(out / "probe_regularity.csv")[1][0] == "uniform n=4"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--scheme", "bp", "--lambda", "0.05", "--n", "4"],
+        ["probe", "--what", "regularity", "--n", "4"],
+    ],
+)
+@pytest.mark.parametrize("below", ["", "x"])
+def test_output_directory_that_cannot_be_made_is_config_error(tmp_path, capsys, argv, below):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {str(out)!r}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "grid",
+    [
+        '{"x": [0, "a", 1], "y": [0, 0.5, 1]}',
+        '{"x": [0, 0.5, 1], "y": [[0], 0.5, 1]}',
+        '{"x": [0, 0.5, Infinity], "y": [0, 0.5, 1]}',
+        '{"x": [0, NaN, 1], "y": [0, 0.5, 1]}',
+    ],
+)
+def test_malformed_grid_coordinates_are_config_error(tmp_path, capsys, grid):
+    out = tmp_path / "out"
+    argv = ["solve", "--scheme", "bp", "--lambda", "0.05", "--grid", grid, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: grid coordinates must be flat lists of finite numbers\n"
     assert not out.exists()

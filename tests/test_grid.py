@@ -90,6 +90,27 @@ def test_grid_preconditions():
         build_tensor([0, 0.5, 0.4, 1], [0, 0.5, 1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [0, "a", 1],
+        [[0], 0.5, 1],
+        [[0, 0.5, 1], [0, 0.5, 1]],
+        [0, 0.5, math.inf],
+        [-math.inf, 0.5, 1],
+        [0, math.nan, 1],
+        "012",
+        None,
+    ],
+)
+def test_grid_rejects_coordinates_that_are_not_a_flat_list_of_finite_numbers(xs):
+    with pytest.raises(GridError, match="flat lists of finite numbers"):
+        build_tensor(xs, [0, 0.5, 1])
+    with pytest.raises(GridError, match="flat lists of finite numbers"):
+        build_tensor([0, 0.5, 1], xs)
+
+
 def test_clusters_n4_counts():
     g = build_uniform(4)
     part = make_clusters(g)
@@ -184,11 +205,8 @@ def test_clusters_match_loop_oracle(lines):
 
 
 def test_parse_grid_config():
-    g = parse_grid_config("uniform n=4")
-    assert g.nx == g.ny == 4 and g.is_uniform
     g2 = parse_grid_config('{"x": [0, 0.25, 1], "y": [0, 0.5, 1]}')
     assert g2.nx == 2 and not g2.is_uniform
-    g3 = parse_grid_config('tensor:{"x": [0, 0.5, 1], "y": [0, 0.5, 1]}')
-    assert g3.is_uniform
-    with pytest.raises(GridError):
-        parse_grid_config("an invalid description")
+    for text in ["an invalid description", "uniform n=4", 'tensor:{"x": [0, 1], "y": [0, 1]}']:
+        with pytest.raises(GridError):
+            parse_grid_config(text)
