@@ -17,36 +17,29 @@ block is minus the transpose of the divergence block.
 Only the mass balance (stabilization, lambda, pressure space) depends on the
 scheme.  The velocity block is diag(A1, A1), the scalar H1 stiffness A1 on
 each component, and is never stored: A1 and the cell divergence depend on
-the grid alone, so they are built once per Grid object and shared,
-read-only, by every system assembled on it, and the velocity block is
-applied and inverted through A1 on both stacked components.  Each system's
-bordered matrix is scattered from its blocks straight into CSC arrays,
-with no COO copy of any block.
+the grid alone, and every system assembled on a grid takes them, shared and
+read-only, from `operators.grid_operators`, which also applies and inverts
+the velocity block.  This module only assembles: each system's bordered
+matrix is scattered from its blocks straight into CSC arrays, with no COO
+copy of any block.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 
 from .errors import ConfigError, GridError
 from .fields import ScalarField, VectorField, write_table
 from .grid import ClusterPartition, Grid, make_clusters
-from .operators import (
-    divergence_matrix,
-    gradient_matrix,
-    h1_stiffness_matrix,
-    jump_stabilization_matrix,
-    vector_field_to_array,
-)
+from .operators import grid_operators, jump_stabilization_matrix, vector_field_to_array
+# unused here: perfbench's tracer test reads stokes_fv.assembly.h1_stiffness_matrix
+from .operators import h1_stiffness_matrix  # noqa: F401
 
 NATURAL = "natural"
 BP = "bp"
@@ -142,115 +135,6 @@ def cell_means(f, grid: Grid, quad_order: int = 3) -> VectorField:
     return VectorField(grid, np.column_stack([mean_x, mean_y]))
 
 
-class _GridOperators:
-    """Scalar stiffness A1 and cell divergence B_cells of one grid, each
-    built once and then shared, plus the gradient G and the jump matrices J
-    (all interior edges) and J_intra (intra-cluster edges) that the
-    operators' apply forms multiply by, and `A1_solve`, the factor-free
-    inverse of A1.  `velocity_apply` and `velocity_solve` apply the velocity
-    block diag(A1, A1) and its inverse to stacked velocities [u1; u2].
-
-    Their arrays are read-only, so a caller editing one in place gets a
-    ValueError instead of silently changing every system on the grid.  G,
-    J, J_intra and A1_solve are built on first use: the gradient probe needs
-    only A1_solve and B_cells, and assembly never needs G, the jump matrices
-    or A1_solve.  The grid is held by a weak reference, so the memo does not
-    keep it alive.
-    """
-
-    def __init__(self, grid: Grid):
-        self._grid = weakref.ref(grid)
-        self.A1 = _read_only(h1_stiffness_matrix(grid))
-        self.B_cells = _read_only(divergence_matrix(grid))
-
-    def velocity_apply(self, u: np.ndarray) -> np.ndarray:
-        """diag(A1, A1) u for stacked velocities u = [u1; u2]."""
-        n = self.A1.shape[0]
-        return np.concatenate([self.A1 @ u[:n], self.A1 @ u[n:]])
-
-    def velocity_solve(self, f: np.ndarray) -> np.ndarray:
-        """diag(A1, A1)^-1 f for stacked velocities f = [f1; f2], one vector
-        of length 2n or a block of columns of shape (2n, k): every
-        component of every column goes to `A1_solve` in one call."""
-        rows = f.T.reshape(-1, self.A1.shape[0])
-        return self.A1_solve(rows).reshape(f.T.shape).T
-
-    @functools.cached_property
-    def G(self) -> sp.csr_matrix:
-        # assembled on its own, not as -B_cells^T: `duality_defect` checks
-        # the two against each other
-        return _read_only(gradient_matrix(self._grid()))
-
-    @functools.cached_property
-    def J(self) -> sp.csr_matrix:
-        return _read_only(jump_stabilization_matrix(self._grid()))
-
-    @functools.cached_property
-    def J_intra(self) -> sp.csr_matrix:
-        grid = self._grid()
-        return _read_only(jump_stabilization_matrix(grid, make_clusters(grid).intra_edge_mask))
-
-    @functools.cached_property
-    def A1_solve(self):
-        """A1^-1 by fast diagonalisation (Lynch, Rice and Thomas, Numer.
-        Math. 6, 1964), with no sparse factor.
-
-        With cells numbered i fastest, A1 = Dy (x) Tx + Ty (x) Dx, where Tx
-        is the 1D two-point stiffness along x (weight 1/d between
-        neighbouring centres, 2/h to each wall) and Dx = diag(dx), and
-        likewise along y.  Once per grid the generalised eigenproblems
-        Tx V = Dx V Lambda and Ty W = Dy W M are solved; then, for the
-        ny-by-nx array b of one right-hand side,
-        A1^-1 b = W ((W^T b V) / (mu_j + lambda_i)) V^T: four dense products.
-
-        The returned function maps an array of shape (..., n_cells), one
-        right-hand side per row, to the solutions in the same shape.
-        """
-        grid = self._grid()
-        lam, V = _line_eigenpairs(grid.xs)
-        mu, W = _line_eigenpairs(grid.ys)
-        denominator = mu[:, None] + lam[None, :]
-        for arr in (V, W, denominator):
-            arr.flags.writeable = False
-
-        def solve(b):
-            z = W.T @ np.reshape(b, (-1,) + denominator.shape) @ V
-            return (W @ (z / denominator) @ V.T).reshape(np.shape(b))
-
-        return solve
-
-
-def _line_eigenpairs(lines):
-    """Eigenpairs (lambda, V) of T V = D V diag(lambda), V^T D V = I, for the
-    1D two-point stiffness T and the widths D = diag(h) of the cells
-    between the coordinate `lines`."""
-    h = np.diff(lines)
-    w = 1.0 / np.diff(0.5 * (lines[:-1] + lines[1:]))
-    diagonal = np.concatenate([w, [0.0]]) + np.concatenate([[0.0], w])
-    diagonal[[0, -1]] += 2.0 / h[[0, -1]]
-    T = np.diag(diagonal) - np.diag(w, 1) - np.diag(w, -1)
-    return scipy.linalg.eigh(T, np.diag(h))
-
-
-def _read_only(mat):
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.flags.writeable = False
-    return mat
-
-
-# Keyed by the Grid object, not by id() (reused after a grid dies) nor by the
-# mesh, so an entry lives exactly as long as its grid.
-_GRID_OPERATORS = weakref.WeakKeyDictionary()
-
-
-def _grid_operators(grid: Grid) -> _GridOperators:
-    """The shared operators of `grid`, built on the first call for it."""
-    ops = _GRID_OPERATORS.get(grid)
-    if ops is None:
-        ops = _GRID_OPERATORS[grid] = _GridOperators(grid)
-    return ops
-
-
 def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
     """The bordered saddle matrix [[A, -B^T, 0], [B, C, w], [0, w^T, 0]],
     A = diag(A1, A1) and w = `mean_weights`, scattered straight into CSC
@@ -316,7 +200,7 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
         f_cells = cell_means(f, grid, quad_order)
 
     n = grid.n_cells
-    ops = _grid_operators(grid)
+    ops = grid_operators(grid)
     areas = grid.cell_areas
 
     if spec.kind == CLUSTER_CONSTANT:
@@ -352,7 +236,7 @@ def energy_functional(system: SaddleSystem, u: VectorField, p: ScalarField):
     at the solution.
     """
     uvec = vector_field_to_array(u)
-    velocity_sq = float(uvec @ _grid_operators(system.grid).velocity_apply(uvec))
+    velocity_sq = float(uvec @ grid_operators(system.grid).velocity_apply(uvec))
     stab_sq = 0.0
     if system.C.nnz:
         stab_sq = float(p.values @ (system.C @ p.values))

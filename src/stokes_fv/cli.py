@@ -1,11 +1,13 @@
 """Command-line front end: solve, convergence studies, stability probes.
 
-Each command takes only the flags it reads (`_COMMANDS`).  A grid is uniform
+Each command takes only the flags it reads (`_COMMANDS`), and `probe` takes
+--space and --grid only for the probe that reads them.  A grid is uniform
 (`--n`) or the JSON object `--grid '{"x": [...], "y": [...]}'` of its
 coordinate lines, never both.  A JSON `--config` file is keyed by long flag
 names and may hold the keys of every command; its values fill the flags left
-off the command line and pass the same checks.  A key that no command reads
-is a configuration error.  The default output directory is $STOKES_FV_OUT.
+off the command line and pass the same checks; its `grid` is that object
+itself.  A key that no command reads is a configuration error.  The default
+output directory is $STOKES_FV_OUT.
 Exit codes: 0 success, 2 configuration error, 3 numerical or resource failure
 (out of memory; `solve` also names the stage that ran out: grid, assemble,
 solve or write).
@@ -77,6 +79,7 @@ def _merge_config(args) -> None:
         unknown = [key for key in cfg if key not in _CONFIG_KEYS]
         if unknown:
             raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
+    args["on_command_line"] = {key for key, value in args.items() if value is not None}
     for key, value in args.items():
         if value is None:
             args[key] = cfg.get(key, _DEFAULTS.get(key))
@@ -96,7 +99,7 @@ def _build_grid(args):
     if (args["grid"] is None) == (args["n"] is None):
         raise ConfigError("give one of --grid and --n")
     if args["grid"] is not None:
-        return parse_grid_config(str(args["grid"]))
+        return parse_grid_config(args["grid"])
     return build_uniform(_number(args["n"], "n", int))
 
 
@@ -180,10 +183,14 @@ def cmd_convergence(args) -> int:
 def cmd_probe(args) -> int:
     """Run a stability or consistency diagnostic."""
     what = _choice(args, "what", _PROBES)
+    for key, reader in _PROBE_FLAGS.items():
+        if key in args["on_command_line"] and what != reader:
+            raise ConfigError(f"--{key} is read only by probe --what {reader}, not {what}")
 
     if what == "consistency":
         grid = _build_grid(args)
-        label = f"uniform n={grid.nx}" if args["grid"] is None else str(args["grid"])
+        text = args["grid"] if isinstance(args["grid"], str) else json.dumps(args["grid"])
+        label = f"uniform n={grid.nx}" if args["grid"] is None else text
         report = verify.consistency_check(grid)
         verify.write_consistency_csv(label, report, _out_dir(args) / "probe_consistency.csv")
         print(
@@ -244,6 +251,8 @@ _COMMANDS = {
     "probe": (cmd_probe, "config what n grid space out"),
 }
 _CONFIG_KEYS = set(_HELP) - {"config", "dump-system"}
+# The probe flags that one probe alone reads, when given on the command line
+_PROBE_FLAGS = {"space": "infsup", "grid": "consistency"}
 
 
 def build_parser() -> argparse.ArgumentParser:

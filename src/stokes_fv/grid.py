@@ -214,12 +214,10 @@ def cluster_regularity(grid: Grid, partition: ClusterPartition) -> float:
     if cells.size == 0:
         return math.inf
     m = np.bincount(cells, minlength=grid.n_cells)
-    normals = np.tile(grid.edge_normal[cross], (2, 1))
-    # Gram matrix N N^T of each cell's 2-by-m normal matrix; the sign of a
-    # normal (k-to-l or l-to-k) drops out of n n^T
-    gram = np.zeros((grid.n_cells, 2, 2))
-    np.add.at(gram, cells, normals[:, :, None] * normals[:, None, :])
-    a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    n1, n2 = np.tile(grid.edge_normal[cross], (2, 1)).T
+    # Gram matrix [[a, b], [b, c]] = N N^T of each cell's 2-by-m normal
+    # matrix; the sign of a normal (k-to-l or l-to-k) drops out of n n^T
+    a, b, c = (np.bincount(cells, w, grid.n_cells) for w in (n1 * n1, n1 * n2, n2 * n2))
     # squared singular values of N are the eigenvalues of N N^T; with one
     # column, N has the single singular value |n|
     smallest = np.where(
@@ -228,14 +226,15 @@ def cluster_regularity(grid: Grid, partition: ClusterPartition) -> float:
     return float(smallest[m > 0].min())
 
 
-def parse_grid_config(text: str) -> Grid:
-    """Build a grid from the JSON object ``{"x": [...], "y": [...]}`` of its
-    coordinate lines; `build_uniform` builds the uniform grids.
+def parse_grid_config(description) -> Grid:
+    """Build a grid from the object ``{"x": [...], "y": [...]}`` of its
+    coordinate lines, given as JSON text or, from a config file, already
+    decoded; `build_uniform` builds the uniform grids.
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(description) if isinstance(description, str) else description
     except json.JSONDecodeError as err:
-        raise GridError(f"unrecognized grid description: {text!r}") from err
+        raise GridError(f"unrecognized grid description: {description!r}") from err
     if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
-        raise GridError("grid JSON must contain 'x' and 'y' coordinate lists")
+        raise GridError('grid must be an object {"x": [...], "y": [...]} of coordinate lists')
     return build_tensor(obj["x"], obj["y"])

@@ -5,10 +5,13 @@ jump (e_k - e_l), built as a sparse matrix by the one triplet builder
 `_edge_stencil` and scaled row-wise by the cell area, so that a matrix row
 is the integral of the operator over the cell.  The cell-update ("apply")
 forms of the gradient, divergence and stabilization are that matrix product
-divided by the cell areas, with the matrix built once per grid and shared
-read-only; the Laplacian's instead sums its per-edge diffusive fluxes, so
-that it is exactly zero on constants away from the wall.  The public
-`*_matrix` builders return a fresh matrix on every call.
+divided by the cell areas; the Laplacian's instead sums its per-edge
+diffusive fluxes, so that it is exactly zero on constants away from the
+wall.  The public `*_matrix` builders return a fresh matrix on every call.
+
+The operators of a grid do not depend on the scheme, so `grid_operators`
+keeps one shared, read-only copy of them per Grid object for assembly, the
+solver and the checks, with the factor-free inverse of the stiffness.
 
 Fluxes are oriented along the stored edge normal (k-to-l, outward on the
 boundary).  On interior edges of a tensor grid:
@@ -27,12 +30,16 @@ value, a pressure flux |sigma| p_k n, and no velocity flux.
 
 from __future__ import annotations
 
+import functools
+import weakref
+
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import GridError
 from .fields import ScalarField, VectorField, _check_same_grid
-from .grid import Grid
+from .grid import Grid, make_clusters
 
 
 # -- flux form ---------------------------------------------------------------
@@ -71,13 +78,6 @@ def velocity_fluxes(u: VectorField) -> np.ndarray:
 
 # -- cell-update form ---------------------------------------------------------
 
-def _shared(grid: Grid):
-    """The read-only operators of `grid`, built once per grid object."""
-    from .assembly import _grid_operators  # assembly imports this module
-
-    return _grid_operators(grid)
-
-
 def laplacian_apply(u):
     """Cell values of the negative discrete Laplacian (homogeneous wall values).
 
@@ -103,14 +103,14 @@ def laplacian_apply(u):
 def gradient_apply(p: ScalarField) -> VectorField:
     """Cell values of the discrete pressure gradient."""
     g = p.grid
-    out = (_shared(g).G @ p.values).reshape(2, -1).T
+    out = (grid_operators(g).G @ p.values).reshape(2, -1).T
     return VectorField(g, out / g.cell_areas[:, None])
 
 
 def divergence_apply(u: VectorField) -> ScalarField:
     """Cell values of the discrete velocity divergence (no wall flux)."""
     g = u.grid
-    return ScalarField(g, _shared(g).B_cells @ vector_field_to_array(u) / g.cell_areas)
+    return ScalarField(g, grid_operators(g).B_cells @ vector_field_to_array(u) / g.cell_areas)
 
 
 def stab_laplacian_apply(p: ScalarField, variant: str = "full") -> ScalarField:
@@ -123,9 +123,9 @@ def stab_laplacian_apply(p: ScalarField, variant: str = "full") -> ScalarField:
     """
     g = p.grid
     if variant == "full":
-        jump = _shared(g).J
+        jump = grid_operators(g).J
     elif variant == "intra_cluster":
-        jump = _shared(g).J_intra
+        jump = grid_operators(g).J_intra
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return ScalarField(g, jump @ p.values / g.cell_areas)
@@ -221,6 +221,117 @@ def jump_stabilization_matrix(grid: Grid, edge_mask=None) -> sp.csr_matrix:
     w = (grid.edge_length * grid.edge_dist)[selected, None]
     n = grid.n_cells
     return _edge_stencil(grid, (n, n), selected, w, 1.0, -1.0)
+
+
+# -- the shared operators of a grid ------------------------------------------
+
+class _GridOperators:
+    """Scalar stiffness A1 and cell divergence B_cells of one grid, each
+    built once and then shared, plus the gradient G and the jump matrices J
+    (all interior edges) and J_intra (intra-cluster edges) that the
+    operators' apply forms multiply by, and `A1_solve`, the factor-free
+    inverse of A1.  `velocity_apply` and `velocity_solve` apply the velocity
+    block diag(A1, A1) and its inverse to stacked velocities [u1; u2].
+
+    Their arrays are read-only, so a caller editing one in place gets a
+    ValueError instead of silently changing every system on the grid.  G,
+    J, J_intra and A1_solve are built on first use: the gradient probe needs
+    only A1_solve and B_cells, and assembly never needs G, the jump matrices
+    or A1_solve.  The grid is held by a weak reference, so the memo does not
+    keep it alive.
+    """
+
+    def __init__(self, grid: Grid):
+        self._grid = weakref.ref(grid)
+        self.A1 = _read_only(h1_stiffness_matrix(grid))
+        self.B_cells = _read_only(divergence_matrix(grid))
+
+    def velocity_apply(self, u: np.ndarray) -> np.ndarray:
+        """diag(A1, A1) u for stacked velocities u = [u1; u2]."""
+        n = self.A1.shape[0]
+        return np.concatenate([self.A1 @ u[:n], self.A1 @ u[n:]])
+
+    def velocity_solve(self, f: np.ndarray) -> np.ndarray:
+        """diag(A1, A1)^-1 f for stacked velocities f = [f1; f2], one vector
+        of length 2n or a block of columns of shape (2n, k): every
+        component of every column goes to `A1_solve` in one call."""
+        rows = f.T.reshape(-1, self.A1.shape[0])
+        return self.A1_solve(rows).reshape(f.T.shape).T
+
+    @functools.cached_property
+    def G(self) -> sp.csr_matrix:
+        # assembled on its own, not as -B_cells^T: `duality_defect` checks
+        # the two against each other
+        return _read_only(gradient_matrix(self._grid()))
+
+    @functools.cached_property
+    def J(self) -> sp.csr_matrix:
+        return _read_only(jump_stabilization_matrix(self._grid()))
+
+    @functools.cached_property
+    def J_intra(self) -> sp.csr_matrix:
+        grid = self._grid()
+        return _read_only(jump_stabilization_matrix(grid, make_clusters(grid).intra_edge_mask))
+
+    @functools.cached_property
+    def A1_solve(self):
+        """A1^-1 by fast diagonalisation (Lynch, Rice and Thomas, Numer.
+        Math. 6, 1964), with no sparse factor.
+
+        With cells numbered i fastest, A1 = Dy (x) Tx + Ty (x) Dx, where Tx
+        is the 1D two-point stiffness along x (weight 1/d between
+        neighbouring centres, 2/h to each wall) and Dx = diag(dx), and
+        likewise along y.  Once per grid the generalised eigenproblems
+        Tx V = Dx V Lambda and Ty W = Dy W M are solved; then, for the
+        ny-by-nx array b of one right-hand side,
+        A1^-1 b = W ((W^T b V) / (mu_j + lambda_i)) V^T: four dense products.
+
+        The returned function maps an array of shape (..., n_cells), one
+        right-hand side per row, to the solutions in the same shape.
+        """
+        grid = self._grid()
+        lam, V = _line_eigenpairs(grid.xs)
+        mu, W = _line_eigenpairs(grid.ys)
+        denominator = mu[:, None] + lam[None, :]
+        for arr in (V, W, denominator):
+            arr.flags.writeable = False
+
+        def solve(b):
+            z = W.T @ np.reshape(b, (-1,) + denominator.shape) @ V
+            return (W @ (z / denominator) @ V.T).reshape(np.shape(b))
+
+        return solve
+
+
+def _line_eigenpairs(lines):
+    """Eigenpairs (lambda, V) of T V = D V diag(lambda), V^T D V = I, for the
+    1D two-point stiffness T and the widths D = diag(h) of the cells
+    between the coordinate `lines`."""
+    h = np.diff(lines)
+    w = 1.0 / np.diff(0.5 * (lines[:-1] + lines[1:]))
+    diagonal = np.concatenate([w, [0.0]]) + np.concatenate([[0.0], w])
+    diagonal[[0, -1]] += 2.0 / h[[0, -1]]
+    T = np.diag(diagonal) - np.diag(w, 1) - np.diag(w, -1)
+    return scipy.linalg.eigh(T, np.diag(h))
+
+
+def _read_only(mat):
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
+
+
+# Keyed by the Grid object, not by id() (reused after a grid dies) nor by the
+# mesh, so an entry lives exactly as long as its grid.
+_GRID_OPERATORS = weakref.WeakKeyDictionary()
+
+
+def grid_operators(grid: Grid) -> _GridOperators:
+    """The shared operators of `grid`, built on the first call for it."""
+    ops = _GRID_OPERATORS.get(grid)
+    if ops is None:
+        ops = _GRID_OPERATORS[grid] = _GridOperators(grid)
+    return ops
 
 
 def vector_field_to_array(u: VectorField) -> np.ndarray:

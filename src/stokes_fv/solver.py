@@ -70,8 +70,8 @@ import scipy.sparse.linalg as spla
 from .errors import SolverError
 from .fields import ScalarField, VectorField, zero_mean_project
 from .grid import make_clusters
-from .assembly import CLUSTER_CONSTANT, NATURAL, SaddleSystem, _grid_operators
-from .operators import array_to_vector_field
+from .operators import array_to_vector_field, grid_operators
+from .assembly import CLUSTER_CONSTANT, NATURAL, SaddleSystem
 
 # `solve`'s backends: the sparse direct factor, and CG on the pressure Schur
 # complement.
@@ -187,7 +187,7 @@ def _symmetric_scaling(system: SaddleSystem) -> np.ndarray:
     Velocities get diag(A)^-1/2; pressures get the inverse square root of
     the diagonal of B diag(A)^-1 B^T + C, or 1 where that is zero.
     """
-    a_diag = np.tile(_grid_operators(system.grid).A1.diagonal(), 2)
+    a_diag = np.tile(grid_operators(system.grid).A1.diagonal(), 2)
     p_diag = system.B.multiply(system.B) @ (1.0 / a_diag) + system.C.diagonal()
     p_scale = np.ones_like(p_diag)
     np.power(p_diag, -0.5, out=p_scale, where=p_diag > 0)
@@ -213,7 +213,7 @@ def _pinned_block(system: SaddleSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
     # position in K of every dof of M; -1 drops the pinned one
     position = np.full(m, -1, dtype=np.int32)
     position[order] = np.arange(m - 1, dtype=np.int32)
-    A1 = _grid_operators(system.grid).A1.tocoo()
+    A1 = grid_operators(system.grid).A1.tocoo()
     B, C = system.B.tocoo(), system.C.tocoo()
     n, B_row = system.grid.n_cells, B.row + pin
     triplets = [
@@ -316,7 +316,7 @@ def _direct_block(system: SaddleSystem, stats: dict):
     stats["rcond_s"] = time.perf_counter() - t0
     # the bordered matrix's stored entries, counted from its blocks:
     # A1 twice, -B^T and B, C, and the mean weights as a column and a row
-    a1_nnz = _grid_operators(system.grid).A1.nnz
+    a1_nnz = grid_operators(system.grid).A1.nnz
     matrix_nnz = 2 * a1_nnz + 2 * system.B.nnz + system.C.nnz + 2 * system.n_p
     stats["fill_factor"] = float(stats["factor_nnz"] / max(matrix_nnz, 1))
     pin = system.n_velocity
@@ -375,7 +375,7 @@ def _pcg(apply, h: np.ndarray, precondition):
 def _schur_complement(system: SaddleSystem):
     """q -> B A^-1 B^T q, for one pressure vector or a block of columns,
     with A^-1 the grid's factor-free `velocity_solve`."""
-    B, velocity_solve = system.B, _grid_operators(system.grid).velocity_solve
+    B, velocity_solve = system.B, grid_operators(system.grid).velocity_solve
     return lambda q: B @ velocity_solve(B.T @ q)
 
 
@@ -393,7 +393,7 @@ def _schur_cg_block(system: SaddleSystem, stats: dict):
     """
     pin = system.n_velocity
     w, B, C = system.mean_weights, system.B, system.C
-    velocity_solve = _grid_operators(system.grid).velocity_solve
+    velocity_solve = grid_operators(system.grid).velocity_solve
     schur_complement = _schur_complement(system)
 
     def schur(q):
@@ -497,7 +497,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
     if backend not in BACKENDS:
         raise SolverError(f"unknown backend {backend!r}")
     B, C, rhs = system.B, system.C, system.rhs
-    velocity_apply = _grid_operators(system.grid).velocity_apply
+    velocity_apply = grid_operators(system.grid).velocity_apply
     pin = system.n_velocity  # first pressure dof
     m = pin + system.n_p  # size of the unbordered block
     w = system.mean_weights

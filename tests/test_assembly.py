@@ -26,8 +26,9 @@ from stokes_fv import (
     solve,
     stab_laplacian_apply,
 )
-from stokes_fv.assembly import _GRID_OPERATORS, _grid_operators, export_system, load_system
-from stokes_fv.operators import vector_field_to_array
+from stokes_fv.assembly import export_system, load_system
+from stokes_fv.operators import _GRID_OPERATORS, vector_field_to_array
+from stokes_fv.operators import grid_operators as _grid_operators
 from stokes_fv.verify import CASES, checkerboard_field
 
 

@@ -477,6 +477,68 @@ def test_n_and_grid_together_is_config_error_before_any_output(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--what", "checkerboard", "--n", "4,8", "--space", "full"], "space"),
+        (["--what", "regularity", "--n", "4", "--space", "cluster"], "space"),
+        (["--what", "consistency", "--n", "4", "--space", "full"], "space"),
+        (["--what", "checkerboard", "--n", "4,8", "--grid", '{"x": [0, 1, 2], "y": [0, 1, 2]}'], "grid"),
+        (["--what", "infsup", "--n", "4", "--grid", '{"x": [0, 1, 2], "y": [0, 1, 2]}'], "grid"),
+    ],
+)
+def test_probe_flag_for_another_probe_is_config_error_before_any_output(
+    tmp_path, capsys, argv, flag
+):
+    out = tmp_path / "out"
+    assert main(["probe", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --{flag} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_probe_flags_for_another_probe_are_allowed_in_a_config_file(tmp_path):
+    cfg = tmp_path / "run.json"
+    grid = {"x": [0, 0.5, 1], "y": [0, 0.5, 1]}
+    cfg.write_text(json.dumps({"what": "checkerboard", "n": "4,8", "space": "full", "grid": grid}))
+    assert main(["probe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(read_csv(tmp_path / "out" / "probe_checkerboard.csv")) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--scheme", "bp", "--lambda", "0.05", "--case", "ms1"],
+        ["probe", "--what", "consistency"],
+    ],
+)
+def test_config_grid_object_matches_the_grid_flag(tmp_path, argv):
+    grid = {"x": [0, 0.1, 0.3, 0.6, 1], "y": [0, 0.2, 0.5, 0.7, 1]}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    from_flag, from_config = tmp_path / "flag", tmp_path / "config"
+    assert main([*argv, "--grid", json.dumps(grid), "--out", str(from_flag)]) == 0
+    assert main([*argv, "--config", str(cfg), "--out", str(from_config)]) == 0
+    timing = ("_s", "_mb")
+    for path in sorted(from_flag.iterdir()):
+        rows, again = read_csv(path), read_csv(from_config / path.name)
+        if path.name == "summary.csv":
+            rows, again = ([r for r in t if not r[0].endswith(timing)] for t in (rows, again))
+        assert rows == again, path.name
+    assert sorted(p.name for p in from_config.iterdir()) == sorted(p.name for p in from_flag.iterdir())
+
+
+@pytest.mark.parametrize("grid", [[[0, 0.5, 1], [0, 0.5, 1]], 4, True, {"x": [0, 0.5, 1]}])
+def test_config_grid_that_is_not_an_object_is_config_error(tmp_path, capsys, grid):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scheme": "bp", "lambda": 0.05, "grid": grid}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == 'config error: grid must be an object {"x": [...], "y": [...]} of coordinate lists\n'
+    assert not out.exists()
+
+
 def test_probe_consistency_on_a_uniform_grid_from_n(tmp_path):
     assert main(["probe", "--what", "consistency", "--n", "4", "--out", str(tmp_path)]) == 0
     rows = read_csv(tmp_path / "probe_consistency.csv")

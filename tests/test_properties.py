@@ -41,7 +41,7 @@ from stokes_fv import (
     split_seminorms,
     stab_laplacian_apply,
 )
-from stokes_fv.assembly import _grid_operators
+from stokes_fv.operators import grid_operators as _grid_operators
 from stokes_fv.operators import vector_field_to_array
 from stokes_fv.verify import CASES
 

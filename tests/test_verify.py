@@ -240,6 +240,20 @@ def test_consistency_defects_at_rounding():
         assert report.max_boundary_defect <= 1e-13
 
 
+def test_consistency_measures_the_production_boundary_flux(monkeypatch):
+    import stokes_fv.verify
+    from stokes_fv.operators import diffusion_fluxes
+
+    def doubled_at_the_wall(field):
+        flux = diffusion_fluxes(field)
+        flux[field.grid.boundary_edges] *= 2.0
+        return flux
+
+    g = build_tensor([0, 0.1, 0.35, 0.7, 1.0], [0, 0.3, 0.5, 0.9, 1.0])
+    monkeypatch.setattr(stokes_fv.verify, "diffusion_fluxes", doubled_at_the_wall)
+    assert consistency_check(g).max_boundary_defect > 1e-3
+
+
 # -- stability under refinement --------------------------------------------------------
 
 def test_stability_constant_under_refinement():
