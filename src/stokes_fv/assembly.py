@@ -135,25 +135,32 @@ def cell_means(f, grid: Grid, quad_order: int = 3) -> VectorField:
     return VectorField(grid, np.column_stack([mean_x, mean_y]))
 
 
+# entries scattered per step of `_bordered`: its temporaries hold this many,
+# whatever the size of the grid
+_CHUNK = 1 << 13
+
+
 def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
     """The bordered saddle matrix [[A, -B^T, 0], [B, C, w], [0, w^T, 0]],
-    A = diag(A1, A1) and w = `mean_weights`, scattered straight into CSC
-    arrays.
+    A = diag(A1, A1) and w = `mean_weights`, scattered straight into
+    exact-size CSC arrays.
 
     The column counts come first and `indptr` is their cumulative sum; then
     each block's entries go to the next free slots of their columns, one
-    block at a time.  Every block is canonical (sorted indices, no
+    block at a time and `_CHUNK` entries at a time, so that no temporary
+    is the size of a block.  Every block is canonical (sorted indices, no
     duplicates) and the blocks of a column arrive in order of increasing
     row offset, so the result is canonical without a sort.  Its `indptr`,
     `indices` and `data` are those of SciPy's block stacking of the same
     blocks, which copies every block into COO form and sorts the stack
-    back.  The CSR arrays of B are the CSC arrays of B^T, and those of A1
-    its own CSC arrays: A1 is bitwise symmetric, as the tests check.
+    back.  The CSR arrays of B are the CSC arrays of B^T, and A1 and C are
+    read through their own CSR arrays as their CSC arrays: both are
+    bitwise symmetric, as the tests check.  Only B is copied, to CSC.
     """
     n, n_p = A1.shape[0], B.shape[0]
     m = 2 * n
     size = m + n_p + 1
-    B_csc, C_csc = B.tocsc(), C.tocsc()
+    B_csc = B.tocsc()
     ramp = np.arange(n_p + 1, dtype=np.int32)
     # (first column, row offset, CSC indptr, indices, data, negated) per
     # block; w^T has one entry in each of its columns, w all n_p in its one
@@ -162,8 +169,8 @@ def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
         (n, n, A1.indptr, A1.indices, A1.data, False),
         (0, m, B_csc.indptr, B_csc.indices, B_csc.data, False),
         (m, 0, B.indptr, B.indices, B.data, True),
-        (m, m, C_csc.indptr, C_csc.indices, C_csc.data, False),
-        (m, size - 1, ramp, np.zeros(n_p, dtype=np.int32), mean_weights, False),
+        (m, m, C.indptr, C.indices, C.data, False),
+        (m, size - 1, ramp, np.broadcast_to(np.int32(0), n_p), mean_weights, False),
         (size - 1, m, ramp[[0, -1]], ramp[:-1], mean_weights, False),
     ]
     column_nnz = np.zeros(size, dtype=np.int32)
@@ -173,16 +180,33 @@ def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
     np.cumsum(column_nnz, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1])
-    free = indptr[:-1].copy()  # next free slot of each column
+    free = column_nnz  # reused: the next free slot of each column
+    free[:] = indptr[:-1]
     for first, offset, ptr, block_indices, block_data, negated in blocks:
-        columns = slice(first, first + ptr.size - 1)
-        block_nnz = np.diff(ptr)
-        slots = np.repeat(free[columns] - ptr[:-1], block_nnz)
-        slots += np.arange(slots.size, dtype=np.int32)
-        indices[slots] = block_indices + offset
-        data[slots] = -block_data if negated else block_data
-        free[columns] += block_nnz
+        # entry e of column c goes to slot free[c] + e - ptr[c]; chunk j
+        # takes entries lo[j]:hi[j], in columns c0[j]:c1[j]
+        lo = np.arange(0, ptr[-1], _CHUNK, dtype=ptr.dtype)
+        hi = np.minimum(lo + _CHUNK, ptr[-1])
+        c0 = ptr.searchsorted(lo, side="right") - 1
+        c1 = ptr.searchsorted(hi, side="left")
+        for lo_j, hi_j, c0_j, c1_j in zip(lo, hi, c0, c1):
+            chunk_nnz = np.diff(np.clip(ptr[c0_j : c1_j + 1], lo_j, hi_j))
+            slots = np.repeat(free[first + c0_j : first + c1_j] - ptr[c0_j:c1_j], chunk_nnz)
+            slots += np.arange(lo_j, hi_j, dtype=slots.dtype)
+            indices[slots] = block_indices[lo_j:hi_j] + offset
+            data[slots] = -block_data[lo_j:hi_j] if negated else block_data[lo_j:hi_j]
+            del slots  # before the next chunk's, so that no two overlap
+        free[first : first + ptr.size - 1] += np.diff(ptr)
     return sp.csc_matrix((data, indices, indptr), shape=(size, size))
+
+
+def _cluster_divergence(grid, B_cells):
+    """The divergence P^T B_cells onto the 2x2 clusters of `grid`, with P the
+    prolongation from clusters to cells, and the cluster areas."""
+    part = make_clusters(grid)
+    n = grid.n_cells
+    P = sp.csr_matrix((np.ones(n), (np.arange(n), part.cluster_of)), (n, part.n_clusters))
+    return (P.T @ B_cells).tocsr(), part.cluster_areas
 
 
 def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSystem:
@@ -204,22 +228,17 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
     areas = grid.cell_areas
 
     if spec.kind == CLUSTER_CONSTANT:
-        part = make_clusters(grid)
-        # the prolongation P from clusters to cells: B = P^T B_cells
-        P = sp.csr_matrix((np.ones(n), (np.arange(n), part.cluster_of)), (n, part.n_clusters))
-        B = (P.T @ ops.B_cells).tocsr()
-        mean_weights = part.cluster_areas.copy()
-        C = sp.csr_matrix((part.n_clusters, part.n_clusters))
+        B, mean_weights = _cluster_divergence(grid, ops.B_cells)
+        C = sp.csr_matrix((B.shape[0], B.shape[0]))
     else:
         B = ops.B_cells
         mean_weights = areas.copy()
         if spec.kind == NATURAL:
             C = sp.csr_matrix((n, n))
-        elif spec.kind == BP:
-            C = (spec.lam * jump_stabilization_matrix(grid)).tocsr()
-        else:  # cluster jump stabilization
-            intra = make_clusters(grid).intra_edge_mask
-            C = (spec.lam * jump_stabilization_matrix(grid, intra)).tocsr()
+        else:  # bp over all interior edges, cluster over the intra-cluster ones
+            intra = None if spec.kind == BP else make_clusters(grid).intra_edge_mask
+            C = jump_stabilization_matrix(grid, intra)
+            C.data *= spec.lam  # in place: the fresh matrix is this system's own
 
     matrix = _bordered(ops.A1, B, C, mean_weights)
     rhs = np.zeros(2 * n + B.shape[0] + 1)

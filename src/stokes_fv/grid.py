@@ -91,8 +91,10 @@ class Grid:
         #   horizontal interior (normal +y) between rows j and j+1, j outer;
         #   left/right boundary interleaved per row j;
         #   bottom/top boundary interleaved per column i.
-        # The order is part of the contract: assembly sums duplicate COO
-        # entries in edge order, so it fixes the assembled matrices bitwise.
+        # The order is part of the contract: the interior edges form a
+        # prefix, vertical before horizontal, which the operator builders
+        # read as slices, and they sum each diagonal in edge order, so the
+        # order fixes the assembled matrices bitwise.
         shapes = ((nx - 1, ny), (ny - 1, nx), (ny, 2), (nx, 2))
 
         def cat(vertical, horizontal, left_right, bottom_top):
@@ -237,4 +239,7 @@ def parse_grid_config(description) -> Grid:
         raise GridError(f"unrecognized grid description: {description!r}") from err
     if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
         raise GridError('grid must be an object {"x": [...], "y": [...]} of coordinate lists')
+    unknown = ", ".join(repr(key) for key in sorted(set(obj) - {"x", "y"}))
+    if unknown:
+        raise GridError(f'unknown grid key {unknown}: a grid holds only "x" and "y"')
     return build_tensor(obj["x"], obj["y"])

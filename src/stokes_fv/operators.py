@@ -1,13 +1,17 @@
 """Discrete diffusion, gradient, divergence and stabilization operators.
 
 Every operator is a sum over edges sigma = (k, l) of a flux weight times the
-jump (e_k - e_l), built as a sparse matrix by the one triplet builder
-`_edge_stencil` and scaled row-wise by the cell area, so that a matrix row
-is the integral of the operator over the cell.  The cell-update ("apply")
-forms of the gradient, divergence and stabilization are that matrix product
-divided by the cell areas; the Laplacian's instead sums its per-edge
-diffusive fluxes, so that it is exactly zero on constants away from the
-wall.  The public `*_matrix` builders return a fresh matrix on every call.
+jump (e_k - e_l), scaled row-wise by the cell area, so that a matrix row is
+the integral of the operator over the cell.  The one builder `_edge_stencil`
+writes each such sum straight into exact-size CSR arrays: on a tensor grid
+a row's columns are known from which neighbours the cell has, so it needs
+no triplets and no sort, and it sums each diagonal in the order a triplet
+build would, which keeps the matrices bitwise equal to that build.  The
+cell-update ("apply") forms of the gradient, divergence and stabilization
+are that matrix product divided by the cell areas; the Laplacian's instead
+sums its per-edge diffusive fluxes, so that it is exactly zero on
+constants away from the wall.  The public `*_matrix` builders return a
+fresh matrix on every call.
 
 The operators of a grid do not depend on the scheme, so `grid_operators`
 keeps one shared, read-only copy of them per Grid object for assembly, the
@@ -146,54 +150,125 @@ def duality_defect(p: ScalarField, v: VectorField) -> float:
 
 def _edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_step=0):
     """Sum over `edges` of w (e_k - e_l)(c_k e_k + c_l e_l)^T, plus
-    w_b e_k e_k^T over the boundary edges, as a CSR matrix.
+    w_b e_k e_k^T over the boundary edges, written straight into
+    exact-size CSR arrays, with no triplets.
 
-    `w` and `w_b` carry one column per component; component c occupies rows
-    shifted by c * row_step and columns shifted by c * col_step.  Triplets are
-    emitted per component as kk, kl, lk, ll, then boundary.  Built from
-    triplets, not as a sparse product D^T W S: a product drops the stored
-    zeros of edges whose normal is orthogonal to a component, which changes
-    the saddle pattern and the fill of its factorization.
+    `edges` are interior edges in edge order: the vertical ones (l = k + 1)
+    first, then the horizontal ones (l = k + nx).  `w` and `w_b` carry one
+    column per component; component c occupies rows shifted by
+    c * row_step and columns shifted by c * col_step, after the entries of
+    component c - 1 where the two share a row.
+
+    On a tensor grid the row of cell m in a component holds at most the
+    columns of its south (m - nx), west (m - 1), own, east (m + 1) and north
+    (m + nx) cells, in that order, so per-cell flags of which of the five
+    it holds give every entry's slot: an edge (k, l) puts w c_l at the east
+    or north slot of row k and -w c_k at the west or south slot of row l.
+
+    The diagonal sums several edges' terms, so its bits depend on their
+    order.  It is summed in the order in which a COO build, emitting per
+    component the triplets kk, kl, lk and ll over `edges` and then the
+    boundary ones, sums duplicates: kk over the vertical then the
+    horizontal edges, ll the same way, then the boundary edges, each in
+    edge order, starting from -0.0 (-0.0 + x is x, bitwise, for every x).
+    That keeps every matrix bitwise equal to the COO build, which the tests
+    keep as the reference.  Every entry an edge touches is stored, also
+    when its value is zero: a sparse product D^T W S would drop the zeros
+    of edges whose normal is orthogonal to a component, which changes the
+    saddle pattern and the fill of its factorization.
     """
+    n = grid.n_cells
     k = grid.edge_cell_k[edges]
     l = grid.edge_cell_l[edges]
+    n_vertical = np.count_nonzero(grid.edge_normal[edges, 0])
+    vertical, horizontal = slice(0, n_vertical), slice(n_vertical, None)
     kb = grid.edge_cell_k[grid.boundary_edges] if w_b is not None else k[:0]
-    size = w.shape[1] * (4 * k.size + kb.size)
-    rows = np.empty(size, dtype=np.int32)
-    cols = np.empty(size, dtype=np.int32)
-    vals = np.empty(size)
-    end = 0
-
-    def put(row, col, val):
-        nonlocal end
-        piece = slice(end, end + row.size)
-        rows[piece], cols[piece], vals[piece] = row, col, val
-        end = piece.stop
-
-    for c in range(w.shape[1]):
-        r, s = c * row_step, c * col_step
-        wk, wl = w[:, c] * c_k, w[:, c] * c_l
-        put(k + r, k + s, wk)
-        put(k + r, l + s, wl)
-        put(l + r, k + s, -wk)
-        put(l + r, l + s, -wl)
+    has = np.zeros((5, n), dtype=bool)
+    south, west, diag, east, north = has
+    east[k[vertical]] = west[l[vertical]] = north[k[horizontal]] = south[l[horizontal]] = True
+    diag[k] = diag[l] = diag[kb] = True
+    count = has.sum(axis=0, dtype=np.int32)
+    n_comp = w.shape[1]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.tile(count, n_comp) if row_step else n_comp * count, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.full(indptr[-1], -0.0)  # where every diagonal sum starts
+    # the diagonal slots of component 0; those of component c lie c * shift
+    # further.  `where=` adds the flags without a cast buffer.
+    d = indptr[:n].astype(np.intp)
+    np.add(d, 1, out=d, where=south)
+    np.add(d, 1, out=d, where=west)
+    shift = indptr[n] if row_step else count
+    c_k, c_l = np.broadcast_to(c_k, k.shape), np.broadcast_to(c_l, k.shape)
+    # one value and one slot buffer for every step below ("clip" only keeps
+    # `take` from buffering its output: every index is in range)
+    size = max(n_vertical, k.size - n_vertical)
+    vals_buffer, slots_buffer = np.empty(size), np.empty(size, dtype=np.intp)
+    for c in range(n_comp):
+        s = c * col_step
+        if c:
+            d += shift
+        # In row l an edge's lk entry is the west entry (d - 1) or the south
+        # one, before the west entry if there is one; in row k its kl entry
+        # is the east entry (d + 1) or the north one, after the east entry
+        # if there is one.  `past` counts the south or north step.
+        for edge, past in ((vertical, 0), (horizontal, 1)):
+            kf, lf = k[edge], l[edge]
+            vals, slots = vals_buffer[: kf.size], slots_buffer[: kf.size]
+            np.multiply(w[edge, c], c_k[edge], out=vals)
+            np.take(d, kf, out=slots, mode="clip")
+            indices[slots] = _offset(kf, s)
+            np.add.at(data, slots, vals)  # kk
+            np.take(d, lf, out=slots, mode="clip")
+            slots -= past
+            np.subtract(slots, 1, out=slots, where=west[lf])
+            indices[slots] = _offset(kf, s)
+            data[slots] = np.negative(vals, out=vals)  # lk
+            np.take(d, kf, out=slots, mode="clip")
+            slots += past
+            np.add(slots, 1, out=slots, where=east[kf])
+            indices[slots] = _offset(lf, s)
+            data[slots] = np.multiply(w[edge, c], c_l[edge], out=vals)  # kl
+        for edge in (vertical, horizontal):
+            lf = l[edge]
+            vals, slots = vals_buffer[: lf.size], slots_buffer[: lf.size]
+            np.negative(np.multiply(w[edge, c], c_l[edge], out=vals), out=vals)
+            np.take(d, lf, out=slots, mode="clip")
+            indices[slots] = _offset(lf, s)
+            np.add.at(data, slots, vals)  # ll
         if w_b is not None:
-            put(kb + r, kb + s, w_b[:, c])
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+            slots = d[kb]
+            indices[slots] = _offset(kb, s)
+            np.add.at(data, slots, w_b[:, c])
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _offset(cells, s):
+    """cells + s, with no copy of `cells` when s is 0."""
+    return cells + s if s else cells
+
+
+def _interior_and_boundary(grid):
+    """The interior and the boundary edges as slices: the interior edges
+    come first in the edge order, so each builder reads views of the edge
+    tables, not copies."""
+    n_interior = grid.interior_edges.size
+    return slice(0, n_interior), slice(n_interior, None)
 
 
 def h1_stiffness_matrix(grid: Grid) -> sp.csr_matrix:
     """Scalar H1 stiffness matrix; row k stores |K| times the Laplacian update."""
-    w = (grid.edge_length / grid.edge_dist)[:, None]
     n = grid.n_cells
-    ie, be = grid.interior_edges, grid.boundary_edges
-    return _edge_stencil(grid, (n, n), ie, w[ie], 1.0, -1.0, w_b=w[be])
+    ie, be = _interior_and_boundary(grid)
+    w = (grid.edge_length[ie] / grid.edge_dist[ie])[:, None]
+    w_b = (grid.edge_length[be] / grid.edge_dist[be])[:, None]
+    return _edge_stencil(grid, (n, n), ie, w, 1.0, -1.0, w_b=w_b)
 
 
 def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     """Maps stacked velocity [u1; u2] to |K| times the divergence per cell."""
     n = grid.n_cells
-    ie = grid.interior_edges
+    ie, _ = _interior_and_boundary(grid)
     a = grid.edge_weight_k[ie]
     w = grid.edge_length[ie, None] * grid.edge_normal[ie]
     return _edge_stencil(grid, (n, 2 * n), ie, w, 1.0 - a, a, col_step=n)
@@ -206,19 +281,20 @@ def gradient_matrix(grid: Grid) -> sp.csr_matrix:
     `divergence_matrix` through the closed-cell identity.
     """
     n = grid.n_cells
-    w = grid.edge_length[:, None] * grid.edge_normal
-    ie, be = grid.interior_edges, grid.boundary_edges
+    ie, be = _interior_and_boundary(grid)
     a = grid.edge_weight_k[ie]
-    return _edge_stencil(grid, (2 * n, n), ie, w[ie], a, 1.0 - a, w_b=w[be], row_step=n)
+    w = grid.edge_length[ie, None] * grid.edge_normal[ie]
+    w_b = grid.edge_length[be, None] * grid.edge_normal[be]
+    return _edge_stencil(grid, (2 * n, n), ie, w, a, 1.0 - a, w_b=w_b, row_step=n)
 
 
 def jump_stabilization_matrix(grid: Grid, edge_mask=None) -> sp.csr_matrix:
     """Sum over selected interior edges of |sigma| d (e_k - e_l)(e_k - e_l)^T."""
     if edge_mask is None:
-        selected = grid.interior_edges
+        selected, _ = _interior_and_boundary(grid)
     else:
         selected = np.flatnonzero(np.asarray(edge_mask, dtype=bool) & grid.interior_mask)
-    w = (grid.edge_length * grid.edge_dist)[selected, None]
+    w = (grid.edge_length[selected] * grid.edge_dist[selected])[:, None]
     n = grid.n_cells
     return _edge_stencil(grid, (n, n), selected, w, 1.0, -1.0)
 

@@ -32,10 +32,10 @@ of the scalar stiffness, against the production probe's factor-free fast
 diagonalisation.
 
 `bmat_bordered` stacks the bordered saddle matrix with `sp.bmat`, and
-`list_edge_stencil` collects the operators' triplets in lists of pieces and
-concatenates them: the earlier builds, against which the production CSC
-scatter and in-place triplet arrays must agree bit for bit
-(`triplet_operator` runs an operator builder on the list version).
+`list_edge_stencil` collects the operators' COO triplets in lists of pieces
+and lets SciPy sum their duplicates: the earlier builds, against which the
+production CSC and CSR scatters must agree bit for bit (`triplet_operator`
+runs an operator builder on the list version).
 """
 
 import dataclasses
@@ -358,8 +358,9 @@ def bmat_bordered(A, B, C, mean_weights):
 
 
 def list_edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_step=0):
-    """`operators._edge_stencil` with its triplets held as lists of index
-    and value pieces, concatenated before the COO-to-CSR conversion."""
+    """The sum of `operators._edge_stencil` built from COO triplets, held as
+    lists of index and value pieces and concatenated before the COO-to-CSR
+    conversion, which sums duplicates in triplet order."""
     k = grid.edge_cell_k[edges]
     l = grid.edge_cell_l[edges]
     kb = grid.edge_cell_k[grid.boundary_edges]

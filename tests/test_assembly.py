@@ -4,8 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import matrix_bytes, tensor_lines, traced_peak
-from dense_oracle import velocity_block
+from conftest import assert_same_arrays, matrix_bytes, tensor_lines, traced_peak
+from dense_oracle import bmat_bordered, velocity_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +26,7 @@ from stokes_fv import (
     solve,
     stab_laplacian_apply,
 )
+from stokes_fv import assembly
 from stokes_fv.assembly import export_system, load_system
 from stokes_fv.operators import _GRID_OPERATORS, vector_field_to_array
 from stokes_fv.operators import grid_operators as _grid_operators
@@ -316,12 +317,38 @@ def test_velocity_solve_inverts_the_stiffness_on_tensor_grids(lines):
 @pytest.mark.parametrize("kind", ["natural", "bp", "cluster", "cluster-constant"])
 def test_assembly_traced_memory_stays_near_the_bordered_matrix(kind):
     # stacking by sp.bmat, through COO copies of every block, peaked at
-    # 3.0-3.2x; the grid's shared operators are built before the trace
+    # 3.0-3.2x, and the block-wide scatter with CSC copies of B and C at
+    # 1.8-2.0x; the chunked scatter peaks at 1.5-1.7x.  The grid's shared
+    # operators are built before the trace
     g = build_uniform(64)
     spec = SchemeSpec(kind, {"bp": 0.05, "cluster": 1.0}.get(kind))
     f = cell_means(CASES["ms1"].forcing, g)
     matrix = assemble(spec, g, f).matrix
-    assert traced_peak(assemble, spec, g, f) <= 2.25 * matrix_bytes(matrix)
+    assert traced_peak(assemble, spec, g, f) <= 1.8 * matrix_bytes(matrix)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_bordered_matrix_scattered_in_chunks_matches_bmat(monkeypatch, chunk):
+    # chunks that end inside a column, on its last entry, or span several
+    # columns, on a grid too small for the default chunk to split a block
+    monkeypatch.setattr(assembly, "_CHUNK", chunk)
+    g = build_tensor([0, 0.2, 0.5, 0.7, 1.0], [0, 0.3, 0.55, 0.8, 1.0])
+    f = cell_means(CASES["ms1"].forcing, g)
+    for kind in ("natural", "bp", "cluster", "cluster-constant"):
+        system = assemble(SchemeSpec(kind, {"bp": 0.05, "cluster": 1.0}.get(kind)), g, f)
+        oracle = bmat_bordered(velocity_block(g), system.B, system.C, system.mean_weights)
+        assert_same_arrays(system.matrix, oracle)
+
+
+@pytest.mark.parametrize("kind", ["natural", "bp", "cluster", "cluster-constant"])
+def test_assembled_arrays_hold_exactly_their_entries(kind):
+    g = build_tensor([0, 0.2, 0.5, 0.7, 1.0], [0, 0.3, 0.55, 0.8, 1.0])
+    spec = SchemeSpec(kind, {"bp": 0.05, "cluster": 1.0}.get(kind))
+    system = assemble(spec, g, CASES["ms1"].forcing)
+    for mat in (system.matrix, system.B, system.C):
+        for arr in (mat.data, mat.indices):
+            assert arr.size == mat.nnz
+            assert arr.base is None or arr.base.size == arr.size
 
 
 def test_shared_operators_are_read_only():

@@ -539,6 +539,22 @@ def test_config_grid_that_is_not_an_object_is_config_error(tmp_path, capsys, gri
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_grid_key_is_config_error(tmp_path, capsys, source):
+    grid = {"x": [0, 0.5, 1], "y": [0, 0.5, 1], "y2": [0, 9]}
+    out = tmp_path / "out"
+    if source == "flag":
+        argv = ["probe", "--what", "consistency", "--grid", json.dumps(grid)]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"what": "consistency", "grid": grid}))
+        argv = ["probe", "--config", str(cfg)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == """config error: unknown grid key 'y2': a grid holds only "x" and "y"\n"""
+    assert not out.exists()
+
+
 def test_probe_consistency_on_a_uniform_grid_from_n(tmp_path):
     assert main(["probe", "--what", "consistency", "--n", "4", "--out", str(tmp_path)]) == 0
     rows = read_csv(tmp_path / "probe_consistency.csv")

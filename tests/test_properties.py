@@ -120,6 +120,17 @@ def test_stiffness_is_symmetric_positive_definite(lines):
 
 
 @PROPERTY
+@given(EVEN_COUNTS)
+def test_stabilization_block_is_bitwise_symmetric(lines):
+    # the bordered matrix's scatter reads C's CSR arrays as its CSC arrays
+    g = build_tensor(*lines)
+    f = cell_means(CASES["ms1"].forcing, g)
+    for spec in (SchemeSpec("bp", 0.05), SchemeSpec("cluster", 1.0)):
+        C = assemble(spec, g, f).C
+        assert_same_arrays(C.tocsc().T, C)
+
+
+@PROPERTY
 @given(ANY_COUNTS)
 def test_operators_match_the_list_of_triplets_build_bitwise(lines):
     g = build_tensor(*lines)
