@@ -35,7 +35,6 @@ from .grid import (
     Grid,
     build_tensor,
     build_uniform,
-    cluster_regularity,
     make_clusters,
     parse_grid_config,
 )

@@ -26,12 +26,12 @@ from . import assembly, verify
 from .assembly import SchemeSpec, assemble, cell_means, energy_functional
 from .errors import ClusterError, ConfigError, GridError, SolverError, StokesFVError
 from .fields import write_scalar_csv, write_table, write_vector_csv
-from .grid import build_uniform, cluster_regularity, make_clusters, parse_grid_config
+from .grid import build_uniform, parse_grid_config
 from .solver import schur_smallest_eigen, solve
 from .verify import CASES
 
 _CASES = sorted(CASES)
-_PROBES = ("checkerboard", "infsup", "consistency", "regularity")
+_PROBES = ("checkerboard", "infsup", "consistency")
 _SPACES = ("cluster", "full")
 _DEFAULTS = {"case": "ms1", "quad": 3, "tol": 1e-10, "space": "cluster"}
 
@@ -206,26 +206,16 @@ def cmd_probe(args) -> int:
         print(f"fitted decay exponent: {exponent:.4f}")
         return 0
 
-    if what == "infsup":
-        space = _choice(args, "space", _SPACES)
-        rows = []
-        for n in n_list:
-            spec = SchemeSpec("cluster-constant" if space == "cluster" else "natural")
-            system = assemble(spec, build_uniform(n), lambda x, y: (0.0 * x, 0.0 * y), quad_order=1)
-            beta_sq = schur_smallest_eigen(system)
-            beta = math.sqrt(beta_sq) if beta_sq is not None else float("nan")
-            rows.append({"space": space, "n": n, "h": 1.0 / n, "beta_h": beta})
-            print(f"n={n:4d} beta_h={beta:.6f}")
-        verify.write_infsup_csv(rows, _out_dir(args) / "probe_infsup.csv")
-        return 0
-
+    space = _choice(args, "space", _SPACES)
     rows = []
     for n in n_list:
-        grid = build_uniform(n)
-        value = cluster_regularity(grid, make_clusters(grid))
-        rows.append((f"uniform n={n}", value))
-        print(f"n={n:4d} criterion={value:.6f}")
-    verify.write_regularity_csv(rows, _out_dir(args) / "probe_regularity.csv")
+        spec = SchemeSpec("cluster-constant" if space == "cluster" else "natural")
+        system = assemble(spec, build_uniform(n), lambda x, y: (0.0 * x, 0.0 * y), quad_order=1)
+        beta_sq = schur_smallest_eigen(system)
+        beta = math.sqrt(beta_sq) if beta_sq is not None else float("nan")
+        rows.append({"space": space, "n": n, "h": 1.0 / n, "beta_h": beta})
+        print(f"n={n:4d} beta_h={beta:.6f}")
+    verify.write_infsup_csv(rows, _out_dir(args) / "probe_infsup.csv")
     return 0
 
 

@@ -200,32 +200,21 @@ def make_clusters(grid: Grid) -> ClusterPartition:
 
 
 def cluster_regularity(grid: Grid, partition: ClusterPartition) -> float:
-    """Minimum directional coverage of out-of-cluster neighbours over cells.
+    """The paper's cluster-regularity criterion, in its tensor-grid closed form.
 
-    For each cell with neighbours outside its own cluster, form the 2-by-m
-    matrix of unit normals toward those neighbours; the cell value is the
-    squared smallest singular value.  Returns the minimum over cells, or
-    +inf when every cell's neighbours lie inside its cluster.  Only the
-    partition's cross-cluster edges are read, and they depend on the cell
-    counts alone, so a partition of any grid of the same shape will do.
+    The criterion is the least squared singular value of a cell's matrix N
+    of unit normals toward its out-of-cluster neighbours, over the cells that
+    have such neighbours.  On a tensor grid every normal is +-x or +-y and a
+    cell of a 2x2 cluster has at most one cross-cluster edge per direction,
+    so N N^T = diag(a, c) with a, c in {0, 1}, and the a + c singular values
+    of N are all 1: the criterion is 1 when the grid has more
+    than one cluster, +inf for a single cluster.  It stays only because the
+    setup-n384 benchmark workload calls it and gates its value, and goes
+    with that call.
     """
     if (2 * partition.ncx, 2 * partition.ncy) != (grid.nx, grid.ny):
         raise ClusterError(f"partition of {partition!r} does not fit {grid!r}")
-    cross = partition.cross_edge_mask
-    cells = np.concatenate([grid.edge_cell_k[cross], grid.edge_cell_l[cross]])
-    if cells.size == 0:
-        return math.inf
-    m = np.bincount(cells, minlength=grid.n_cells)
-    n1, n2 = np.tile(grid.edge_normal[cross], (2, 1)).T
-    # Gram matrix [[a, b], [b, c]] = N N^T of each cell's 2-by-m normal
-    # matrix; the sign of a normal (k-to-l or l-to-k) drops out of n n^T
-    a, b, c = (np.bincount(cells, w, grid.n_cells) for w in (n1 * n1, n1 * n2, n2 * n2))
-    # squared singular values of N are the eigenvalues of N N^T; with one
-    # column, N has the single singular value |n|
-    smallest = np.where(
-        m == 1, a + c, 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-    )
-    return float(smallest[m > 0].min())
+    return math.inf if partition.n_clusters == 1 else 1.0
 
 
 def parse_grid_config(description) -> Grid:

@@ -296,6 +296,16 @@ class ConvergenceTable:
     rows: list
 
 
+def _refinement_list(n_list) -> list:
+    """`n_list` as a list, if it is a non-empty, strictly increasing one."""
+    n_list = list(n_list)
+    if not n_list:
+        raise GridError("empty refinement list")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise GridError("refinement list must be strictly increasing")
+    return n_list
+
+
 def run_convergence(
     spec: SchemeSpec,
     case: ManufacturedCase,
@@ -313,13 +323,8 @@ def run_convergence(
     """
     if spec.kind == NATURAL:
         raise ConfigError("convergence studies need a stabilized or cluster-constant scheme")
-    n_list = list(n_list)
-    if not n_list:
-        raise GridError("empty refinement list")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise GridError("refinement list must be strictly increasing")
     rows = []
-    for n in n_list:
+    for n in _refinement_list(n_list):
         grid = build_uniform(n)
         f_cells = cell_means(case.forcing, grid, quad_order)
         system = assemble(spec, grid, f_cells)
@@ -358,7 +363,7 @@ def checkerboard_sweep(n_list):
     ratio, plus the least-squares decay exponent of the ratio against h.
     """
     rows = []
-    for n in n_list:
+    for n in _refinement_list(n_list):
         grid = build_uniform(n)
         cb = checkerboard_field(grid)
         dual = gradient_dual_norm(cb)
@@ -386,7 +391,3 @@ def write_infsup_csv(rows, path) -> None:
 def write_consistency_csv(label, report: ConsistencyReport, path) -> None:
     row = [label, report.max_interior_defect, report.max_boundary_defect]
     write_table(path, ["grid", "max_interior_defect", "max_boundary_defect"], [row])
-
-
-def write_regularity_csv(rows, path) -> None:
-    write_table(path, ["grid", "criterion"], rows)

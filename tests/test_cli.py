@@ -224,11 +224,26 @@ def test_probe_consistency_tensor(tmp_path):
     assert float(rows[1][1]) <= 1e-13
 
 
-def test_probe_regularity(tmp_path):
-    code = main(["probe", "--what", "regularity", "--n", "4,8", "--out", str(tmp_path)])
-    assert code == 0
-    rows = read_csv(tmp_path / "probe_regularity.csv")
-    assert all(float(r[1]) == 1.0 for r in rows[1:])
+def test_probe_regularity_is_gone(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["probe", "--what", "regularity", "--n", "4,8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: what must be one of checkerboard, infsup, consistency, not 'regularity'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_list", ["8,8", "16,8"])
+def test_probe_checkerboard_list_not_strictly_increasing_is_config_error(
+    tmp_path, capsys, n_list
+):
+    out = tmp_path / "out"
+    assert main(["probe", "--what", "checkerboard", "--n", n_list, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: refinement list must be strictly increasing\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -275,7 +290,7 @@ def test_config_file_accepts_every_key_read(tmp_path):
     keys = {
         "scheme": "bp", "lambda": 0.05, "case": "ms1", "n": 4,
         "out": str(tmp_path / "out"), "tol": 1e-9, "quad": 2,
-        "what": "regularity", "space": "cluster",
+        "what": "checkerboard", "space": "cluster",
     }
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(keys))
@@ -288,9 +303,9 @@ def test_config_file_accepts_every_key_read(tmp_path):
 
 def test_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("STOKES_FV_OUT", str(tmp_path / "envout"))
-    code = main(["probe", "--what", "regularity", "--n", "4"])
+    code = main(["probe", "--what", "checkerboard", "--n", "4"])
     assert code == 0
-    assert (tmp_path / "envout" / "probe_regularity.csv").exists()
+    assert (tmp_path / "envout" / "probe_checkerboard.csv").exists()
 
 
 def test_cli_grid_spec_solve(tmp_path):
@@ -419,8 +434,8 @@ def test_lambda_for_a_scheme_that_reads_none_is_config_error(
     "argv",
     [
         ["convergence", "--scheme", "bp", "--lambda", "0.05", "--n", "4,8", "--grid", "{}"],
-        ["probe", "--what", "regularity", "--n", "4", "--tol", "1e-9"],
-        ["probe", "--what", "regularity", "--n", "4", "--quad", "2"],
+        ["probe", "--what", "checkerboard", "--n", "4", "--tol", "1e-9"],
+        ["probe", "--what", "checkerboard", "--n", "4", "--quad", "2"],
     ],
 )
 def test_flag_the_command_does_not_read_exits_2(tmp_path, argv):
@@ -481,7 +496,7 @@ def test_n_and_grid_together_is_config_error_before_any_output(tmp_path, capsys,
     "argv, flag",
     [
         (["--what", "checkerboard", "--n", "4,8", "--space", "full"], "space"),
-        (["--what", "regularity", "--n", "4", "--space", "cluster"], "space"),
+        (["--what", "checkerboard", "--n", "4", "--space", "cluster"], "space"),
         (["--what", "consistency", "--n", "4", "--space", "full"], "space"),
         (["--what", "checkerboard", "--n", "4,8", "--grid", '{"x": [0, 1, 2], "y": [0, 1, 2]}'], "grid"),
         (["--what", "infsup", "--n", "4", "--grid", '{"x": [0, 1, 2], "y": [0, 1, 2]}'], "grid"),
@@ -567,7 +582,7 @@ def test_one_config_file_drives_every_command(tmp_path):
         json.dumps(
             {
                 "scheme": "bp", "lambda": 0.05, "case": "ms1", "n": 4, "quad": 2, "tol": 1e-9,
-                "what": "regularity", "space": "full", "out": str(tmp_path / "out"),
+                "what": "checkerboard", "space": "full", "out": str(tmp_path / "out"),
             }
         )
     )
@@ -577,14 +592,14 @@ def test_one_config_file_drives_every_command(tmp_path):
     out = tmp_path / "out"
     assert dict(read_csv(out / "summary.csv")[1:])["nx"] == "4"
     assert len(read_csv(out / "convergence.csv")) == 3
-    assert read_csv(out / "probe_regularity.csv")[1][0] == "uniform n=4"
+    assert read_csv(out / "probe_checkerboard.csv")[1][0] == "4"
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["solve", "--scheme", "bp", "--lambda", "0.05", "--n", "4"],
-        ["probe", "--what", "regularity", "--n", "4"],
+        ["probe", "--what", "checkerboard", "--n", "4"],
     ],
 )
 @pytest.mark.parametrize("below", ["", "x"])

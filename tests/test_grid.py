@@ -12,10 +12,10 @@ from stokes_fv import (
     GridError,
     build_tensor,
     build_uniform,
-    cluster_regularity,
     make_clusters,
     parse_grid_config,
 )
+from stokes_fv.grid import cluster_regularity
 
 
 def closed_cell_sums(grid):
@@ -191,6 +191,8 @@ def test_edge_table_matches_loop_oracle(lines):
 @SETUP_PROPERTY
 @given(tensor_lines(st.integers(1, 7).map(lambda h: 2 * h)))
 @example(([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
+@example(([0.0, 0.5, 1.0], np.linspace(0.0, 1.0, 9)))
+@example((np.linspace(0.0, 1.0, 9), [0.0, 0.5, 1.0]))
 def test_clusters_match_loop_oracle(lines):
     g = build_tensor(*lines)
     part = make_clusters(g)

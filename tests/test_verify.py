@@ -96,6 +96,15 @@ def test_checkerboard_dual_ratio_decays():
     assert exponent >= 0.5
 
 
+@pytest.mark.parametrize(
+    "n_list, message",
+    [([], "empty refinement list"), ([8, 8], "strictly increasing"), ([16, 8], "strictly increasing")],
+)
+def test_checkerboard_sweep_rejects_bad_lists(n_list, message):
+    with pytest.raises(GridError, match=message):
+        checkerboard_sweep(n_list)
+
+
 def test_checkerboard_ratios_match_the_splu_oracle():
     rows, _ = checkerboard_sweep([8, 16, 32, 64, 128])
     for row in rows:
