@@ -21,12 +21,14 @@ the grid alone, and every system assembled on a grid takes them, shared and
 read-only, from `operators.grid_operators`, which also applies and inverts
 the velocity block.  This module only assembles: each system's bordered
 matrix is scattered from its blocks straight into CSC arrays, with no COO
-copy of any block.
+copy of any block and no whole-size copy of B (its CSC form is built one
+band of rows at a time).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -114,22 +116,24 @@ def cell_means(f, grid: Grid, quad_order: int = 3) -> VectorField:
     """Cell averages of an analytic vector function by tensor Gauss quadrature.
 
     quad_order is the number of Gauss points per direction (1 = midpoint);
-    exact for polynomials of degree 2*quad_order - 1 per variable.
+    exact for polynomials of degree 2*quad_order - 1 per variable.  `f` is
+    called once, on the quadrature lines: X has shape (1, nx, q, 1) and Y
+    shape (ny, 1, 1, q), so `f` must broadcast its arguments against each
+    other, and each of its results must broadcast to (ny, nx, q, q).  A
+    forcing built of 1D factors thus evaluates them on O(n) points.
     """
     if quad_order not in (1, 2, 3):
         raise ConfigError(f"quad_order must be 1, 2 or 3, got {quad_order}")
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    cx = grid.cell_centers[:, 0]
-    cy = grid.cell_centers[:, 1]
-    hx = grid.dx[grid.cell_ij[:, 0]]
-    hy = grid.dy[grid.cell_ij[:, 1]]
-    X = cx[:, None, None] + 0.5 * hx[:, None, None] * nodes[None, :, None]
-    Y = cy[:, None, None] + 0.5 * hy[:, None, None] * nodes[None, None, :]
+    cx, cy = grid.center_lines()
+    X = cx[None, :, None, None] + 0.5 * grid.dx[None, :, None, None] * nodes[None, None, :, None]
+    Y = cy[:, None, None, None] + 0.5 * grid.dy[:, None, None, None] * nodes[None, None, None, :]
     W = 0.25 * np.outer(weights, weights)
     fx, fy = f(X, Y)
-    shape = (grid.n_cells, quad_order, quad_order)
-    fx = np.broadcast_to(np.asarray(fx, dtype=float), shape)
-    fy = np.broadcast_to(np.asarray(fy, dtype=float), shape)
+    shape = (grid.ny, grid.nx, quad_order, quad_order)
+    cells = (grid.n_cells, quad_order, quad_order)
+    fx = np.broadcast_to(np.asarray(fx, dtype=float), shape).reshape(cells)
+    fy = np.broadcast_to(np.asarray(fy, dtype=float), shape).reshape(cells)
     mean_x = np.tensordot(fx, W, axes=([1, 2], [0, 1]))
     mean_y = np.tensordot(fy, W, axes=([1, 2], [0, 1]))
     return VectorField(grid, np.column_stack([mean_x, mean_y]))
@@ -138,6 +142,28 @@ def cell_means(f, grid: Grid, quad_order: int = 3) -> VectorField:
 # entries scattered per step of `_bordered`: its temporaries hold this many,
 # whatever the size of the grid
 _CHUNK = 1 << 13
+
+
+def _row_bands(B):
+    """B in pieces, as (first row, first column, CSC matrix): consecutive
+    bands of whole rows holding about `16 * _CHUNK` entries (one row if
+    that row holds more), each cut to the window of columns it touches in
+    each velocity component.
+
+    A piece's conversion and scatter cost O(its entries + its columns), so
+    no band pays for all 2n columns; a B small enough is one band.
+    """
+    n = B.shape[1] // 2
+    starts = np.unique(B.indptr.searchsorted(np.arange(0, B.nnz, 16 * _CHUNK), side="right") - 1)
+    starts = starts.tolist()
+    for r0, r1 in zip(starts, starts[1:] + [B.shape[0]]):
+        columns = B.indices[B.indptr[r0] : B.indptr[r1]]
+        for c in (0, n):
+            touched = columns[(columns >= c) & (columns < c + n)]
+            if touched.size:
+                j0, j1 = int(touched.min()), int(touched.max()) + 1
+                del touched  # before the piece is copied
+                yield r0, j0, B[r0:r1, j0:j1].tocsc()
 
 
 def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
@@ -155,26 +181,31 @@ def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
     blocks, which copies every block into COO form and sorts the stack
     back.  The CSR arrays of B are the CSC arrays of B^T, and A1 and C are
     read through their own CSR arrays as their CSC arrays: both are
-    bitwise symmetric, as the tests check.  Only B is copied, to CSC.
+    bitwise symmetric, as the tests check.  The B block is scattered from
+    `_row_bands(B)`, one piece's CSC copy at a time, and its column counts
+    are counted from B's CSR indices: the bands ascend in rows, and so does
+    each column of a piece's CSC, so every column of the B block arrives
+    sorted.  No copy of the whole of B is made.
     """
     n, n_p = A1.shape[0], B.shape[0]
     m = 2 * n
     size = m + n_p + 1
-    B_csc = B.tocsc()
     ramp = np.arange(n_p + 1, dtype=np.int32)
     # (first column, row offset, CSC indptr, indices, data, negated) per
     # block; w^T has one entry in each of its columns, w all n_p in its one
-    blocks = [
+    velocity = [
         (0, 0, A1.indptr, A1.indices, A1.data, False),
         (n, n, A1.indptr, A1.indices, A1.data, False),
-        (0, m, B_csc.indptr, B_csc.indices, B_csc.data, False),
+    ]
+    pressure = [
         (m, 0, B.indptr, B.indices, B.data, True),
         (m, m, C.indptr, C.indices, C.data, False),
         (m, size - 1, ramp, np.broadcast_to(np.int32(0), n_p), mean_weights, False),
         (size - 1, m, ramp[[0, -1]], ramp[:-1], mean_weights, False),
     ]
     column_nnz = np.zeros(size, dtype=np.int32)
-    for first, _, ptr, *_ in blocks:
+    column_nnz[:m] = np.bincount(B.indices, minlength=m)  # the B block's
+    for first, _, ptr, *_ in velocity + pressure:
         column_nnz[first : first + ptr.size - 1] += np.diff(ptr)
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(column_nnz, out=indptr[1:])
@@ -182,6 +213,8 @@ def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
     data = np.empty(indptr[-1])
     free = column_nnz  # reused: the next free slot of each column
     free[:] = indptr[:-1]
+    bands = ((j0, m + r0, b.indptr, b.indices, b.data, False) for r0, j0, b in _row_bands(B))
+    blocks = itertools.chain(velocity, bands, pressure)
     for first, offset, ptr, block_indices, block_data, negated in blocks:
         # entry e of column c goes to slot free[c] + e - ptr[c]; chunk j
         # takes entries lo[j]:hi[j], in columns c0[j]:c1[j]

@@ -208,7 +208,7 @@ def cmd_probe(args) -> int:
 
     space = _choice(args, "space", _SPACES)
     rows = []
-    for n in n_list:
+    for n in verify._refinement_list(n_list):
         spec = SchemeSpec("cluster-constant" if space == "cluster" else "natural")
         system = assemble(spec, build_uniform(n), lambda x, y: (0.0 * x, 0.0 * y), quad_order=1)
         beta_sq = schur_smallest_eigen(system)

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .errors import GridError
-from .grid import Grid, make_clusters
+from .grid import Grid, _interior_and_boundary, make_clusters
 
 
 class _CellField:
@@ -111,8 +111,7 @@ def h1_inner(v, w) -> float:
     _check_same_grid(v, w)
     g = v.grid
     wgt = _edge_weights_h1(g)
-    ie = g.interior_edges
-    be = g.boundary_edges
+    ie, be = _interior_and_boundary(g)
     k, l = g.edge_cell_k, g.edge_cell_l
     dv = v.values[k[ie]] - v.values[l[ie]]
     dw = w.values[k[ie]] - w.values[l[ie]]
@@ -136,7 +135,7 @@ def jump_inner(p: ScalarField, q: ScalarField) -> float:
     """Unweighted inner product of interior-edge jumps."""
     _check_same_grid(p, q)
     g = p.grid
-    ie = g.interior_edges
+    ie, _ = _interior_and_boundary(g)
     k, l = g.edge_cell_k[ie], g.edge_cell_l[ie]
     return float(np.dot(p.values[k] - p.values[l], q.values[k] - q.values[l]))
 
@@ -192,7 +191,8 @@ _CSV_BLOCK_ROWS = 16384
 def _write_rows(path, header, grid, columns) -> None:
     # Same bytes as csv.writer with _fmt cells (%.17g is format(v, ".17g")).
     row = ",".join(["%d", "%d"] + ["%.17g"] * len(columns)) + "\r\n"
-    arrays = [grid.cell_ij[:, 0], grid.cell_ij[:, 1], *columns]
+    ij = grid.cell_ij
+    arrays = [ij[:, 0], ij[:, 1], *columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, grid.n_cells, _CSV_BLOCK_ROWS):

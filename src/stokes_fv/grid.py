@@ -34,9 +34,8 @@ class Grid:
     Attributes:
         xs, ys: strictly increasing coordinate lines (nx+1, ny+1).
         nx, ny: cell counts per direction; n_cells = nx*ny.
-        cell_centers: (n_cells, 2) mass centers.
+        dx, dy: cell widths per direction (nx, ny).
         cell_areas: (n_cells,) cell measures.
-        cell_ij: (n_cells, 2) integer (i, j) per cell.
         edge_cell_k / edge_cell_l: incident cells per edge (l = -1 on boundary).
         edge_normal: (n_edges, 2) unit normal, k-to-l or outward.
         edge_length: edge measures.
@@ -44,8 +43,17 @@ class Grid:
             distance (boundary).
         edge_weight_k: interior-edge interpolation share of the k-side cell,
             h_perp_k / (h_perp_k + h_perp_l); zero on boundary edges.
+        n_edges / n_interior_edges: edge counts; the interior edges are the
+            first n_interior_edges in the edge order.
+        interior_mask / boundary_edges: interior flag per edge and index
+            array of the boundary edges.
+
+    Derived on every read from the coordinate lines, and not stored (read-only
+    properties, each a fresh array):
+        cell_centers: (n_cells, 2) mass centers.
+        cell_ij: (n_cells, 2) integer (i, j) per cell.
         edge_center: (n_edges, 2) edge midpoints.
-        interior_edges / boundary_edges: index arrays into the edge tables.
+        interior_edges: index array of the interior edges, 0..n_interior_edges-1.
     """
 
     def __init__(self, xs, ys):
@@ -64,15 +72,9 @@ class Grid:
         dy = np.diff(ys)
         self.dx = dx
         self.dy = dy
-        cx = 0.5 * (xs[:-1] + xs[1:])
-        cy = 0.5 * (ys[:-1] + ys[1:])
-
-        jj, ii = np.meshgrid(np.arange(self.ny), np.arange(self.nx), indexing="ij")
-        self.cell_ij = np.column_stack([ii.ravel(), jj.ravel()])
-        self.cell_centers = np.column_stack([cx[ii.ravel()], cy[jj.ravel()]])
         self.cell_areas = (dy[:, None] * dx[None, :]).ravel()
 
-        self._build_edges(cx, cy)
+        self._build_edges()
 
         h = dx[0]
         self.is_uniform = bool(
@@ -81,27 +83,33 @@ class Grid:
         )
         self.h = float(h) if self.is_uniform else None
 
-    def _build_edges(self, cx, cy):
+    def center_lines(self):
+        """The cell-center coordinate lines (nx,) and (ny,)."""
+        xs, ys = self.xs, self.ys
+        return 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
+
+    def _cat(self, vertical, horizontal, left_right, bottom_top):
+        """One per-edge array from the values of the four edge families, each
+        a 2D block raveled in C order:
+          vertical interior (normal +x) between columns i and i+1, i outer;
+          horizontal interior (normal +y) between rows j and j+1, j outer;
+          left/right boundary interleaved per row j;
+          bottom/top boundary interleaved per column i.
+        The order is part of the contract: the interior edges form a prefix,
+        vertical before horizontal, which the operator builders read as
+        slices, and they sum each diagonal in edge order, so the order fixes
+        the assembled matrices bitwise."""
         nx, ny = self.nx, self.ny
-        dx, dy, xs, ys = self.dx, self.dy, self.xs, self.ys
-        cells = np.arange(self.n_cells).reshape(ny, nx)  # cells[j, i] = j*nx + i
-
-        # Four edge families, each a 2D block raveled in C order:
-        #   vertical interior (normal +x) between columns i and i+1, i outer;
-        #   horizontal interior (normal +y) between rows j and j+1, j outer;
-        #   left/right boundary interleaved per row j;
-        #   bottom/top boundary interleaved per column i.
-        # The order is part of the contract: the interior edges form a
-        # prefix, vertical before horizontal, which the operator builders
-        # read as slices, and they sum each diagonal in edge order, so the
-        # order fixes the assembled matrices bitwise.
         shapes = ((nx - 1, ny), (ny - 1, nx), (ny, 2), (nx, 2))
+        parts = (vertical, horizontal, left_right, bottom_top)
+        return np.concatenate([np.broadcast_to(p, s).ravel() for p, s in zip(parts, shapes)])
 
-        def cat(vertical, horizontal, left_right, bottom_top):
-            parts = (vertical, horizontal, left_right, bottom_top)
-            return np.concatenate(
-                [np.broadcast_to(p, s).ravel() for p, s in zip(parts, shapes)]
-            )
+    def _build_edges(self):
+        nx, ny = self.nx, self.ny
+        dx, dy = self.dx, self.dy
+        cx, cy = self.center_lines()
+        cells = np.arange(self.n_cells).reshape(ny, nx)  # cells[j, i] = j*nx + i
+        cat = self._cat
 
         self.edge_cell_k = cat(
             cells[:, :-1].T, cells[:-1, :], cells[:, [0, -1]], cells[[0, -1], :].T
@@ -123,17 +131,36 @@ class Grid:
             0.0,
             0.0,
         )
-        self.edge_center = np.column_stack(
-            [
-                cat(xs[1:-1, None], cx[None, :], [xs[0], xs[-1]], cx[:, None]),
-                cat(cy[None, :], ys[1:-1, None], cy[:, None], [ys[0], ys[-1]]),
-            ]
-        )
         self.n_edges = self.edge_cell_k.size
+        self.n_interior_edges = (nx - 1) * ny + (ny - 1) * nx
         interior = self.edge_cell_l >= 0
         self.interior_mask = interior
-        self.interior_edges = np.flatnonzero(interior)
         self.boundary_edges = np.flatnonzero(~interior)
+
+    @property
+    def cell_ij(self) -> np.ndarray:
+        i, j = np.arange(self.nx), np.arange(self.ny)
+        return np.column_stack([np.tile(i, self.ny), np.repeat(j, self.nx)])
+
+    @property
+    def cell_centers(self) -> np.ndarray:
+        cx, cy = self.center_lines()
+        return np.column_stack([np.tile(cx, self.ny), np.repeat(cy, self.nx)])
+
+    @property
+    def edge_center(self) -> np.ndarray:
+        xs, ys = self.xs, self.ys
+        cx, cy = self.center_lines()
+        return np.column_stack(
+            [
+                self._cat(xs[1:-1, None], cx[None, :], [xs[0], xs[-1]], cx[:, None]),
+                self._cat(cy[None, :], ys[1:-1, None], cy[:, None], [ys[0], ys[-1]]),
+            ]
+        )
+
+    @property
+    def interior_edges(self) -> np.ndarray:
+        return np.arange(self.n_interior_edges, dtype=np.intp)
 
     def same_mesh(self, other: "Grid") -> bool:
         return (
@@ -144,6 +171,14 @@ class Grid:
     def __repr__(self):
         kind = "uniform" if self.is_uniform else "tensor"
         return f"Grid({kind}, nx={self.nx}, ny={self.ny})"
+
+
+def _interior_and_boundary(grid: Grid):
+    """The interior and the boundary edges as slices: the interior edges
+    come first in the edge order, so a reader takes views of the edge
+    tables, not copies."""
+    n_interior = grid.n_interior_edges
+    return slice(0, n_interior), slice(n_interior, None)
 
 
 class ClusterPartition:
@@ -161,9 +196,9 @@ class ClusterPartition:
         ncx, ncy = grid.nx // 2, grid.ny // 2
         self.ncx, self.ncy = ncx, ncy
         self.n_clusters = ncx * ncy
-        i = grid.cell_ij[:, 0]
-        j = grid.cell_ij[:, 1]
-        self.cluster_of = (j // 2) * ncx + (i // 2)
+        # (j // 2) * ncx + i // 2 per cell k = j*nx + i, from the index lines
+        i, j = np.arange(grid.nx), np.arange(grid.ny)
+        self.cluster_of = ((j // 2)[:, None] * ncx + (i // 2)[None, :]).ravel()
 
         k = grid.edge_cell_k
         l = grid.edge_cell_l

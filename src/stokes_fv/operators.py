@@ -43,7 +43,7 @@ import scipy.sparse as sp
 
 from .errors import GridError
 from .fields import ScalarField, VectorField, _check_same_grid
-from .grid import Grid, make_clusters
+from .grid import Grid, _interior_and_boundary, make_clusters
 
 
 # -- flux form ---------------------------------------------------------------
@@ -72,7 +72,7 @@ def velocity_fluxes(u: VectorField) -> np.ndarray:
     k, l = g.edge_cell_k, g.edge_cell_l
     a = g.edge_weight_k
     out = np.zeros(g.n_edges)
-    ie = g.interior_edges
+    ie, _ = _interior_and_boundary(g)
     uk = u.values[k[ie]]
     ul = u.values[l[ie]]
     interp = (1.0 - a[ie])[:, None] * uk + a[ie][:, None] * ul
@@ -92,7 +92,7 @@ def laplacian_apply(u):
     """
     g = u.grid
     f = diffusion_fluxes(u)
-    ie = g.interior_edges
+    ie, _ = _interior_and_boundary(g)
     l = g.edge_cell_l[ie]
 
     def net_inflow(fc):
@@ -246,14 +246,6 @@ def _edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_ste
 def _offset(cells, s):
     """cells + s, with no copy of `cells` when s is 0."""
     return cells + s if s else cells
-
-
-def _interior_and_boundary(grid):
-    """The interior and the boundary edges as slices: the interior edges
-    come first in the edge order, so each builder reads views of the edge
-    tables, not copies."""
-    n_interior = grid.interior_edges.size
-    return slice(0, n_interior), slice(n_interior, None)
 
 
 def h1_stiffness_matrix(grid: Grid) -> sp.csr_matrix:

@@ -6,8 +6,11 @@ schemes straight into dense arrays.  It shares nothing with the sparse
 edge-based assembly beyond the grid coordinates; used to cross-check the
 production assembly entrywise.
 
-`loop_edges` and `loop_cluster_regularity` are per-entity loop versions
-of the grid's array-built edge table and cluster regularity criterion.
+`loop_edges`, `loop_cells` and `loop_cluster_regularity` are per-entity
+loop versions of the grid's array-built edge table, its derived cell
+arrays and the cluster regularity criterion.  `per_cell_means` lays the
+quadrature points out per cell, against the production `cell_means`, which
+evaluates the forcing on the 1D quadrature lines.
 
 `loop_laplacian`, `loop_gradient`, `loop_divergence` and `loop_jump` are
 per-edge flux loops computing the cell-update forms of the operators,
@@ -188,7 +191,45 @@ def loop_edges(xs, ys):
         "edge_dist": np.array(dist, dtype=float),
         "edge_weight_k": np.array(wk, dtype=float),
         "edge_center": np.array(center, dtype=float),
+        "interior_edges": np.array([e for e, row in enumerate(rows) if row[1] >= 0], dtype=np.intp),
     }
+
+
+def loop_cells(xs, ys):
+    """Cell table of the tensor grid on coordinate lines xs, ys, one cell at a
+    time in the order k = j*nx + i.
+
+    Returns a dict with the grid's cell attribute names as keys.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    ij, centers = [], []
+    for j in range(ys.size - 1):
+        for i in range(xs.size - 1):
+            ij.append((i, j))
+            centers.append((0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])))
+    return {"cell_ij": np.array(ij, dtype=int), "cell_centers": np.array(centers, dtype=float)}
+
+
+def per_cell_means(f, grid, quad_order=3):
+    """(n_cells, 2) cell means of `f` by tensor Gauss quadrature, with X and
+    Y both laid out per cell, of shape (n_cells, q, q): the earlier build of
+    `cell_means`, which evaluated every factor of `f` at all n_cells q^2
+    points."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    centers, ij = grid.cell_centers, grid.cell_ij
+    hx = grid.dx[ij[:, 0]]
+    hy = grid.dy[ij[:, 1]]
+    X = centers[:, 0][:, None, None] + 0.5 * hx[:, None, None] * nodes[None, :, None]
+    Y = centers[:, 1][:, None, None] + 0.5 * hy[:, None, None] * nodes[None, None, :]
+    W = 0.25 * np.outer(weights, weights)
+    fx, fy = f(X, Y)
+    shape = (grid.n_cells, quad_order, quad_order)
+    fx = np.broadcast_to(np.asarray(fx, dtype=float), shape)
+    fy = np.broadcast_to(np.asarray(fy, dtype=float), shape)
+    mean_x = np.tensordot(fx, W, axes=([1, 2], [0, 1]))
+    mean_y = np.tensordot(fy, W, axes=([1, 2], [0, 1]))
+    return np.column_stack([mean_x, mean_y])
 
 
 def min_direction_strength(normals) -> float:

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 from conftest import assert_same_arrays, matrix_bytes, tensor_lines, traced_peak
-from dense_oracle import bmat_bordered, velocity_block
+from dense_oracle import bmat_bordered, per_cell_means, velocity_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +83,38 @@ def test_cell_means_quadratic_matches_closed_form():
     xr = g.xs[g.cell_ij[:, 0] + 1]
     exact = (xr**3 - xl**3) / (3.0 * (xr - xl))
     np.testing.assert_allclose(f.values[:, 0], exact, atol=1e-14)
+
+
+def _seeded_lines(n, seed):
+    widths = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
+    lines = np.concatenate([[0.0], np.cumsum(widths)])
+    return lines / lines[-1]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize(
+    "forcing",
+    [CASES["ms0"].forcing, CASES["ms1"].forcing, lambda x, y: (3.0, -1.0)],
+    ids=["ms0", "ms1", "python-scalars"],
+)
+def test_cell_means_on_quadrature_lines_match_per_cell_points(forcing, order):
+    # bit for bit: evaluating f on the 1D lines changes no rounding
+    for g in (build_uniform(8), build_tensor(_seeded_lines(40, 1), _seeded_lines(30, 2))):
+        got = cell_means(forcing, g, order).values
+        want = per_cell_means(forcing, g, order)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_cell_means_calls_f_once_on_the_quadrature_lines():
+    g = build_tensor(_seeded_lines(6, 1), _seeded_lines(4, 2))
+    shapes = []
+
+    def forcing(x, y):
+        shapes.append((x.shape, y.shape))
+        return x + 0 * y, y
+
+    cell_means(forcing, g, 2)
+    assert shapes == [((1, 6, 2, 1), (4, 1, 1, 2))]
 
 
 def test_zero_forcing_gives_zero_solution():
@@ -327,17 +359,52 @@ def test_assembly_traced_memory_stays_near_the_bordered_matrix(kind):
     assert traced_peak(assemble, spec, g, f) <= 1.8 * matrix_bytes(matrix)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_bordered_matrix_scattered_in_chunks_matches_bmat(monkeypatch, chunk):
-    # chunks that end inside a column, on its last entry, or span several
-    # columns, on a grid too small for the default chunk to split a block
-    monkeypatch.setattr(assembly, "_CHUNK", chunk)
-    g = build_tensor([0, 0.2, 0.5, 0.7, 1.0], [0, 0.3, 0.55, 0.8, 1.0])
+def _assert_bordered_matches_bmat(g):
+    """Assemble every scheme on `g`, check each bordered matrix against
+    `sp.bmat`'s bit for bit, and return the B blocks."""
     f = cell_means(CASES["ms1"].forcing, g)
+    blocks = []
     for kind in ("natural", "bp", "cluster", "cluster-constant"):
         system = assemble(SchemeSpec(kind, {"bp": 0.05, "cluster": 1.0}.get(kind)), g, f)
         oracle = bmat_bordered(velocity_block(g), system.B, system.C, system.mean_weights)
         assert_same_arrays(system.matrix, oracle)
+        blocks.append(system.B)
+    return blocks
+
+
+def _n_bands(B):
+    return len({r0 for r0, *_ in assembly._row_bands(B)})
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_bordered_matrix_scattered_in_chunks_matches_bmat(monkeypatch, chunk):
+    # chunks that end inside a column, on its last entry, or span several
+    # columns, on grids too small for the default chunk to split a block;
+    # on the 24x16 grid, B's row bands (16 chunks each) end inside it
+    monkeypatch.setattr(assembly, "_CHUNK", chunk)
+    small = build_tensor([0, 0.2, 0.5, 0.7, 1.0], [0, 0.3, 0.55, 0.8, 1.0])
+    _assert_bordered_matches_bmat(small)
+    seeded = build_tensor(_seeded_lines(24, 3), _seeded_lines(16, 4))
+    assert all(_n_bands(B) > 1 for B in _assert_bordered_matches_bmat(seeded))
+
+
+def test_bordered_matrix_on_a_seeded_tensor_grid_matches_bmat():
+    # one band of B at the default chunk
+    seeded = build_tensor(_seeded_lines(40, 3), _seeded_lines(30, 4))
+    assert all(_n_bands(B) == 1 for B in _assert_bordered_matches_bmat(seeded))
+
+
+@pytest.mark.parametrize("kind", ["bp", "cluster-constant"])
+def test_bordered_scatter_copies_no_whole_b(monkeypatch, kind):
+    # B enters in row bands of 16 * 512 entries, each cut to the columns it
+    # touches: above its output, the scatter holds less than half of B's
+    # bytes; a CSC copy of the whole of B would alone hold all of them
+    monkeypatch.setattr(assembly, "_CHUNK", 512)
+    g = build_uniform(128)
+    system = assemble(SchemeSpec(kind, {"bp": 0.05}.get(kind)), g, CASES["ms1"].forcing)
+    args = (_grid_operators(g).A1, system.B, system.C, system.mean_weights)
+    above_output = traced_peak(assembly._bordered, *args) - matrix_bytes(system.matrix)
+    assert above_output < 0.5 * matrix_bytes(system.B)
 
 
 @pytest.mark.parametrize("kind", ["natural", "bp", "cluster", "cluster-constant"])

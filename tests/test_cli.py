@@ -246,6 +246,20 @@ def test_probe_checkerboard_list_not_strictly_increasing_is_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("space", ["cluster", "full"])
+@pytest.mark.parametrize("n_list", ["8,8,4", "16,8"])
+def test_probe_infsup_list_not_strictly_increasing_is_config_error(
+    tmp_path, capsys, n_list, space
+):
+    out = tmp_path / "out"
+    args = ["probe", "--what", "infsup", "--space", space, "--n", n_list, "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: refinement list must be strictly increasing\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import tensor_lines
-from dense_oracle import loop_cluster_regularity, loop_edges, min_direction_strength
+from dense_oracle import loop_cells, loop_cluster_regularity, loop_edges, min_direction_strength
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -178,14 +178,38 @@ def test_cluster_regularity_anisotropic_tensor():
 SETUP_PROPERTY = settings(max_examples=40, deadline=None)
 
 
+DERIVED = ("cell_centers", "cell_ij", "edge_center", "interior_edges")
+
+
+def assert_same_table(grid, table):
+    """Bit for bit, dtypes included: stored and derived arrays alike."""
+    for name, expected in table.items():
+        got = getattr(grid, name)
+        assert got.dtype == expected.dtype, name
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
+
 @SETUP_PROPERTY
 @given(tensor_lines(st.integers(2, 14)))
 def test_edge_table_matches_loop_oracle(lines):
     g = build_tensor(*lines)
-    for name, expected in loop_edges(*lines).items():
-        got = getattr(g, name)
-        assert got.dtype == expected.dtype, name
-        np.testing.assert_array_equal(got, expected, err_msg=name)
+    assert_same_table(g, loop_edges(*lines))
+    assert g.n_interior_edges == g.interior_edges.size
+
+
+@SETUP_PROPERTY
+@given(tensor_lines(st.integers(2, 14)))
+def test_cell_table_matches_loop_oracle(lines):
+    assert_same_table(build_tensor(*lines), loop_cells(*lines))
+
+
+def test_derived_arrays_are_not_stored():
+    g = build_tensor([0, 0.2, 0.5, 0.7, 1.0], [0, 0.3, 1.0])
+    assert not set(DERIVED) & set(vars(g))
+    for name in DERIVED:
+        assert getattr(g, name) is not getattr(g, name)  # a fresh array per read
+        with pytest.raises(AttributeError):
+            setattr(g, name, getattr(g, name))
 
 
 @SETUP_PROPERTY
