@@ -112,58 +112,88 @@ class SaddleSystem:
         return ScalarField(self.grid, p_raw.copy())
 
 
+# entries or points handled per step of `cell_means`, `_row_bands` and
+# `_bordered`: their temporaries hold a few times this many, whatever the
+# size of the grid
+_CHUNK = 1 << 13
+
+
 def cell_means(f, grid: Grid, quad_order: int = 3) -> VectorField:
     """Cell averages of an analytic vector function by tensor Gauss quadrature.
 
     quad_order is the number of Gauss points per direction (1 = midpoint);
     exact for polynomials of degree 2*quad_order - 1 per variable.  `f` is
-    called once, on the quadrature lines: X has shape (1, nx, q, 1) and Y
-    shape (ny, 1, 1, q), so `f` must broadcast its arguments against each
-    other, and each of its results must broadcast to (ny, nx, q, q).  A
-    forcing built of 1D factors thus evaluates them on O(n) points.
+    called once per band of cell rows, holding about `8 * _CHUNK` points,
+    on the quadrature lines: X has shape (1, nx, q, 1) and Y shape
+    (rows, 1, 1, q), so `f` must broadcast its arguments against each
+    other, and each of its results must broadcast to (rows, nx, q, q).  A
+    forcing built of 1D factors thus evaluates them on O(n) points, and no
+    temporary holds all n_cells q^2 points.
     """
     if quad_order not in (1, 2, 3):
         raise ConfigError(f"quad_order must be 1, 2 or 3, got {quad_order}")
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    q = quad_order
+    nodes, weights = np.polynomial.legendre.leggauss(q)
     cx, cy = grid.center_lines()
     X = cx[None, :, None, None] + 0.5 * grid.dx[None, :, None, None] * nodes[None, None, :, None]
-    Y = cy[:, None, None, None] + 0.5 * grid.dy[:, None, None, None] * nodes[None, None, None, :]
     W = 0.25 * np.outer(weights, weights)
-    fx, fy = f(X, Y)
-    shape = (grid.ny, grid.nx, quad_order, quad_order)
-    cells = (grid.n_cells, quad_order, quad_order)
-    fx = np.broadcast_to(np.asarray(fx, dtype=float), shape).reshape(cells)
-    fy = np.broadcast_to(np.asarray(fy, dtype=float), shape).reshape(cells)
-    mean_x = np.tensordot(fx, W, axes=([1, 2], [0, 1]))
-    mean_y = np.tensordot(fy, W, axes=([1, 2], [0, 1]))
-    return VectorField(grid, np.column_stack([mean_x, mean_y]))
-
-
-# entries scattered per step of `_bordered`: its temporaries hold this many,
-# whatever the size of the grid
-_CHUNK = 1 << 13
+    means = np.empty((grid.n_cells, 2))
+    # bands of a multiple of 8 rows, so that each band but the last holds a
+    # multiple of 8 cells: BLAS's matrix-vector product reduces the cells of
+    # a call in groups and its last few cells on their own, with other
+    # roundings, so a band ending between two groups of a whole-grid call
+    # would change some means
+    rows = 8 * max(1, _CHUNK // (grid.nx * q * q))
+    for j0 in range(0, grid.ny, rows):
+        band = slice(j0, min(j0 + rows, grid.ny))
+        Y = cy[band, None, None, None] + 0.5 * grid.dy[band, None, None, None] * nodes
+        shape = (Y.shape[0], grid.nx, q, q)
+        cells = slice(band.start * grid.nx, band.stop * grid.nx)
+        for c, fc in enumerate(f(X, Y)):
+            fc = np.broadcast_to(np.asarray(fc, dtype=float), shape).reshape(-1, q, q)
+            means[cells, c] = np.tensordot(fc, W, axes=([1, 2], [0, 1]))
+    return VectorField(grid, means)
 
 
 def _row_bands(B):
-    """B in pieces, as (first row, first column, CSC matrix): consecutive
-    bands of whole rows holding about `16 * _CHUNK` entries (one row if
-    that row holds more), each cut to the window of columns it touches in
-    each velocity component.
+    """B in pieces, as (first row, first column, CSC indptr, indices, data):
+    consecutive bands of whole rows holding about `8 * _CHUNK` entries (one
+    row if that row holds more), each cut to the window of columns it
+    touches in each velocity component.
 
-    A piece's conversion and scatter cost O(its entries + its columns), so
-    no band pays for all 2n columns; a B small enough is one band.
+    No SciPy submatrix of B is cut: a band's column indices are shifted so
+    that its windows lie side by side, and one CSC conversion of the band
+    then holds each piece as a range of its columns.  A band's conversion
+    and scatter cost O(its entries + its windows' columns), so no band pays
+    for all 2n columns; a B small enough is one band.
     """
     n = B.shape[1] // 2
-    starts = np.unique(B.indptr.searchsorted(np.arange(0, B.nnz, 16 * _CHUNK), side="right") - 1)
+    starts = np.unique(B.indptr.searchsorted(np.arange(0, B.nnz, 8 * _CHUNK), side="right") - 1)
     starts = starts.tolist()
     for r0, r1 in zip(starts, starts[1:] + [B.shape[0]]):
-        columns = B.indices[B.indptr[r0] : B.indptr[r1]]
-        for c in (0, n):
-            touched = columns[(columns >= c) & (columns < c + n)]
-            if touched.size:
-                j0, j1 = int(touched.min()), int(touched.max()) + 1
-                del touched  # before the piece is copied
-                yield r0, j0, B[r0:r1, j0:j1].tocsc()
+        lo, hi = B.indptr[r0], B.indptr[r1]
+        columns = B.indices[lo:hi]
+        u2 = columns >= n
+        # each component's window of columns (none if the band misses it),
+        # and the shift that puts it after the previous window in the
+        # band's local columns
+        windows, width = [], 0
+        for j0, j1 in (
+            (columns.min(), np.where(u2, -1, columns).max() + 1),
+            (np.where(u2, columns, 2 * n).min(), columns.max() + 1),
+        ):
+            if j0 < j1:
+                windows.append((int(j0), int(j1), int(j0) - width))
+                width += int(j1 - j0)
+        local = np.where(u2, np.int32(windows[-1][2]), np.int32(windows[0][2]))
+        del u2
+        np.subtract(columns, local, out=local)
+        band = sp.csr_matrix((B.data[lo:hi], local, B.indptr[r0 : r1 + 1] - lo), (r1 - r0, width))
+        band = band.tocsc()
+        del local  # before the band's pieces are scattered
+        for j0, j1, shift in windows:
+            ptr = band.indptr[j0 - shift : j1 - shift + 1]
+            yield r0, j0, ptr - ptr[0], band.indices[ptr[0] : ptr[-1]], band.data[ptr[0] : ptr[-1]]
 
 
 def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
@@ -182,7 +212,7 @@ def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
     back.  The CSR arrays of B are the CSC arrays of B^T, and A1 and C are
     read through their own CSR arrays as their CSC arrays: both are
     bitwise symmetric, as the tests check.  The B block is scattered from
-    `_row_bands(B)`, one piece's CSC copy at a time, and its column counts
+    `_row_bands(B)`, one band's CSC copy at a time, and its column counts
     are counted from B's CSR indices: the bands ascend in rows, and so does
     each column of a piece's CSC, so every column of the B block arrives
     sorted.  No copy of the whole of B is made.
@@ -213,7 +243,7 @@ def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
     data = np.empty(indptr[-1])
     free = column_nnz  # reused: the next free slot of each column
     free[:] = indptr[:-1]
-    bands = ((j0, m + r0, b.indptr, b.indices, b.data, False) for r0, j0, b in _row_bands(B))
+    bands = ((j0, m + r0, *piece, False) for r0, j0, *piece in _row_bands(B))
     blocks = itertools.chain(velocity, bands, pressure)
     for first, offset, ptr, block_indices, block_data, negated in blocks:
         # entry e of column c goes to slot free[c] + e - ptr[c]; chunk j

@@ -30,6 +30,14 @@ make the assembled gradient exactly minus the transpose of the assembled
 divergence.  On a uniform grid both interpolations reduce to the plain
 average.  Boundary edges carry a two-point diffusive flux to a zero wall
 value, a pressure flux |sigma| p_k n, and no velocity flux.
+
+On a tensor grid every normal lies along an axis, so the velocity flux
+through a vertical edge carries only u1 and through a horizontal one only
+u2, and the pressure flux likewise feeds one gradient component.  Component
+c of the divergence and of the gradient is therefore built over the edges
+whose normal lies along axis c only, and stores no coupling of a component
+across an edge orthogonal to it: 2 n_cells + 2 n_interior entries each.
+The stiffness and the jump matrices have one component over every edge.
 """
 
 from __future__ import annotations
@@ -154,68 +162,97 @@ def _edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_ste
     exact-size CSR arrays, with no triplets.
 
     `edges` are interior edges in edge order: the vertical ones (l = k + 1)
-    first, then the horizontal ones (l = k + nx).  `w` and `w_b` carry one
-    column per component; component c occupies rows shifted by
-    c * row_step and columns shifted by c * col_step, after the entries of
-    component c - 1 where the two share a row.
+    first, then the horizontal ones (l = k + nx).  `w` holds one value per
+    edge of `edges` and `w_b` one per boundary edge.  With a row or a column
+    step the stencil is a velocity-pressure one of two components:
+    component c occupies rows shifted by c * row_step and columns shifted
+    by c * col_step, after the entries of component c - 1 where the two
+    share a row, and it runs only over the interior and boundary edges
+    whose normal lies along axis c (the vertical edges for c = 0, the
+    horizontal ones for c = 1), since the flux through any other edge
+    carries nothing of component c.  With neither step the stencil has one
+    component over every edge.
 
     On a tensor grid the row of cell m in a component holds at most the
     columns of its south (m - nx), west (m - 1), own, east (m + 1) and north
     (m + nx) cells, in that order, so per-cell flags of which of the five
     it holds give every entry's slot: an edge (k, l) puts w c_l at the east
     or north slot of row k and -w c_k at the west or south slot of row l.
+    Every grid has at least 2 cells per side, so every row of the
+    stiffness, the divergence and the gradient holds its own cell's slot in
+    each component, also where its value is zero, as on the diagonal of a
+    uniform grid's divergence.
 
     The diagonal sums several edges' terms, so its bits depend on their
     order.  It is summed in the order in which a COO build, emitting per
-    component the triplets kk, kl, lk and ll over `edges` and then the
-    boundary ones, sums duplicates: kk over the vertical then the
-    horizontal edges, ll the same way, then the boundary edges, each in
-    edge order, starting from -0.0 (-0.0 + x is x, bitwise, for every x).
-    That keeps every matrix bitwise equal to the COO build, which the tests
-    keep as the reference.  Every entry an edge touches is stored, also
-    when its value is zero: a sparse product D^T W S would drop the zeros
-    of edges whose normal is orthogonal to a component, which changes the
-    saddle pattern and the fill of its factorization.
+    component the triplets kk, kl, lk and ll over the component's edges and
+    then its boundary ones, sums duplicates: kk over the component's
+    vertical then horizontal edges, ll the same way, then the boundary
+    edges, each in edge order, starting from -0.0 (-0.0 + x is x, bitwise,
+    for every x).  That keeps every matrix bitwise equal to the COO build,
+    which the tests keep as the reference.
     """
     n = grid.n_cells
+    _, be = _interior_and_boundary(grid)
     k = grid.edge_cell_k[edges]
     l = grid.edge_cell_l[edges]
+    kb = grid.edge_cell_k[be] if w_b is not None else k[:0]
+    c_k, c_l = np.broadcast_to(c_k, k.shape), np.broadcast_to(c_l, k.shape)
+    # per component, its (edges, past) families and its boundary edges;
+    # `past` counts the south or north step of a horizontal edge's slots
     n_vertical = np.count_nonzero(grid.edge_normal[edges, 0])
-    vertical, horizontal = slice(0, n_vertical), slice(n_vertical, None)
-    kb = grid.edge_cell_k[grid.boundary_edges] if w_b is not None else k[:0]
-    has = np.zeros((5, n), dtype=bool)
-    south, west, diag, east, north = has
-    east[k[vertical]] = west[l[vertical]] = north[k[horizontal]] = south[l[horizontal]] = True
-    diag[k] = diag[l] = diag[kb] = True
-    count = has.sum(axis=0, dtype=np.int32)
-    n_comp = w.shape[1]
+    vertical, horizontal = (slice(0, n_vertical), 0), (slice(n_vertical, None), 1)
+    if row_step or col_step:
+        n_left_right = np.count_nonzero(grid.edge_normal[be, 0])
+        components = (
+            ((vertical,), slice(0, n_left_right)),
+            ((horizontal,), slice(n_left_right, None)),
+        )
+    else:
+        components = (((vertical, horizontal), slice(None)),)
+
+    def flags(families, boundary):
+        """Which of its south, west, own, east and north slots each row of a
+        component holds; computed twice per component, for the counts and
+        for the slots, rather than kept for every component."""
+        has = np.zeros((5, n), dtype=bool)
+        south, west, diag, east, north = has
+        for edge, past in families:
+            (north if past else east)[k[edge]] = True
+            (south if past else west)[l[edge]] = True
+            diag[k[edge]] = diag[l[edge]] = True
+        diag[kb[boundary]] = True
+        return has
+
+    # the row counts, summed over the components that share a row
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.tile(count, n_comp) if row_step else n_comp * count, out=indptr[1:])
+    for c, component in enumerate(components):
+        rows = slice(1 + c * row_step, 1 + c * row_step + n)
+        indptr[rows] += flags(*component).sum(axis=0, dtype=np.int32)
+    np.cumsum(indptr, out=indptr)
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.full(indptr[-1], -0.0)  # where every diagonal sum starts
-    # the diagonal slots of component 0; those of component c lie c * shift
-    # further.  `where=` adds the flags without a cast buffer.
-    d = indptr[:n].astype(np.intp)
-    np.add(d, 1, out=d, where=south)
-    np.add(d, 1, out=d, where=west)
-    shift = indptr[n] if row_step else count
-    c_k, c_l = np.broadcast_to(c_k, k.shape), np.broadcast_to(c_l, k.shape)
     # one value and one slot buffer for every step below ("clip" only keeps
     # `take` from buffering its output: every index is in range)
     size = max(n_vertical, k.size - n_vertical)
     vals_buffer, slots_buffer = np.empty(size), np.empty(size, dtype=np.intp)
-    for c in range(n_comp):
+    d = indptr[:n].astype(np.intp)  # the first free slot of each row
+    for c, (families, boundary) in enumerate(components):
         s = c * col_step
-        if c:
-            d += shift
+        if row_step:
+            d[:] = indptr[c * row_step : c * row_step + n]
+        south, west, diag, east, north = flags(families, boundary)
+        # the diagonal slots; `where=` adds the flags without a cast buffer
+        np.add(d, 1, out=d, where=south)
+        np.add(d, 1, out=d, where=west)
         # In row l an edge's lk entry is the west entry (d - 1) or the south
         # one, before the west entry if there is one; in row k its kl entry
         # is the east entry (d + 1) or the north one, after the east entry
-        # if there is one.  `past` counts the south or north step.
-        for edge, past in ((vertical, 0), (horizontal, 1)):
+        # if there is one.
+        for edge, past in families:
             kf, lf = k[edge], l[edge]
             vals, slots = vals_buffer[: kf.size], slots_buffer[: kf.size]
-            np.multiply(w[edge, c], c_k[edge], out=vals)
+            np.multiply(w[edge], c_k[edge], out=vals)
             np.take(d, kf, out=slots, mode="clip")
             indices[slots] = _offset(kf, s)
             np.add.at(data, slots, vals)  # kk
@@ -228,18 +265,21 @@ def _edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_ste
             slots += past
             np.add(slots, 1, out=slots, where=east[kf])
             indices[slots] = _offset(lf, s)
-            data[slots] = np.multiply(w[edge, c], c_l[edge], out=vals)  # kl
-        for edge in (vertical, horizontal):
+            data[slots] = np.multiply(w[edge], c_l[edge], out=vals)  # kl
+        for edge, _ in families:
             lf = l[edge]
             vals, slots = vals_buffer[: lf.size], slots_buffer[: lf.size]
-            np.negative(np.multiply(w[edge, c], c_l[edge], out=vals), out=vals)
+            np.negative(np.multiply(w[edge], c_l[edge], out=vals), out=vals)
             np.take(d, lf, out=slots, mode="clip")
             indices[slots] = _offset(lf, s)
             np.add.at(data, slots, vals)  # ll
         if w_b is not None:
-            slots = d[kb]
-            indices[slots] = _offset(kb, s)
-            np.add.at(data, slots, w_b[:, c])
+            slots = d[kb[boundary]]
+            indices[slots] = _offset(kb[boundary], s)
+            np.add.at(data, slots, w_b[boundary])
+        if not row_step:  # the next component's entries follow these
+            for flag in (diag, east, north):
+                np.add(d, 1, out=d, where=flag)
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
@@ -252,31 +292,36 @@ def h1_stiffness_matrix(grid: Grid) -> sp.csr_matrix:
     """Scalar H1 stiffness matrix; row k stores |K| times the Laplacian update."""
     n = grid.n_cells
     ie, be = _interior_and_boundary(grid)
-    w = (grid.edge_length[ie] / grid.edge_dist[ie])[:, None]
-    w_b = (grid.edge_length[be] / grid.edge_dist[be])[:, None]
+    w = grid.edge_length[ie] / grid.edge_dist[ie]
+    w_b = grid.edge_length[be] / grid.edge_dist[be]
     return _edge_stencil(grid, (n, n), ie, w, 1.0, -1.0, w_b=w_b)
 
 
 def divergence_matrix(grid: Grid) -> sp.csr_matrix:
-    """Maps stacked velocity [u1; u2] to |K| times the divergence per cell."""
+    """Maps stacked velocity [u1; u2] to |K| times the divergence per cell.
+
+    The normal of an interior edge is the unit vector of its axis, so the
+    edge's weight in the component along that axis is |sigma|.
+    """
     n = grid.n_cells
     ie, _ = _interior_and_boundary(grid)
     a = grid.edge_weight_k[ie]
-    w = grid.edge_length[ie, None] * grid.edge_normal[ie]
-    return _edge_stencil(grid, (n, 2 * n), ie, w, 1.0 - a, a, col_step=n)
+    return _edge_stencil(grid, (n, 2 * n), ie, grid.edge_length[ie], 1.0 - a, a, col_step=n)
 
 
 def gradient_matrix(grid: Grid) -> sp.csr_matrix:
     """Maps pressure to |K| times the gradient, stacked per component.
 
     Assembled edge-wise on its own; equals minus the transpose of
-    `divergence_matrix` through the closed-cell identity.
+    `divergence_matrix` through the closed-cell identity.  A boundary edge's
+    weight is |sigma| times the one nonzero component (+-1) of its outward
+    normal.
     """
     n = grid.n_cells
     ie, be = _interior_and_boundary(grid)
     a = grid.edge_weight_k[ie]
-    w = grid.edge_length[ie, None] * grid.edge_normal[ie]
-    w_b = grid.edge_length[be, None] * grid.edge_normal[be]
+    w_b = grid.edge_length[be] * grid.edge_normal[be].sum(axis=1)
+    w = grid.edge_length[ie]
     return _edge_stencil(grid, (2 * n, n), ie, w, a, 1.0 - a, w_b=w_b, row_step=n)
 
 
@@ -286,7 +331,7 @@ def jump_stabilization_matrix(grid: Grid, edge_mask=None) -> sp.csr_matrix:
         selected, _ = _interior_and_boundary(grid)
     else:
         selected = np.flatnonzero(np.asarray(edge_mask, dtype=bool) & grid.interior_mask)
-    w = (grid.edge_length[selected] * grid.edge_dist[selected])[:, None]
+    w = grid.edge_length[selected] * grid.edge_dist[selected]
     n = grid.n_cells
     return _edge_stencil(grid, (n, n), selected, w, 1.0, -1.0)
 

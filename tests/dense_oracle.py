@@ -401,21 +401,28 @@ def bmat_bordered(A, B, C, mean_weights):
 def list_edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_step=0):
     """The sum of `operators._edge_stencil` built from COO triplets, held as
     lists of index and value pieces and concatenated before the COO-to-CSR
-    conversion, which sums duplicates in triplet order."""
+    conversion, which sums duplicates in triplet order.  With a row or a
+    column step, component c takes only the interior and boundary edges
+    whose normal has a nonzero component c."""
     k = grid.edge_cell_k[edges]
     l = grid.edge_cell_l[edges]
     kb = grid.edge_cell_k[grid.boundary_edges]
+    c_k, c_l = np.broadcast_to(c_k, k.shape), np.broadcast_to(c_l, k.shape)
+    components = 2 if row_step or col_step else 1
     rows, cols, vals = [], [], []
-    for c in range(w.shape[1]):
+    for c in range(components):
         r, s = c * row_step, c * col_step
-        wk, wl = w[:, c] * c_k, w[:, c] * c_l
-        rows += [k + r, k + r, l + r, l + r]
-        cols += [k + s, l + s, k + s, l + s]
+        on = grid.edge_normal[edges, c] != 0 if components == 2 else slice(None)
+        kc, lc = k[on], l[on]
+        wk, wl = w[on] * c_k[on], w[on] * c_l[on]
+        rows += [kc + r, kc + r, lc + r, lc + r]
+        cols += [kc + s, lc + s, kc + s, lc + s]
         vals += [wk, wl, -wk, -wl]
         if w_b is not None:
-            rows.append(kb + r)
-            cols.append(kb + s)
-            vals.append(w_b[:, c])
+            on_b = grid.edge_normal[grid.boundary_edges, c] != 0 if components == 2 else slice(None)
+            rows.append(kb[on_b] + r)
+            cols.append(kb[on_b] + s)
+            vals.append(w_b[on_b])
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     ).tocsr()

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import assert_same_arrays, matrix_bytes, tensor_lines, traced_peak
 from dense_oracle import bmat_bordered, per_cell_means, velocity_block
 from hypothesis import given, settings
@@ -115,6 +116,39 @@ def test_cell_means_calls_f_once_on_the_quadrature_lines():
 
     cell_means(forcing, g, 2)
     assert shapes == [((1, 6, 2, 1), (4, 1, 1, 2))]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_cell_means_is_bitwise_independent_of_the_band_size(monkeypatch, order):
+    # bands of the smallest size (8 rows, 5 of them on the 45x33 grid) and
+    # one band of all rows give the same bits as the default bands; 8 rows
+    # and not 1, since BLAS rounds the last cells of a matrix-vector call
+    # apart from its groups of cells
+    grids = (build_uniform(96), build_tensor(_seeded_lines(45, 1), _seeded_lines(33, 2)))
+    for forcing in (CASES["ms0"].forcing, CASES["ms1"].forcing):
+        for g in grids:
+            want = cell_means(forcing, g, order).values
+            calls = []
+
+            def counted(x, y, forcing=forcing):
+                calls.append(y.shape[0])
+                return forcing(x, y)
+
+            for chunk, bands in ((1, -(-g.ny // 8)), (1 << 40, 1)):
+                monkeypatch.setattr(assembly, "_CHUNK", chunk)
+                calls.clear()
+                got = cell_means(counted, g, order).values
+                assert len(calls) == bands and sum(calls) == g.ny
+                assert got.tobytes() == want.tobytes()
+            monkeypatch.undo()
+
+
+def test_cell_means_traced_memory_stays_near_its_output():
+    # one evaluation of the forcing on all n_cells q^2 points held 26x the
+    # output at n=384; the bands of about 8 * _CHUNK points hold 2.3x
+    g = build_uniform(384)
+    forcing = CASES["ms1"].forcing
+    assert traced_peak(cell_means, forcing, g, 3) <= 3.0 * cell_means(forcing, g, 3).values.nbytes
 
 
 def test_zero_forcing_gives_zero_solution():
@@ -380,7 +414,7 @@ def _n_bands(B):
 def test_bordered_matrix_scattered_in_chunks_matches_bmat(monkeypatch, chunk):
     # chunks that end inside a column, on its last entry, or span several
     # columns, on grids too small for the default chunk to split a block;
-    # on the 24x16 grid, B's row bands (16 chunks each) end inside it
+    # on the 24x16 grid, B's row bands (8 chunks each) end inside it
     monkeypatch.setattr(assembly, "_CHUNK", chunk)
     small = build_tensor([0, 0.2, 0.5, 0.7, 1.0], [0, 0.3, 0.55, 0.8, 1.0])
     _assert_bordered_matches_bmat(small)
@@ -394,9 +428,34 @@ def test_bordered_matrix_on_a_seeded_tensor_grid_matches_bmat():
     assert all(_n_bands(B) == 1 for B in _assert_bordered_matches_bmat(seeded))
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
+def test_row_bands_are_the_scipy_slices_of_b(monkeypatch, chunk):
+    # each piece holds the CSC arrays of SciPy's slice of B to its band and
+    # its tight window of columns, also in bands whose rows all miss one
+    # velocity component, and the pieces hold every entry of B once
+    monkeypatch.setattr(assembly, "_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    n = 40
+    dense = rng.standard_normal((30, 2 * n)) * (rng.random((30, 2 * n)) < 0.15)
+    dense[:10, n:] = 0.0
+    dense[10:20, :n] = 0.0
+    B = sp.csr_matrix(dense)
+    pieces = list(assembly._row_bands(B))
+    starts = sorted({r0 for r0, *_ in pieces}) + [B.shape[0]]
+    for r0, j0, ptr, indices, data in pieces:
+        r1 = starts[starts.index(r0) + 1]
+        want = B[r0:r1, j0 : j0 + ptr.size - 1].tocsc()
+        assert np.diff(ptr)[[0, -1]].all()
+        for got, arr in ((ptr, want.indptr), (indices, want.indices), (data, want.data)):
+            assert np.array_equal(got, arr)
+    assert sum(indices.size for *_, indices, _ in pieces) == B.nnz
+    if chunk == 1:  # bands of the first 20 rows miss a component
+        assert 1 in [sum(r0 == start for r0, *_ in pieces) for start in starts if start < 20]
+
+
 @pytest.mark.parametrize("kind", ["bp", "cluster-constant"])
 def test_bordered_scatter_copies_no_whole_b(monkeypatch, kind):
-    # B enters in row bands of 16 * 512 entries, each cut to the columns it
+    # B enters in row bands of 8 * 512 entries, each cut to the columns it
     # touches: above its output, the scatter holds less than half of B's
     # bytes; a CSC copy of the whole of B would alone hold all of them
     monkeypatch.setattr(assembly, "_CHUNK", 512)

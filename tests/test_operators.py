@@ -221,14 +221,36 @@ def test_matrix_and_apply_agree(rng):
             )
 
 
-def test_stored_pattern_keeps_structural_zeros():
-    # B stores an entry for every (edge, component) pair, also where the
-    # normal is orthogonal to the component; dropping those zeros changes the
-    # saddle matrix's pattern and the fill of its factorization
+def test_velocity_pressure_stencils_store_only_the_couplings_of_their_edges():
+    # component c of B and G runs over the edges whose normal lies along
+    # axis c, so each cell holds its own slot and one per interior edge of
+    # that axis, per component: 2 n_cells + 2 n_interior entries, which is
+    # 6 n^2 - 4 n on a uniform n x n grid; the scalar stiffness keeps every
+    # edge in its one component
     for g in (build_uniform(8), build_tensor(*TENSOR_GRIDS[0]), build_tensor(*TENSOR_GRIDS[1])):
-        n_interior = len(g.interior_edges)
-        assert divergence_matrix(g).nnz == 2 * (g.n_cells + 2 * n_interior)
+        n_interior = g.n_interior_edges
+        assert divergence_matrix(g).nnz == 2 * g.n_cells + 2 * n_interior
+        assert gradient_matrix(g).nnz == 2 * g.n_cells + 2 * n_interior
         assert h1_stiffness_matrix(g).nnz == g.n_cells + 2 * n_interior
+    assert divergence_matrix(build_uniform(8)).nnz == 6 * 8 * 8 - 4 * 8
+
+
+def test_no_velocity_component_is_coupled_across_an_edge_orthogonal_to_it():
+    # the flux through a horizontal edge carries no u1, through a vertical
+    # one no u2: every u1 coupling stays in a row of cells, every u2
+    # coupling in a column
+    for g in (build_uniform(8), build_tensor(*TENSOR_GRIDS[0]), build_tensor(*TENSOR_GRIDS[1])):
+        n = g.n_cells
+        i, j = g.cell_ij.T
+        b = divergence_matrix(g).tocoo()
+        g_t = gradient_matrix(g).T.tocoo()
+        for cell, stacked in ((b.row, b.col), (g_t.row, g_t.col)):
+            other, component = stacked % n, stacked // n
+            u1, u2 = component == 0, component == 1
+            assert (j[other[u1]] == j[cell[u1]]).all()
+            assert (abs(i[other[u1]] - i[cell[u1]]) <= 1).all()
+            assert (i[other[u2]] == i[cell[u2]]).all()
+            assert (abs(j[other[u2]] - j[cell[u2]]) <= 1).all()
 
 
 def test_gradient_matrix_is_minus_divergence_transpose():

@@ -317,20 +317,24 @@ def test_stable_schemes_factor_on_diagonal_pivots(grid):
 
 
 @pytest.mark.parametrize(
-    "grid, max_fill",
-    [("64", (12, 12, 21)), ("tensor-90x62", (13, 13, 21))],
+    "grid, max_factor_nnz",
+    [("64", (1_797_120, 1_701_888, 1_559_040)),
+     ("tensor-90x62", (2_656_316, 2_515_188, 2_129_526))],
     ids=["64", "tensor-90x62"],
 )
-def test_dissection_order_fill(grid, max_fill):
-    # bp / cluster / cluster-constant; COLAMD gave 16.9 / 17.6 / 24.0 at
-    # n=64, and on the 90x62 grid an order that swaps the two directions
-    # gives about 100 for bp and cluster
+def test_dissection_order_fill(grid, max_factor_nnz):
+    # bp / cluster / cluster-constant.  The limits are fill factors of
+    # 12 / 12 / 21 at n=64 and 13 / 13 / 21 on the 90x62 grid times the
+    # saddle nnz of the divergence that stored its structural zeros, so that
+    # dropping those zeros cannot loosen them: COLAMD gave fill factors of
+    # 16.9 / 17.6 / 24.0 at n=64, and on the 90x62 grid an order that swaps
+    # the two directions gives about 100 for bp and cluster
     g = _grid(grid)
     schemes = [("bp", 0.05), ("cluster", 1.0), ("cluster-constant", None)]
-    for (kind, lam), bound in zip(schemes, max_fill):
+    for (kind, lam), bound in zip(schemes, max_factor_nnz):
         spec = SchemeSpec(kind, lam)
         report = solve(assemble(spec, g, CASES["ms1"].forcing, quad_order=1))
-        assert report.stats["fill_factor"] <= bound, kind
+        assert report.stats["factor_nnz"] <= bound, kind
         assert report.stats["order_s"] > 0
 
 
