@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .errors import GridError
-from .grid import Grid, _interior_and_boundary, make_clusters
+from .grid import Grid, make_clusters
 
 
 class _CellField:
@@ -97,27 +97,32 @@ def _check_same_grid(a, b):
         raise GridError("fields live on different grids")
 
 
-def _edge_weights_h1(grid: Grid):
-    return grid.edge_length / grid.edge_dist
+def _interior_pairs(grid: Grid):
+    """The k and l cells of the interior edges, in edge order."""
+    interior = grid.families()[:2]
+    k = np.concatenate([f.k.ravel() for f in interior])
+    l = np.concatenate([(f.k + f.step).ravel() for f in interior])
+    return k, l
 
 
 def h1_inner(v, w) -> float:
     """Discrete H1 inner product (edge differences, transmissivity weights)."""
-    if isinstance(v, VectorField):
-        _check_same_grid(v, w)
-        return h1_inner(v.component(0), w.component(0)) + h1_inner(
-            v.component(1), w.component(1)
-        )
     _check_same_grid(v, w)
     g = v.grid
-    wgt = _edge_weights_h1(g)
-    ie, be = _interior_and_boundary(g)
-    k, l = g.edge_cell_k, g.edge_cell_l
-    dv = v.values[k[ie]] - v.values[l[ie]]
-    dw = w.values[k[ie]] - w.values[l[ie]]
-    interior = float(np.dot(wgt[ie] * dv, dw))
-    boundary = float(np.dot(wgt[be] * v.values[k[be]], w.values[k[be]]))
-    return interior + boundary
+    k, l = _interior_pairs(g)
+    families = g.families()
+    interior, boundary = families[:2], families[2:]
+    wgt = np.concatenate([(f.length / f.dist).ravel() for f in interior])
+    kb = np.concatenate([f.k.ravel() for f in boundary])
+    wgt_b = np.concatenate([(f.length / f.dist).ravel() for f in boundary])
+
+    def inner(a, b):
+        interior = float(np.dot(wgt * (a[k] - a[l]), b[k] - b[l]))
+        return interior + float(np.dot(wgt_b * a[kb], b[kb]))
+
+    if isinstance(v, VectorField):
+        return inner(v.values[:, 0], w.values[:, 0]) + inner(v.values[:, 1], w.values[:, 1])
+    return inner(v.values, w.values)
 
 
 def h1_norm(v) -> float:
@@ -134,9 +139,7 @@ def l2_norm(v) -> float:
 def jump_inner(p: ScalarField, q: ScalarField) -> float:
     """Unweighted inner product of interior-edge jumps."""
     _check_same_grid(p, q)
-    g = p.grid
-    ie, _ = _interior_and_boundary(g)
-    k, l = g.edge_cell_k[ie], g.edge_cell_l[ie]
+    k, l = _interior_pairs(p.grid)
     return float(np.dot(p.values[k] - p.values[l], q.values[k] - q.values[l]))
 
 
@@ -149,11 +152,12 @@ def split_seminorms(q: ScalarField):
     the 2x2 clusters of the field's own grid (ClusterError on an odd grid)."""
     g = q.grid
     partition = make_clusters(g)
-    k, l = g.edge_cell_k, g.edge_cell_l
+    interior = g.families()[:2]
+    jumps = [q.values[f.k] - q.values[f.k + f.step] for f in interior]
 
     def part(mask):
-        e = np.flatnonzero(mask)
-        d = q.values[k[e]] - q.values[l[e]]
+        picked = [jump[mask[f.edges].reshape(f.shape)] for f, jump in zip(interior, jumps)]
+        d = np.concatenate(picked)
         return float(np.dot(d, d))
 
     cross_sq = part(partition.cross_edge_mask)

@@ -2,15 +2,16 @@
 
 Cells are indexed (i, j) with i the column (x direction) and j the row
 (y direction), flattened lexicographically as k = j*nx + i.  Unknowns are
-collocated at cell mass centers.  Edges are stored as flat arrays with a
-unit normal oriented from the first incident cell to the second (outward
-for boundary edges).
+collocated at cell mass centers.  Edges are derived from the coordinate
+lines, per family or as flat tables, with a unit normal oriented from the
+first incident cell to the second (outward for boundary edges).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,14 +29,51 @@ def _coordinate_line(values) -> np.ndarray:
     return line.astype(float, copy=False)
 
 
+class EdgeFamily(NamedTuple):
+    """One of the four edge families of a tensor grid: a 2D block of edges,
+    raveled in C order along the edge order.  Its values are built from the
+    coordinate lines as arrays that broadcast to the block, so a reader
+    allocates only what it computes from them; `k` is built on every read.
+    """
+
+    edges: slice  # the family's place in the edge order
+    shape: tuple  # the block
+    rows: np.ndarray  # k = rows + cols, broadcast to the block
+    cols: np.ndarray
+    step: int  # l = k + step on an interior family; 0 on a boundary one (l = -1)
+    axis: int  # the normal lies along this axis...
+    sign: object  # ...with this sign
+    length: np.ndarray  # |sigma|
+    dist: np.ndarray  # center to center (interior) or center to edge (boundary)
+    weight_k: object  # h_perp_k / (h_perp_k + h_perp_l); zero on the boundary
+
+    @property
+    def k(self) -> np.ndarray:
+        """The first incident cell of each edge, a fresh (shape) array."""
+        return self.rows + self.cols
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+
 class Grid:
     """Tensor-product mesh of the rectangle spanned by its coordinate lines.
 
-    Attributes:
+    A grid stores only its lines, counts and cell measures:
         xs, ys: strictly increasing coordinate lines (nx+1, ny+1).
         nx, ny: cell counts per direction; n_cells = nx*ny.
         dx, dy: cell widths per direction (nx, ny).
         cell_areas: (n_cells,) cell measures.
+        n_edges / n_interior_edges: edge counts; the interior edges are the
+            first n_interior_edges in the edge order.
+        is_uniform, h: whether every cell is a square of one side h (else
+            h is None).
+
+    Every edge quantity is a function of one coordinate line, so the edges
+    are derived, never stored.  `families()` gives them per family
+    with no whole-size array; the edge tables below are read-only
+    properties, each a fresh array built from the families on every read:
         edge_cell_k / edge_cell_l: incident cells per edge (l = -1 on boundary).
         edge_normal: (n_edges, 2) unit normal, k-to-l or outward.
         edge_length: edge measures.
@@ -43,17 +81,13 @@ class Grid:
             distance (boundary).
         edge_weight_k: interior-edge interpolation share of the k-side cell,
             h_perp_k / (h_perp_k + h_perp_l); zero on boundary edges.
-        n_edges / n_interior_edges: edge counts; the interior edges are the
-            first n_interior_edges in the edge order.
         interior_mask / boundary_edges: interior flag per edge and index
             array of the boundary edges.
-
-    Derived on every read from the coordinate lines, and not stored (read-only
-    properties, each a fresh array):
-        cell_centers: (n_cells, 2) mass centers.
-        cell_ij: (n_cells, 2) integer (i, j) per cell.
         edge_center: (n_edges, 2) edge midpoints.
         interior_edges: index array of the interior edges, 0..n_interior_edges-1.
+    and, per cell:
+        cell_centers: (n_cells, 2) mass centers.
+        cell_ij: (n_cells, 2) integer (i, j) per cell.
     """
 
     def __init__(self, xs, ys):
@@ -73,8 +107,9 @@ class Grid:
         self.dx = dx
         self.dy = dy
         self.cell_areas = (dy[:, None] * dx[None, :]).ravel()
-
-        self._build_edges()
+        nx, ny = self.nx, self.ny
+        self.n_interior_edges = (nx - 1) * ny + (ny - 1) * nx
+        self.n_edges = self.n_interior_edges + 2 * (nx + ny)
 
         h = dx[0]
         self.is_uniform = bool(
@@ -88,54 +123,83 @@ class Grid:
         xs, ys = self.xs, self.ys
         return 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
 
-    def _cat(self, vertical, horizontal, left_right, bottom_top):
-        """One per-edge array from the values of the four edge families, each
-        a 2D block raveled in C order:
+    def families(self):
+        """The four edge families, in edge order:
           vertical interior (normal +x) between columns i and i+1, i outer;
           horizontal interior (normal +y) between rows j and j+1, j outer;
           left/right boundary interleaved per row j;
           bottom/top boundary interleaved per column i.
         The order is part of the contract: the interior edges form a prefix,
-        vertical before horizontal, which the operator builders read as
-        slices, and they sum each diagonal in edge order, so the order fixes
-        the assembled matrices bitwise."""
-        nx, ny = self.nx, self.ny
-        shapes = ((nx - 1, ny), (ny - 1, nx), (ny, 2), (nx, 2))
-        parts = (vertical, horizontal, left_right, bottom_top)
-        return np.concatenate([np.broadcast_to(p, s).ravel() for p, s in zip(parts, shapes)])
-
-    def _build_edges(self):
+        vertical before horizontal, and the operator builders sum each
+        diagonal in edge order, so the order fixes the assembled matrices
+        bitwise."""
         nx, ny = self.nx, self.ny
         dx, dy = self.dx, self.dy
         cx, cy = self.center_lines()
-        cells = np.arange(self.n_cells).reshape(ny, nx)  # cells[j, i] = j*nx + i
-        cat = self._cat
+        i, j = np.arange(nx), np.arange(ny) * nx  # k = j*nx + i
+        n_vertical, n_interior = (nx - 1) * ny, self.n_interior_edges
+        n_left_right = n_interior + 2 * ny
+        walls = np.array([-1.0, 1.0])
+        return (
+            EdgeFamily(
+                slice(0, n_vertical), (nx - 1, ny), i[:-1, None], j[None, :], 1, 0, 1.0,
+                dy[None, :], (cx[1:] - cx[:-1])[:, None], (dx[:-1] / (dx[:-1] + dx[1:]))[:, None],
+            ),
+            EdgeFamily(
+                slice(n_vertical, n_interior), (ny - 1, nx), j[:-1, None], i[None, :], nx, 1, 1.0,
+                dx[None, :], (cy[1:] - cy[:-1])[:, None], (dy[:-1] / (dy[:-1] + dy[1:]))[:, None],
+            ),
+            EdgeFamily(
+                slice(n_interior, n_left_right), (ny, 2), j[:, None], np.array([0, nx - 1]), 0, 0,
+                walls, dy[:, None], np.array([dx[0] / 2.0, dx[-1] / 2.0]), 0.0,
+            ),
+            EdgeFamily(
+                slice(n_left_right, self.n_edges), (nx, 2), i[:, None], np.array([0, j[-1]]), 0, 1,
+                walls, dx[:, None], np.array([dy[0] / 2.0, dy[-1] / 2.0]), 0.0,
+            ),
+        )
 
-        self.edge_cell_k = cat(
-            cells[:, :-1].T, cells[:-1, :], cells[:, [0, -1]], cells[[0, -1], :].T
+    def _cat(self, parts):
+        """One per-edge array from one value per family, each broadcast to
+        its family's block and raveled."""
+        return np.concatenate(
+            [np.broadcast_to(p, f.shape).ravel() for p, f in zip(parts, self.families())]
         )
-        self.edge_cell_l = cat(cells[:, 1:].T, cells[1:, :], -1, -1)
-        self.edge_normal = np.column_stack(
-            [cat(1.0, 0.0, [-1.0, 1.0], 0.0), cat(0.0, 1.0, 0.0, [-1.0, 1.0])]
+
+    @property
+    def edge_cell_k(self) -> np.ndarray:
+        return self._cat(f.k for f in self.families())
+
+    @property
+    def edge_cell_l(self) -> np.ndarray:
+        return self._cat(f.k + f.step if f.step else -1 for f in self.families())
+
+    @property
+    def edge_normal(self) -> np.ndarray:
+        families = self.families()
+        return np.column_stack(
+            [self._cat(f.sign if f.axis == c else 0.0 for f in families) for c in (0, 1)]
         )
-        self.edge_length = cat(dy[None, :], dx[None, :], dy[:, None], dx[:, None])
-        self.edge_dist = cat(
-            (cx[1:] - cx[:-1])[:, None],
-            (cy[1:] - cy[:-1])[:, None],
-            [dx[0] / 2.0, dx[-1] / 2.0],
-            [dy[0] / 2.0, dy[-1] / 2.0],
-        )
-        self.edge_weight_k = cat(
-            (dx[:-1] / (dx[:-1] + dx[1:]))[:, None],
-            (dy[:-1] / (dy[:-1] + dy[1:]))[:, None],
-            0.0,
-            0.0,
-        )
-        self.n_edges = self.edge_cell_k.size
-        self.n_interior_edges = (nx - 1) * ny + (ny - 1) * nx
-        interior = self.edge_cell_l >= 0
-        self.interior_mask = interior
-        self.boundary_edges = np.flatnonzero(~interior)
+
+    @property
+    def edge_length(self) -> np.ndarray:
+        return self._cat(f.length for f in self.families())
+
+    @property
+    def edge_dist(self) -> np.ndarray:
+        return self._cat(f.dist for f in self.families())
+
+    @property
+    def edge_weight_k(self) -> np.ndarray:
+        return self._cat(f.weight_k for f in self.families())
+
+    @property
+    def interior_mask(self) -> np.ndarray:
+        return np.arange(self.n_edges) < self.n_interior_edges
+
+    @property
+    def boundary_edges(self) -> np.ndarray:
+        return np.arange(self.n_interior_edges, self.n_edges, dtype=np.intp)
 
     @property
     def cell_ij(self) -> np.ndarray:
@@ -153,8 +217,8 @@ class Grid:
         cx, cy = self.center_lines()
         return np.column_stack(
             [
-                self._cat(xs[1:-1, None], cx[None, :], [xs[0], xs[-1]], cx[:, None]),
-                self._cat(cy[None, :], ys[1:-1, None], cy[:, None], [ys[0], ys[-1]]),
+                self._cat((xs[1:-1, None], cx[None, :], [xs[0], xs[-1]], cx[:, None])),
+                self._cat((cy[None, :], ys[1:-1, None], cy[:, None], [ys[0], ys[-1]])),
             ]
         )
 
@@ -171,14 +235,6 @@ class Grid:
     def __repr__(self):
         kind = "uniform" if self.is_uniform else "tensor"
         return f"Grid({kind}, nx={self.nx}, ny={self.ny})"
-
-
-def _interior_and_boundary(grid: Grid):
-    """The interior and the boundary edges as slices: the interior edges
-    come first in the edge order, so a reader takes views of the edge
-    tables, not copies."""
-    n_interior = grid.n_interior_edges
-    return slice(0, n_interior), slice(n_interior, None)
 
 
 class ClusterPartition:
@@ -200,13 +256,14 @@ class ClusterPartition:
         i, j = np.arange(grid.nx), np.arange(grid.ny)
         self.cluster_of = ((j // 2)[:, None] * ncx + (i // 2)[None, :]).ravel()
 
-        k = grid.edge_cell_k
-        l = grid.edge_cell_l
-        interior = grid.interior_mask
-        same = np.zeros(grid.n_edges, dtype=bool)
-        same[interior] = self.cluster_of[k[interior]] == self.cluster_of[l[interior]]
-        self.intra_edge_mask = interior & same
-        self.cross_edge_mask = interior & ~same
+        # an interior edge between columns (rows) m and m + 1 joins two cells
+        # of one cluster iff m is even
+        self.intra_edge_mask = np.zeros(grid.n_edges, dtype=bool)
+        self.cross_edge_mask = np.zeros(grid.n_edges, dtype=bool)
+        for family in grid.families()[:2]:
+            even = (np.arange(family.shape[0]) % 2 == 0)[:, None]
+            self.intra_edge_mask[family.edges].reshape(family.shape)[...] = even
+            self.cross_edge_mask[family.edges].reshape(family.shape)[...] = ~even
 
         self.cluster_areas = np.bincount(
             self.cluster_of, weights=grid.cell_areas, minlength=self.n_clusters

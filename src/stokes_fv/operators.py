@@ -17,7 +17,7 @@ The operators of a grid do not depend on the scheme, so `grid_operators`
 keeps one shared, read-only copy of them per Grid object for assembly, the
 solver and the checks, with the factor-free inverse of the stiffness.
 
-Fluxes are oriented along the stored edge normal (k-to-l, outward on the
+Fluxes are oriented along the edge normal (k-to-l, outward on the
 boundary).  On interior edges of a tensor grid:
 
 * diffusive flux of v through sigma:  (|sigma|/d) (v_l - v_k),
@@ -51,7 +51,7 @@ import scipy.sparse as sp
 
 from .errors import GridError
 from .fields import ScalarField, VectorField, _check_same_grid
-from .grid import Grid, _interior_and_boundary, make_clusters
+from .grid import Grid, make_clusters
 
 
 # -- flux form ---------------------------------------------------------------
@@ -61,30 +61,27 @@ def diffusion_fluxes(field) -> np.ndarray:
     normal derivative for affine data.  Shape (n_edges,) for scalar input,
     (n_edges, 2) for vector input."""
     g = field.grid
-    k, l = g.edge_cell_k, g.edge_cell_l
-    w = g.edge_length / g.edge_dist
     vals = field.values
-    interior = g.interior_mask
-    neighbour = vals[np.where(interior, l, 0)]  # wall value is zero
-    if vals.ndim == 2:
-        neighbour = neighbour * interior[:, None]
-        w = w[:, None]
-    else:
-        neighbour = neighbour * interior
-    return w * (neighbour - vals[k])
+    row = vals.shape[1:]
+    out = np.empty((g.n_edges, *row))
+    for f in g.families():
+        k = f.k
+        w = f.length / f.dist
+        if row:
+            w = w[..., None]
+        neighbour = vals[k + f.step] if f.step else 0.0  # wall value is zero
+        out[f.edges] = (w * (neighbour - vals[k])).reshape(-1, *row)
+    return out
 
 
 def velocity_fluxes(u: VectorField) -> np.ndarray:
     """Per-edge normal velocity flux G_sigma; zero on boundary edges."""
     g = u.grid
-    k, l = g.edge_cell_k, g.edge_cell_l
-    a = g.edge_weight_k
     out = np.zeros(g.n_edges)
-    ie, _ = _interior_and_boundary(g)
-    uk = u.values[k[ie]]
-    ul = u.values[l[ie]]
-    interp = (1.0 - a[ie])[:, None] * uk + a[ie][:, None] * ul
-    out[ie] = g.edge_length[ie] * np.einsum("ij,ij->i", interp, g.edge_normal[ie])
+    for f in g.families()[:2]:  # an interior normal is its axis's unit vector
+        k, a = f.k, f.weight_k
+        uk, ul = u.values[k, f.axis], u.values[k + f.step, f.axis]
+        out[f.edges] = (f.length * ((1.0 - a) * uk + a * ul)).ravel()
     return out
 
 
@@ -94,22 +91,24 @@ def laplacian_apply(u):
     """Cell values of the negative discrete Laplacian (homogeneous wall values).
 
     The net `diffusion_fluxes` into each cell over its area, summed edge by
-    edge rather than through `h1_stiffness_matrix`: that matrix's assembled
-    diagonal is a rounded sum of edge weights, so its product with a
-    constant field is not exactly zero away from the wall.
+    edge in edge order rather than through `h1_stiffness_matrix`: that
+    matrix's assembled diagonal is a rounded sum of edge weights, so its
+    product with a constant field is not exactly zero away from the wall.
+    No cell is the k (or the l) cell of two edges of one family, so each
+    family adds at most one term per cell.
     """
     g = u.grid
     f = diffusion_fluxes(u)
-    ie, _ = _interior_and_boundary(g)
-    l = g.edge_cell_l[ie]
-
-    def net_inflow(fc):
-        return np.bincount(l, fc[ie], g.n_cells) - np.bincount(g.edge_cell_k, fc, g.n_cells)
-
+    inflow, outflow = np.zeros_like(u.values), np.zeros_like(u.values)
+    for family in g.families():
+        k = family.k.ravel()
+        outflow[k] += f[family.edges]
+        if family.step:
+            inflow[k + family.step] += f[family.edges]
+    out = inflow - outflow
     if isinstance(u, VectorField):
-        out = np.column_stack([net_inflow(f[:, 0]), net_inflow(f[:, 1])])
         return VectorField(g, out / g.cell_areas[:, None])
-    return ScalarField(g, net_inflow(f) / g.cell_areas)
+    return ScalarField(g, out / g.cell_areas)
 
 
 def gradient_apply(p: ScalarField) -> VectorField:
@@ -156,22 +155,23 @@ def duality_defect(p: ScalarField, v: VectorField) -> float:
 
 # -- assembled sparse form (rows scaled by cell area) -------------------------
 
-def _edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_step=0):
-    """Sum over `edges` of w (e_k - e_l)(c_k e_k + c_l e_l)^T, plus
-    w_b e_k e_k^T over the boundary edges, written straight into
-    exact-size CSR arrays, with no triplets.
+def _edge_stencil(
+    n, shape, components, weights, boundary_weights=None, edge_mask=None, row_step=0, col_step=0
+):
+    """Sum over interior edges of w (e_k - e_l)(c_k e_k + c_l e_l)^T, plus
+    w_b e_k e_k^T over boundary edges, written straight into exact-size CSR
+    arrays, with no triplets.
 
-    `edges` are interior edges in edge order: the vertical ones (l = k + 1)
-    first, then the horizontal ones (l = k + nx).  `w` holds one value per
-    edge of `edges` and `w_b` one per boundary edge.  With a row or a column
-    step the stencil is a velocity-pressure one of two components:
-    component c occupies rows shifted by c * row_step and columns shifted
-    by c * col_step, after the entries of component c - 1 where the two
-    share a row, and it runs only over the interior and boundary edges
-    whose normal lies along axis c (the vertical edges for c = 0, the
-    horizontal ones for c = 1), since the flux through any other edge
-    carries nothing of component c.  With neither step the stencil has one
-    component over every edge.
+    `components` holds per component a pair (interior, boundary) of lists
+    of edge families of the grid (`Grid.families`), each in edge order.
+    `weights(family)` gives (w, c_k, c_l) over an interior family and
+    `boundary_weights(family)` w_b over a boundary one, each broadcast to
+    the family's block; `edge_mask`, one flag per edge, keeps only the
+    interior edges it flags.  With a row or a column step the stencil is a
+    velocity-pressure one of two components: component c occupies rows
+    shifted by c * row_step and columns shifted by c * col_step, after the
+    entries of component c - 1 where the two share a row.  With neither
+    step it has one component.
 
     On a tensor grid the row of cell m in a component holds at most the
     columns of its south (m - nx), west (m - 1), own, east (m + 1) and north
@@ -191,38 +191,89 @@ def _edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_ste
     edges, each in edge order, starting from -0.0 (-0.0 + x is x, bitwise,
     for every x).  That keeps every matrix bitwise equal to the COO build,
     which the tests keep as the reference.
-    """
-    n = grid.n_cells
-    _, be = _interior_and_boundary(grid)
-    k = grid.edge_cell_k[edges]
-    l = grid.edge_cell_l[edges]
-    kb = grid.edge_cell_k[be] if w_b is not None else k[:0]
-    c_k, c_l = np.broadcast_to(c_k, k.shape), np.broadcast_to(c_l, k.shape)
-    # per component, its (edges, past) families and its boundary edges;
-    # `past` counts the south or north step of a horizontal edge's slots
-    n_vertical = np.count_nonzero(grid.edge_normal[edges, 0])
-    vertical, horizontal = (slice(0, n_vertical), 0), (slice(n_vertical, None), 1)
-    if row_step or col_step:
-        n_left_right = np.count_nonzero(grid.edge_normal[be, 0])
-        components = (
-            ((vertical,), slice(0, n_left_right)),
-            ((horizontal,), slice(n_left_right, None)),
-        )
-    else:
-        components = (((vertical, horizontal), slice(None)),)
 
-    def flags(families, boundary):
+    A family's cells and weights are built anew in each function below that
+    reads them, and die with its call, so at most one family's are held at
+    a time; an array x at l = k + step is read as x[step:] at k.
+    """
+
+    def selection(family):
+        return None if edge_mask is None else edge_mask[family.edges].reshape(family.shape)
+
+    def first_cells(family):
+        """The first cells of the family's kept edges, in edge order."""
+        k, select = family.k, selection(family)
+        return k.ravel() if select is None else k[select]
+
+    def values(family, which, out):
+        """w times c_k (which = 1) or c_l (which = 2) over the kept edges."""
+        terms = weights(family)
+        w, c = terms[0], terms[which]
+        select = selection(family)
+        if select is None:
+            return np.multiply(w, c, out=out[: family.size].reshape(family.shape)).ravel()
+        w, c = (x if np.ndim(x) == 0 else np.broadcast_to(x, family.shape)[select] for x in (w, c))
+        return np.multiply(w, c, out=out[: w.size])
+
+    def mark(has, family):
+        south, west, diag, east, north = has
+        k, step = first_cells(family), family.step
+        (north if family.axis else east)[k] = True
+        (south if family.axis else west)[step:][k] = True
+        diag[k] = diag[step:][k] = True
+
+    def flags(interior, boundary):
         """Which of its south, west, own, east and north slots each row of a
         component holds; computed twice per component, for the counts and
         for the slots, rather than kept for every component."""
         has = np.zeros((5, n), dtype=bool)
-        south, west, diag, east, north = has
-        for edge, past in families:
-            (north if past else east)[k[edge]] = True
-            (south if past else west)[l[edge]] = True
-            diag[k[edge]] = diag[l[edge]] = True
-        diag[kb[boundary]] = True
+        for family in interior:
+            mark(has, family)
+        for family in boundary:
+            has[2, family.k.ravel()] = True
         return has
+
+    # In row l an edge's lk entry is the west entry (d - 1) or the south
+    # one, before the west entry if there is one; in row k its kl entry is
+    # the east entry (d + 1) or the north one, after the east entry if there
+    # is one.
+    def off_diagonal(has, s, family):
+        """The kk, lk and kl entries of a family's edges."""
+        _, west, _, east, _ = has
+        vals = values(family, 1, vals_buffer)
+        k, step, past = first_cells(family), family.step, family.axis
+        slots = slots_buffer[: k.size]
+        np.take(d, k, out=slots, mode="clip")
+        indices[slots] = _offset(k, s)
+        np.add.at(data, slots, vals)  # kk
+        np.take(d[step:], k, out=slots, mode="clip")
+        slots -= past
+        np.subtract(slots, 1, out=slots, where=west[step:][k])
+        indices[slots] = _offset(k, s)
+        data[slots] = np.negative(vals, out=vals)  # lk
+        np.take(d, k, out=slots, mode="clip")
+        slots += past
+        np.add(slots, 1, out=slots, where=east[k])
+        k += step  # l
+        indices[slots] = _offset(k, s)
+        del k  # before the weights are built again
+        data[slots] = values(family, 2, vals)  # kl
+
+    def ll(s, family):
+        vals = values(family, 2, vals_buffer)
+        np.negative(vals, out=vals)
+        l = first_cells(family)
+        l += family.step
+        slots = slots_buffer[: l.size]
+        np.take(d, l, out=slots, mode="clip")
+        indices[slots] = _offset(l, s)
+        np.add.at(data, slots, vals)  # ll
+
+    def boundary_diagonal(s, family):
+        k = family.k.ravel()
+        slots = d[k]
+        indices[slots] = _offset(k, s)
+        np.add.at(data, slots, np.broadcast_to(boundary_weights(family), family.shape).ravel())
 
     # the row counts, summed over the components that share a row
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
@@ -234,49 +285,28 @@ def _edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_ste
     data = np.full(indptr[-1], -0.0)  # where every diagonal sum starts
     # one value and one slot buffer for every step below ("clip" only keeps
     # `take` from buffering its output: every index is in range)
-    size = max(n_vertical, k.size - n_vertical)
+    size = max(
+        family.size if edge_mask is None else np.count_nonzero(selection(family))
+        for interior, _ in components
+        for family in interior
+    )
     vals_buffer, slots_buffer = np.empty(size), np.empty(size, dtype=np.intp)
     d = indptr[:n].astype(np.intp)  # the first free slot of each row
-    for c, (families, boundary) in enumerate(components):
+    for c, (interior, boundary) in enumerate(components):
         s = c * col_step
         if row_step:
             d[:] = indptr[c * row_step : c * row_step + n]
-        south, west, diag, east, north = flags(families, boundary)
+        has = flags(interior, boundary)
+        south, west, diag, east, north = has
         # the diagonal slots; `where=` adds the flags without a cast buffer
         np.add(d, 1, out=d, where=south)
         np.add(d, 1, out=d, where=west)
-        # In row l an edge's lk entry is the west entry (d - 1) or the south
-        # one, before the west entry if there is one; in row k its kl entry
-        # is the east entry (d + 1) or the north one, after the east entry
-        # if there is one.
-        for edge, past in families:
-            kf, lf = k[edge], l[edge]
-            vals, slots = vals_buffer[: kf.size], slots_buffer[: kf.size]
-            np.multiply(w[edge], c_k[edge], out=vals)
-            np.take(d, kf, out=slots, mode="clip")
-            indices[slots] = _offset(kf, s)
-            np.add.at(data, slots, vals)  # kk
-            np.take(d, lf, out=slots, mode="clip")
-            slots -= past
-            np.subtract(slots, 1, out=slots, where=west[lf])
-            indices[slots] = _offset(kf, s)
-            data[slots] = np.negative(vals, out=vals)  # lk
-            np.take(d, kf, out=slots, mode="clip")
-            slots += past
-            np.add(slots, 1, out=slots, where=east[kf])
-            indices[slots] = _offset(lf, s)
-            data[slots] = np.multiply(w[edge], c_l[edge], out=vals)  # kl
-        for edge, _ in families:
-            lf = l[edge]
-            vals, slots = vals_buffer[: lf.size], slots_buffer[: lf.size]
-            np.negative(np.multiply(w[edge], c_l[edge], out=vals), out=vals)
-            np.take(d, lf, out=slots, mode="clip")
-            indices[slots] = _offset(lf, s)
-            np.add.at(data, slots, vals)  # ll
-        if w_b is not None:
-            slots = d[kb[boundary]]
-            indices[slots] = _offset(kb[boundary], s)
-            np.add.at(data, slots, w_b[boundary])
+        for family in interior:
+            off_diagonal(has, s, family)
+        for family in interior:
+            ll(s, family)
+        for family in boundary:
+            boundary_diagonal(s, family)
         if not row_step:  # the next component's entries follow these
             for flag in (diag, east, north):
                 np.add(d, 1, out=d, where=flag)
@@ -288,52 +318,79 @@ def _offset(cells, s):
     return cells + s if s else cells
 
 
+def _transmissivity(family):
+    return family.length / family.dist
+
+
 def h1_stiffness_matrix(grid: Grid) -> sp.csr_matrix:
     """Scalar H1 stiffness matrix; row k stores |K| times the Laplacian update."""
     n = grid.n_cells
-    ie, be = _interior_and_boundary(grid)
-    w = grid.edge_length[ie] / grid.edge_dist[ie]
-    w_b = grid.edge_length[be] / grid.edge_dist[be]
-    return _edge_stencil(grid, (n, n), ie, w, 1.0, -1.0, w_b=w_b)
+    families = grid.families()
+    return _edge_stencil(
+        n,
+        (n, n),
+        [(families[:2], families[2:])],
+        lambda f: (_transmissivity(f), 1.0, -1.0),
+        _transmissivity,
+    )
 
 
 def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     """Maps stacked velocity [u1; u2] to |K| times the divergence per cell.
 
     The normal of an interior edge is the unit vector of its axis, so the
-    edge's weight in the component along that axis is |sigma|.
+    edge's weight in the component along that axis is |sigma|, and the
+    velocity flux through it carries no other component.
     """
     n = grid.n_cells
-    ie, _ = _interior_and_boundary(grid)
-    a = grid.edge_weight_k[ie]
-    return _edge_stencil(grid, (n, 2 * n), ie, grid.edge_length[ie], 1.0 - a, a, col_step=n)
+    vertical, horizontal = grid.families()[:2]
+    return _edge_stencil(
+        n,
+        (n, 2 * n),
+        [([vertical], []), ([horizontal], [])],
+        lambda f: (f.length, 1.0 - f.weight_k, f.weight_k),
+        col_step=n,
+    )
 
 
 def gradient_matrix(grid: Grid) -> sp.csr_matrix:
     """Maps pressure to |K| times the gradient, stacked per component.
 
     Assembled edge-wise on its own; equals minus the transpose of
-    `divergence_matrix` through the closed-cell identity.  A boundary edge's
-    weight is |sigma| times the one nonzero component (+-1) of its outward
-    normal.
+    `divergence_matrix` through the closed-cell identity.  Component c runs
+    over the edges whose normal lies along axis c; a boundary edge's weight
+    is |sigma| times the sign (+-1) of its outward normal.
     """
     n = grid.n_cells
-    ie, be = _interior_and_boundary(grid)
-    a = grid.edge_weight_k[ie]
-    w_b = grid.edge_length[be] * grid.edge_normal[be].sum(axis=1)
-    w = grid.edge_length[ie]
-    return _edge_stencil(grid, (2 * n, n), ie, w, a, 1.0 - a, w_b=w_b, row_step=n)
+    vertical, horizontal, left_right, bottom_top = grid.families()
+    return _edge_stencil(
+        n,
+        (2 * n, n),
+        [([vertical], [left_right]), ([horizontal], [bottom_top])],
+        lambda f: (f.length, f.weight_k, 1.0 - f.weight_k),
+        lambda f: f.length * f.sign,
+        row_step=n,
+    )
 
 
 def jump_stabilization_matrix(grid: Grid, edge_mask=None) -> sp.csr_matrix:
-    """Sum over selected interior edges of |sigma| d (e_k - e_l)(e_k - e_l)^T."""
-    if edge_mask is None:
-        selected, _ = _interior_and_boundary(grid)
-    else:
-        selected = np.flatnonzero(np.asarray(edge_mask, dtype=bool) & grid.interior_mask)
-    w = grid.edge_length[selected] * grid.edge_dist[selected]
+    """Sum over selected interior edges of |sigma| d (e_k - e_l)(e_k - e_l)^T.
+
+    `edge_mask`, one flag per edge, selects the edges (boundary ones are
+    never selected); by default every interior edge is.
+    """
+    if edge_mask is not None:
+        edge_mask = np.asarray(edge_mask, dtype=bool)
+        if edge_mask.shape != (grid.n_edges,):
+            raise ValueError(f"edge mask of shape {edge_mask.shape}, not ({grid.n_edges},)")
     n = grid.n_cells
-    return _edge_stencil(grid, (n, n), selected, w, 1.0, -1.0)
+    return _edge_stencil(
+        n,
+        (n, n),
+        [(grid.families()[:2], [])],
+        lambda f: (f.length * f.dist, 1.0, -1.0),
+        edge_mask=edge_mask,
+    )
 
 
 # -- the shared operators of a grid ------------------------------------------

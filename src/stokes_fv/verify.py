@@ -141,12 +141,13 @@ def cluster_test_velocity(q: ScalarField) -> VectorField:
     (it sits on the domain boundary).
     """
     grid = q.grid
-    e = np.flatnonzero(make_clusters(grid).cross_edge_mask)
-    k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
-    # interior normals are +x or +y; a cell has one cross edge per direction
-    axis = (grid.edge_normal[e, 1] != 0).astype(np.intp)
+    cross = make_clusters(grid).cross_edge_mask
     vals = np.zeros((grid.n_cells, 2))
-    vals[k, axis] = vals[l, axis] = q.values[l] - q.values[k]
+    # interior normals are +x or +y; a cell has one cross edge per direction
+    for f in grid.families()[:2]:
+        k = f.k[cross[f.edges].reshape(f.shape)]
+        l = k + f.step
+        vals[k, f.axis] = vals[l, f.axis] = q.values[l] - q.values[k]
     return VectorField(grid, vals)
 
 
@@ -241,6 +242,7 @@ def consistency_check(grid: Grid) -> ConsistencyReport:
     normals = grid.edge_normal
     lengths = grid.edge_length
     centers = grid.edge_center
+    cell_centers = grid.cell_centers
 
     max_int = 0.0
     # affine basis per component: constants and the two coordinates
@@ -270,7 +272,7 @@ def consistency_check(grid: Grid) -> ConsistencyReport:
     max_bnd = 0.0
     for normal in np.unique(normals[be], axis=0):
         side = be[np.all(normals[be] == normal, axis=1)]
-        distance = ScalarField(grid, (grid.cell_centers - centers[side[0]]) @ normal)
+        distance = ScalarField(grid, (cell_centers - centers[side[0]]) @ normal)
         flux_b = diffusion_fluxes(distance)[side]
         max_bnd = max(max_bnd, float(np.max(np.abs(flux_b - lengths[side]))))
     return ConsistencyReport(max_int, max_bnd)

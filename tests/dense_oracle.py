@@ -7,8 +7,10 @@ edge-based assembly beyond the grid coordinates; used to cross-check the
 production assembly entrywise.
 
 `loop_edges`, `loop_cells` and `loop_cluster_regularity` are per-entity
-loop versions of the grid's array-built edge table, its derived cell
-arrays and the cluster regularity criterion.  `per_cell_means` lays the
+loop versions of the grid's edge tables, its derived cell arrays and the
+cluster regularity criterion.  `array_edges` is the whole-array build of
+the eight edge tables that a grid once stored, against which the grid's
+per-family derivation must agree bit for bit.  `per_cell_means` lays the
 quadrature points out per cell, against the production `cell_means`, which
 evaluates the forcing on the 1D quadrature lines.
 
@@ -35,23 +37,28 @@ of the scalar stiffness, against the production probe's factor-free fast
 diagonalisation.
 
 `bmat_bordered` stacks the bordered saddle matrix with `sp.bmat`, and
-`list_edge_stencil` collects the operators' COO triplets in lists of pieces
-and lets SciPy sum their duplicates: the earlier builds, against which the
-production CSC and CSR scatters must agree bit for bit (`triplet_operator`
-runs an operator builder on the list version).
+`list_edge_stencil` collects the operators' COO triplets over whole edge
+tables in lists of pieces and lets SciPy sum their duplicates: the earlier
+builds, against which the production CSC and CSR scatters must agree bit
+for bit (`triplet_operator` builds an operator that way from the
+`array_edges` tables).
 """
 
 import dataclasses
 import math
-from unittest import mock
+import types
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from stokes_fv import operators
-from stokes_fv.operators import divergence_matrix, h1_stiffness_matrix
+from stokes_fv.operators import (
+    divergence_matrix,
+    gradient_matrix,
+    h1_stiffness_matrix,
+    jump_stabilization_matrix,
+)
 from stokes_fv.solver import _dissection_order, _symmetric_scaling
 
 
@@ -195,6 +202,50 @@ def loop_edges(xs, ys):
     }
 
 
+def array_edges(xs, ys):
+    """The eight edge tables of the tensor grid on coordinate lines xs, ys,
+    as a grid once built and stored them: each family's values as a 2D
+    block raveled in C order, the four families concatenated.
+
+    Returns a dict with the grid's edge attribute names as keys.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    nx, ny = xs.size - 1, ys.size - 1
+    dx, dy = np.diff(xs), np.diff(ys)
+    cx, cy = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
+    cells = np.arange(nx * ny).reshape(ny, nx)  # cells[j, i] = j*nx + i
+    shapes = ((nx - 1, ny), (ny - 1, nx), (ny, 2), (nx, 2))
+
+    def cat(*parts):
+        return np.concatenate([np.broadcast_to(p, s).ravel() for p, s in zip(parts, shapes)])
+
+    edge_cell_l = cat(cells[:, 1:].T, cells[1:, :], -1, -1)
+    interior = edge_cell_l >= 0
+    return {
+        "edge_cell_k": cat(cells[:, :-1].T, cells[:-1, :], cells[:, [0, -1]], cells[[0, -1], :].T),
+        "edge_cell_l": edge_cell_l,
+        "edge_normal": np.column_stack(
+            [cat(1.0, 0.0, [-1.0, 1.0], 0.0), cat(0.0, 1.0, 0.0, [-1.0, 1.0])]
+        ),
+        "edge_length": cat(dy[None, :], dx[None, :], dy[:, None], dx[:, None]),
+        "edge_dist": cat(
+            (cx[1:] - cx[:-1])[:, None],
+            (cy[1:] - cy[:-1])[:, None],
+            [dx[0] / 2.0, dx[-1] / 2.0],
+            [dy[0] / 2.0, dy[-1] / 2.0],
+        ),
+        "edge_weight_k": cat(
+            (dx[:-1] / (dx[:-1] + dx[1:]))[:, None],
+            (dy[:-1] / (dy[:-1] + dy[1:]))[:, None],
+            0.0,
+            0.0,
+        ),
+        "interior_mask": interior,
+        "boundary_edges": np.flatnonzero(~interior),
+    }
+
+
 def loop_cells(xs, ys):
     """Cell table of the tensor grid on coordinate lines xs, ys, one cell at a
     time in the order k = j*nx + i.
@@ -242,12 +293,13 @@ def min_direction_strength(normals) -> float:
 def loop_cluster_regularity(grid, partition) -> float:
     """Cluster regularity from a per-cell list of out-of-cluster normals."""
     normals_per_cell = {}
+    cell_k, cell_l, normal = grid.edge_cell_k, grid.edge_cell_l, grid.edge_normal
     for e in grid.interior_edges:
-        k = grid.edge_cell_k[e]
-        l = grid.edge_cell_l[e]
+        k = cell_k[e]
+        l = cell_l[e]
         if partition.cluster_of[k] == partition.cluster_of[l]:
             continue
-        n = grid.edge_normal[e]
+        n = normal[e]
         normals_per_cell.setdefault(k, []).append(n)
         normals_per_cell.setdefault(l, []).append(-n)
     worst = math.inf
@@ -256,19 +308,28 @@ def loop_cluster_regularity(grid, partition) -> float:
     return worst
 
 
+def _tables(grid):
+    """The grid's edge tables, each read once (every read derives it anew)."""
+    names = (
+        "edge_cell_k", "edge_cell_l", "edge_normal", "edge_length", "edge_dist", "edge_weight_k"
+    )
+    return types.SimpleNamespace(**{name: getattr(grid, name) for name in names})
+
+
 def loop_laplacian(grid, v):
     """Negative Laplacian of scalar cell values v, one edge at a time: flux
     (|sigma|/d)(v_k - v_l), wall value zero on boundary edges."""
     out = np.zeros(grid.n_cells)
+    t = _tables(grid)
     for e in range(grid.n_edges):
-        k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
-        w = grid.edge_length[e] / grid.edge_dist[e]
+        k, l = t.edge_cell_k[e], t.edge_cell_l[e]
+        w = t.edge_length[e] / t.edge_dist[e]
         if l < 0:
             out[k] += w * v[k]
         else:
-            t = w * (v[k] - v[l])
-            out[k] += t
-            out[l] -= t
+            term = w * (v[k] - v[l])
+            out[k] += term
+            out[l] -= term
     return out / grid.cell_areas
 
 
@@ -276,14 +337,15 @@ def loop_gradient(grid, p):
     """(n_cells, 2) pressure gradient, one edge at a time: interior flux
     |sigma| (a p_k + (1-a) p_l) n, boundary flux |sigma| p_k n."""
     out = np.zeros((grid.n_cells, 2))
+    t = _tables(grid)
     for e in range(grid.n_edges):
-        k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
-        n = grid.edge_normal[e]
+        k, l = t.edge_cell_k[e], t.edge_cell_l[e]
+        n = t.edge_normal[e]
         if l < 0:
-            out[k] += grid.edge_length[e] * p[k] * n
+            out[k] += t.edge_length[e] * p[k] * n
         else:
-            a = grid.edge_weight_k[e]
-            h = grid.edge_length[e] * (a * p[k] + (1.0 - a) * p[l]) * n
+            a = t.edge_weight_k[e]
+            h = t.edge_length[e] * (a * p[k] + (1.0 - a) * p[l]) * n
             out[k] += h
             out[l] -= h
     return out / grid.cell_areas[:, None]
@@ -293,12 +355,13 @@ def loop_divergence(grid, u):
     """Divergence of (n_cells, 2) velocity u, one interior edge at a time:
     flux |sigma| ((1-a) u_k + a u_l) . n; no flux through the wall."""
     out = np.zeros(grid.n_cells)
+    t = _tables(grid)
     for e in range(grid.n_edges):
-        k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
+        k, l = t.edge_cell_k[e], t.edge_cell_l[e]
         if l < 0:
             continue
-        a = grid.edge_weight_k[e]
-        f = grid.edge_length[e] * float(np.dot((1.0 - a) * u[k] + a * u[l], grid.edge_normal[e]))
+        a = t.edge_weight_k[e]
+        f = t.edge_length[e] * float(np.dot((1.0 - a) * u[k] + a * u[l], t.edge_normal[e]))
         out[k] += f
         out[l] -= f
     return out / grid.cell_areas
@@ -309,13 +372,14 @@ def loop_jump(grid, p, cluster_of=None):
     |sigma| d on every interior edge, or, given `cluster_of`, only on edges
     whose two cells share a cluster."""
     out = np.zeros(grid.n_cells)
+    t = _tables(grid)
     for e in range(grid.n_edges):
-        k, l = grid.edge_cell_k[e], grid.edge_cell_l[e]
+        k, l = t.edge_cell_k[e], t.edge_cell_l[e]
         if l < 0 or (cluster_of is not None and cluster_of[k] != cluster_of[l]):
             continue
-        t = grid.edge_length[e] * grid.edge_dist[e] * (p[k] - p[l])
-        out[k] += t
-        out[l] -= t
+        term = t.edge_length[e] * t.edge_dist[e] * (p[k] - p[l])
+        out[k] += term
+        out[l] -= term
     return out / grid.cell_areas
 
 
@@ -398,28 +462,31 @@ def bmat_bordered(A, B, C, mean_weights):
     return sp.bmat([[A, -B.T, None], [B, C, w], [None, w.T, None]], format="csc")
 
 
-def list_edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_step=0):
-    """The sum of `operators._edge_stencil` built from COO triplets, held as
-    lists of index and value pieces and concatenated before the COO-to-CSR
-    conversion, which sums duplicates in triplet order.  With a row or a
-    column step, component c takes only the interior and boundary edges
-    whose normal has a nonzero component c."""
-    k = grid.edge_cell_k[edges]
-    l = grid.edge_cell_l[edges]
-    kb = grid.edge_cell_k[grid.boundary_edges]
+def list_edge_stencil(tables, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col_step=0):
+    """The sum that `operators._edge_stencil` scatters, built from COO
+    triplets over the whole edge `tables` (as `array_edges` gives them),
+    held as lists of index and value pieces and concatenated before the
+    COO-to-CSR conversion, which sums duplicates in triplet order.  With a
+    row or a column step, component c takes only the interior and boundary
+    edges whose normal has a nonzero component c."""
+    k = tables["edge_cell_k"][edges]
+    l = tables["edge_cell_l"][edges]
+    boundary = tables["boundary_edges"]
+    kb = tables["edge_cell_k"][boundary]
+    normal = tables["edge_normal"]
     c_k, c_l = np.broadcast_to(c_k, k.shape), np.broadcast_to(c_l, k.shape)
     components = 2 if row_step or col_step else 1
     rows, cols, vals = [], [], []
     for c in range(components):
         r, s = c * row_step, c * col_step
-        on = grid.edge_normal[edges, c] != 0 if components == 2 else slice(None)
+        on = normal[edges, c] != 0 if components == 2 else slice(None)
         kc, lc = k[on], l[on]
         wk, wl = w[on] * c_k[on], w[on] * c_l[on]
         rows += [kc + r, kc + r, lc + r, lc + r]
         cols += [kc + s, lc + s, kc + s, lc + s]
         vals += [wk, wl, -wk, -wl]
         if w_b is not None:
-            on_b = grid.edge_normal[grid.boundary_edges, c] != 0 if components == 2 else slice(None)
+            on_b = normal[boundary, c] != 0 if components == 2 else slice(None)
             rows.append(kb[on_b] + r)
             cols.append(kb[on_b] + s)
             vals.append(w_b[on_b])
@@ -428,8 +495,27 @@ def list_edge_stencil(grid, shape, edges, w, c_k, c_l, w_b=None, row_step=0, col
     ).tocsr()
 
 
-def triplet_operator(builder, *args):
-    """`builder(*args)`, one of the `operators` matrix builders, run on
-    `list_edge_stencil` instead of the production triplet arrays."""
-    with mock.patch.object(operators, "_edge_stencil", list_edge_stencil):
-        return builder(*args)
+def triplet_operator(builder, grid, edge_mask=None):
+    """What `builder(grid)` (or, for the jump matrix, `builder(grid,
+    edge_mask)`), one of the `operators` matrix builders, built when a grid
+    stored its edge tables: its weights sliced from the `array_edges`
+    tables and summed by `list_edge_stencil`."""
+    t = array_edges(grid.xs, grid.ys)
+    n = grid.n_cells
+    ie = slice(0, grid.n_interior_edges)
+    be = t["boundary_edges"]
+    length, dist, a = t["edge_length"], t["edge_dist"], t["edge_weight_k"]
+    if builder is h1_stiffness_matrix:
+        w, w_b = length[ie] / dist[ie], length[be] / dist[be]
+        return list_edge_stencil(t, (n, n), ie, w, 1.0, -1.0, w_b=w_b)
+    if builder is divergence_matrix:
+        return list_edge_stencil(t, (n, 2 * n), ie, length[ie], 1.0 - a[ie], a[ie], col_step=n)
+    if builder is gradient_matrix:
+        w_b = length[be] * t["edge_normal"][be].sum(axis=1)
+        return list_edge_stencil(
+            t, (2 * n, n), ie, length[ie], a[ie], 1.0 - a[ie], w_b=w_b, row_step=n
+        )
+    assert builder is jump_stabilization_matrix
+    if edge_mask is not None:
+        ie = np.flatnonzero(np.asarray(edge_mask, dtype=bool) & t["interior_mask"])
+    return list_edge_stencil(t, (n, n), ie, length[ie] * dist[ie], 1.0, -1.0)

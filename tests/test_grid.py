@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import tensor_lines
-from dense_oracle import loop_cells, loop_cluster_regularity, loop_edges, min_direction_strength
+from conftest import tensor_lines, traced_peak
+from dense_oracle import (
+    array_edges,
+    loop_cells,
+    loop_cluster_regularity,
+    loop_edges,
+    min_direction_strength,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +26,13 @@ from stokes_fv.grid import cluster_regularity
 
 def closed_cell_sums(grid):
     s = np.zeros((grid.n_cells, 2))
+    cell_k, cell_l = grid.edge_cell_k, grid.edge_cell_l
+    length, normal = grid.edge_length, grid.edge_normal
     for e in range(grid.n_edges):
-        k = grid.edge_cell_k[e]
-        contrib = grid.edge_length[e] * grid.edge_normal[e]
+        k = cell_k[e]
+        contrib = length[e] * normal[e]
         s[k] += contrib
-        l = grid.edge_cell_l[e]
+        l = cell_l[e]
         if l >= 0:
             s[l] -= contrib
     return s
@@ -72,11 +80,8 @@ def test_tensor_reduces_to_uniform():
 def test_tensor_center_distance():
     g = build_tensor([0, 0.25, 1], [0, 0.5, 1])
     # the interior edge between the two columns joins centers 0.125 and 0.625
-    vertical = [
-        e
-        for e in g.interior_edges
-        if g.edge_normal[e, 0] == 1.0
-    ]
+    normal = g.edge_normal
+    vertical = [e for e in g.interior_edges if normal[e, 0] == 1.0]
     assert len(vertical) == 2
     np.testing.assert_allclose(g.edge_dist[vertical], 0.5)
 
@@ -178,7 +183,17 @@ def test_cluster_regularity_anisotropic_tensor():
 SETUP_PROPERTY = settings(max_examples=40, deadline=None)
 
 
-DERIVED = ("cell_centers", "cell_ij", "edge_center", "interior_edges")
+EDGE_TABLES = (
+    "edge_cell_k",
+    "edge_cell_l",
+    "edge_normal",
+    "edge_length",
+    "edge_dist",
+    "edge_weight_k",
+    "interior_mask",
+    "boundary_edges",
+)
+DERIVED = EDGE_TABLES + ("cell_centers", "cell_ij", "edge_center", "interior_edges")
 
 
 def assert_same_table(grid, table):
@@ -199,6 +214,25 @@ def test_edge_table_matches_loop_oracle(lines):
 
 @SETUP_PROPERTY
 @given(tensor_lines(st.integers(2, 14)))
+@example(([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
+@example(([0.0, 0.5, 1.0], [0.0, 0.1, 0.3, 0.45, 0.7, 1.0]))
+@example(([0.0, 0.2, 0.3, 0.6, 0.8, 0.9, 1.0], [0.0, 0.4, 1.0]))
+def test_derived_edge_tables_match_the_stored_build(lines):
+    # the eight tables a grid once stored, now derived per family on every
+    # read: bitwise the whole-array build, and a fresh array each time
+    g = build_tensor(*lines)
+    tables = array_edges(*lines)
+    assert set(tables) == set(EDGE_TABLES)
+    assert_same_table(g, tables)
+    for name in EDGE_TABLES:
+        first = getattr(g, name)
+        expected = first.copy()
+        first[...] = ~first if first.dtype == bool else first + 1  # every entry changes
+        assert getattr(g, name).tobytes() == expected.tobytes(), name
+
+
+@SETUP_PROPERTY
+@given(tensor_lines(st.integers(2, 14)))
 def test_cell_table_matches_loop_oracle(lines):
     assert_same_table(build_tensor(*lines), loop_cells(*lines))
 
@@ -212,6 +246,20 @@ def test_derived_arrays_are_not_stored():
             setattr(g, name, getattr(g, name))
 
 
+def test_a_grid_stores_only_its_lines_and_cell_areas():
+    # every array in a grid's own state is a coordinate line or a width
+    # line, except the cell areas; the edge tables are derived on read
+    g = build_tensor(np.linspace(0, 1, 9), [0, 0.1, 0.35, 0.7, 1.0])
+    longest = max(g.nx, g.ny) + 1
+    arrays = {name: a for name, a in vars(g).items() if isinstance(a, np.ndarray)}
+    assert {name for name, a in arrays.items() if a.size > longest} == {"cell_areas"}
+    # building a grid allocates little beyond its cell areas: the traced
+    # peak of build_uniform(256) is 1.27x cell_areas.nbytes, against 18.1x
+    # when the grid stored its eight edge tables (57 B per edge)
+    area_bytes = build_uniform(256).cell_areas.nbytes
+    assert traced_peak(build_uniform, 256) <= 2.0 * area_bytes
+
+
 @SETUP_PROPERTY
 @given(tensor_lines(st.integers(1, 7).map(lambda h: 2 * h)))
 @example(([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
@@ -220,6 +268,11 @@ def test_derived_arrays_are_not_stored():
 def test_clusters_match_loop_oracle(lines):
     g = build_tensor(*lines)
     part = make_clusters(g)
+    # an interior edge is intra iff its two cells share a cluster
+    k, l = g.edge_cell_k, g.edge_cell_l
+    same = [l[e] >= 0 and part.cluster_of[k[e]] == part.cluster_of[l[e]] for e in range(g.n_edges)]
+    assert part.intra_edge_mask.tolist() == same
+    assert part.cross_edge_mask.tolist() == [l[e] >= 0 and not same[e] for e in range(g.n_edges)]
     areas = [g.cell_areas[part.cluster_of == c].sum() for c in range(part.n_clusters)]
     np.testing.assert_allclose(part.cluster_areas, areas, rtol=1e-14)
     expected = loop_cluster_regularity(g, part)
