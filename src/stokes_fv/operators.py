@@ -3,11 +3,14 @@
 Every operator is a sum over edges sigma = (k, l) of a flux weight times the
 jump (e_k - e_l), scaled row-wise by the cell area, so that a matrix row is
 the integral of the operator over the cell.  The one builder `_edge_stencil`
-writes each such sum straight into exact-size CSR arrays: on a tensor grid
-a row's columns are known from which neighbours the cell has, so it needs
-no triplets and no sort, and it sums each diagonal in the order a triplet
-build would, which keeps the matrices bitwise equal to that build.  The
-cell-update ("apply") forms of the gradient, divergence and stabilization
+writes each such sum straight into exact-size CSR arrays.  On a tensor grid
+a row holds at most its south, west, own, east and north slots, so the
+builder needs no triplets, no sort and no per-edge scatter: for a band of
+cell rows at a time it fills a (rows, nx, slots) array from 2D slices of
+each edge family's weights and compresses it, by which slots exist, into
+the band's contiguous range of the CSR arrays.  It sums each diagonal in
+the order a triplet build would, which keeps the matrices bitwise equal to
+that build.  The cell-update ("apply") forms of the gradient, divergence and stabilization
 are that matrix product divided by the cell areas; the Laplacian's instead
 sums its per-edge diffusive fluxes, so that it is exactly zero on
 constants away from the wall.  The public `*_matrix` builders return a
@@ -156,166 +159,200 @@ def duality_defect(p: ScalarField, v: VectorField) -> float:
 # -- assembled sparse form (rows scaled by cell area) -------------------------
 
 def _edge_stencil(
-    n, shape, components, weights, boundary_weights=None, edge_mask=None, row_step=0, col_step=0
+    grid, shape, components, weights, boundary_weights=None, edge_mask=None, row_step=0, col_step=0
 ):
     """Sum over interior edges of w (e_k - e_l)(c_k e_k + c_l e_l)^T, plus
     w_b e_k e_k^T over boundary edges, written straight into exact-size CSR
     arrays, with no triplets.
 
     `components` holds per component a pair (interior, boundary) of lists
-    of edge families of the grid (`Grid.families`), each in edge order.
-    `weights(family)` gives (w, c_k, c_l) over an interior family and
-    `boundary_weights(family)` w_b over a boundary one, each broadcast to
-    the family's block; `edge_mask`, one flag per edge, keeps only the
-    interior edges it flags.  With a row or a column step the stencil is a
+    of edge families of `grid` (`Grid.families`).  `weights(family)` gives
+    (w, c_k, c_l) over an interior family, cut to a band of cell rows by
+    `_rows`, and `boundary_weights(family)` w_b over a boundary one, each
+    broadcast to the family's block.  `edge_mask`, one flag per edge, keeps
+    only the interior edges it flags; a masked stencil has no boundary
+    families.  With a row or a column step the stencil is a
     velocity-pressure one of two components: component c occupies rows
     shifted by c * row_step and columns shifted by c * col_step, after the
     entries of component c - 1 where the two share a row.  With neither
     step it has one component.
 
-    On a tensor grid the row of cell m in a component holds at most the
-    columns of its south (m - nx), west (m - 1), own, east (m + 1) and north
-    (m + nx) cells, in that order, so per-cell flags of which of the five
-    it holds give every entry's slot: an edge (k, l) puts w c_l at the east
-    or north slot of row k and -w c_k at the west or south slot of row l.
-    Every grid has at least 2 cells per side, so every row of the
-    stiffness, the divergence and the gradient holds its own cell's slot in
-    each component, also where its value is zero, as on the diagonal of a
-    uniform grid's divergence.
+    Slots.  On a tensor grid the row of cell m in a component holds at most
+    its south (m - nx), west (m - 1), own, east (m + 1) and north (m + nx)
+    slots, in that order: the west and east ones if the component has the
+    vertical family, the south and north ones if it has the horizontal
+    one.  An edge (k, l) puts w c_l at the east or north slot of row k and
+    -w c_k at the west or south slot of row l.  Every grid has at least 2
+    cells per side, so every cell has an interior edge along each axis and
+    every row of an unmasked stencil holds its own slot in each component,
+    also where its value is zero, as on the diagonal of a uniform grid's
+    divergence.
+
+    Bands.  The rows are built in bands of whole cell rows (`_band_rows`).
+    A band's values fill a (rows, nx, slots) array from 2D slices of each
+    family's weights, and its slot-existence mask (the neighbour exists
+    and, under an edge mask, the edge is kept) compresses them into the
+    band's contiguous range of the CSR arrays.  A horizontal edge between
+    two bands adds to a row of each, so the arrays carry one halo row
+    above the band and one below it.
 
     The diagonal sums several edges' terms, so its bits depend on their
     order.  It is summed in the order in which a COO build, emitting per
     component the triplets kk, kl, lk and ll over the component's edges and
-    then its boundary ones, sums duplicates: kk over the component's
-    vertical then horizontal edges, ll the same way, then the boundary
-    edges, each in edge order, starting from -0.0 (-0.0 + x is x, bitwise,
-    for every x).  That keeps every matrix bitwise equal to the COO build,
-    which the tests keep as the reference.
-
-    A family's cells and weights are built anew in each function below that
-    reads them, and die with its call, so at most one family's are held at
-    a time; an array x at l = k + step is read as x[step:] at k.
+    then its boundary ones, sums duplicates: starting from -0.0 (-0.0 + x
+    is x, bitwise, for every x), kk over the vertical then the horizontal
+    edges, ll the same way, then the boundary families in order.  kk is
+    added from the west or south slot before that slot is negated, and ll
+    is subtracted from the east or north slot (x - y is x + (-y), bitwise);
+    a term that the edge mask drops is skipped with `where=`, so a signed
+    zero keeps its bits.  That keeps every matrix bitwise equal to the COO
+    build, which the tests keep as the reference.
     """
+    nx, ny = grid.nx, grid.ny
+    band = min(_band_rows(nx, ny), ny)
 
-    def selection(family):
-        return None if edge_mask is None else edge_mask[family.edges].reshape(family.shape)
+    def layout(parts):
+        """A row block's components, each as its slots' positions by name,
+        its interior families and its boundary families with their weights,
+        and the column offset of every slot from the row's own cell."""
+        block, offsets = [], []
+        for s, (interior, boundary) in parts:
+            axes = {family.axis for family in interior}
+            slot = {}
+            for name, axis, di, dj in _SLOTS:
+                if axis is None or axis in axes:
+                    slot[name] = len(offsets)
+                    offsets.append(s + di + dj * nx)
+            walls = [(f, np.broadcast_to(boundary_weights(f), f.shape)) for f in boundary]
+            block.append((slot, interior, walls))
+        return block, np.array(offsets, dtype=np.int32)
 
-    def first_cells(family):
-        """The first cells of the family's kept edges, in edge order."""
-        k, select = family.k, selection(family)
-        return k.ravel() if select is None else k[select]
+    if row_step:  # a row block per component
+        blocks = [(c * row_step, [(0, parts)]) for c, parts in enumerate(components)]
+    else:
+        blocks = [(0, [(c * col_step, parts) for c, parts in enumerate(components)])]
+    plans = [(r, *layout(parts)) for r, parts in blocks]
 
-    def values(family, which, out):
-        """w times c_k (which = 1) or c_l (which = 2) over the kept edges."""
-        terms = weights(family)
-        w, c = terms[0], terms[which]
-        select = selection(family)
-        if select is None:
-            return np.multiply(w, c, out=out[: family.size].reshape(family.shape)).ravel()
-        w, c = (x if np.ndim(x) == 0 else np.broadcast_to(x, family.shape)[select] for x in (w, c))
-        return np.multiply(w, c, out=out[: w.size])
+    def edges(family, j0, j1):
+        """The family's edges that meet the cell rows j0..j1-1: their range
+        along the block's row axis, the indices of their k and l cells in a
+        band's halo arrays, their keep flags (True for all) and the map
+        from a (rows, nx) view of those arrays to the block's orientation."""
+        kept = True if edge_mask is None else edge_mask[family.edges].reshape(family.shape)
+        if family.axis == 0:  # between the cells (j, i) and (j, i + 1)
+            k, l = (slice(1, -1), slice(0, -1)), (slice(1, -1), slice(1, None))
+            return j0, j1, k, l, kept if kept is True else kept[:, j0:j1].T, np.transpose
+        first, last = max(j0 - 1, 0), min(j1, ny - 1)  # between (j, i) and (j + 1, i)
+        a, b = first - j0 + 1, last - j0 + 1
+        k, l = (slice(a, b), slice(None)), (slice(a + 1, b + 1), slice(None))
+        return first, last, k, l, kept if kept is True else kept[first:last], lambda x: x
 
-    def mark(has, family):
-        south, west, diag, east, north = has
-        k, step = first_cells(family), family.step
-        (north if family.axis else east)[k] = True
-        (south if family.axis else west)[step:][k] = True
-        diag[k] = diag[step:][k] = True
+    def existence(block, j0, j1, has):
+        """Which slots the cell rows j0..j1-1 hold, in has[1:-1]."""
+        has.fill(False)
+        for slot, interior, _ in block:
+            for family in interior:
+                _, _, k, l, kept, _ = edges(family, j0, j1)
+                high, low = _SIDES[family.axis]
+                has[k + (slot[high],)] = has[l + (slot[low],)] = kept
+            if edge_mask is None:
+                has[:, :, slot["D"]] = True
+            else:  # the own slot of a cell with a kept edge
+                others = [q for name, q in slot.items() if name != "D"]
+                has[:, :, slot["D"]] = has[:, :, others].any(axis=2)
+        return has[1:-1]
 
-    def flags(interior, boundary):
-        """Which of its south, west, own, east and north slots each row of a
-        component holds; computed twice per component, for the counts and
-        for the slots, rather than kept for every component."""
-        has = np.zeros((5, n), dtype=bool)
-        for family in interior:
-            mark(has, family)
-        for family in boundary:
-            has[2, family.k.ravel()] = True
-        return has
+    def fill(block, j0, j1, vals):
+        """The values of the cell rows j0..j1-1, in vals[1:-1]."""
+        for slot, interior, walls in block:
+            diagonal = vals[:, :, slot["D"]]
+            diagonal.fill(-0.0)
+            terms = []
+            for family in interior:  # kk, from the west or south slot
+                lo, hi, k, l, kept, orient = edges(family, j0, j1)
+                w, c_k, c_l = weights(_rows(family, lo, hi))
+                low = vals[l + (slot[_SIDES[family.axis][1]],)]
+                np.multiply(w, c_k, out=orient(low))
+                into = diagonal[k]
+                np.add(into, low, out=into, where=kept)
+                np.negative(low, out=low)
+                terms.append((family.axis, k, l, kept, orient, w, c_l))
+            for axis, k, l, kept, orient, w, c_l in terms:  # ll, from the east or north slot
+                high = vals[k + (slot[_SIDES[axis][0]],)]
+                np.multiply(w, c_l, out=orient(high))
+                into = diagonal[l]
+                np.subtract(into, high, out=into, where=kept)
+            for family, w_b in walls:
+                if family.axis == 0:  # the walls of row j: cells (j, 0) and (j, nx - 1)
+                    for wall, i in ((0, 0), (1, nx - 1)):
+                        into = diagonal[1:-1, i]
+                        np.add(into, w_b[j0:j1, wall], out=into)
+                else:  # the walls of column i: cells (0, i) and (ny - 1, i)
+                    for wall, j in ((0, 0), (1, ny - 1)):
+                        if j0 <= j < j1:
+                            into = diagonal[j - j0 + 1]
+                            np.add(into, w_b[:, wall], out=into)
+        return vals[1:-1]
 
-    # In row l an edge's lk entry is the west entry (d - 1) or the south
-    # one, before the west entry if there is one; in row k its kl entry is
-    # the east entry (d + 1) or the north one, after the east entry if there
-    # is one.
-    def off_diagonal(has, s, family):
-        """The kk, lk and kl entries of a family's edges."""
-        _, west, _, east, _ = has
-        vals = values(family, 1, vals_buffer)
-        k, step, past = first_cells(family), family.step, family.axis
-        slots = slots_buffer[: k.size]
-        np.take(d, k, out=slots, mode="clip")
-        indices[slots] = _offset(k, s)
-        np.add.at(data, slots, vals)  # kk
-        np.take(d[step:], k, out=slots, mode="clip")
-        slots -= past
-        np.subtract(slots, 1, out=slots, where=west[step:][k])
-        indices[slots] = _offset(k, s)
-        data[slots] = np.negative(vals, out=vals)  # lk
-        np.take(d, k, out=slots, mode="clip")
-        slots += past
-        np.add(slots, 1, out=slots, where=east[k])
-        k += step  # l
-        indices[slots] = _offset(k, s)
-        del k  # before the weights are built again
-        data[slots] = values(family, 2, vals)  # kl
+    def bands():
+        for j0 in range(0, ny, band):
+            yield j0, min(j0 + band, ny)
 
-    def ll(s, family):
-        vals = values(family, 2, vals_buffer)
-        np.negative(vals, out=vals)
-        l = first_cells(family)
-        l += family.step
-        slots = slots_buffer[: l.size]
-        np.take(d, l, out=slots, mode="clip")
-        indices[slots] = _offset(l, s)
-        np.add.at(data, slots, vals)  # ll
-
-    def boundary_diagonal(s, family):
-        k = family.k.ravel()
-        slots = d[k]
-        indices[slots] = _offset(k, s)
-        np.add.at(data, slots, np.broadcast_to(boundary_weights(family), family.shape).ravel())
-
-    # the row counts, summed over the components that share a row
+    # the row counts, from each band's slot-existence mask
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    for c, component in enumerate(components):
-        rows = slice(1 + c * row_step, 1 + c * row_step + n)
-        indptr[rows] += flags(*component).sum(axis=0, dtype=np.int32)
+    for r, block, offsets in plans:
+        has = np.empty((band + 2, nx, offsets.size), dtype=bool)
+        for j0, j1 in bands():
+            counts = indptr[1 + r + j0 * nx : 1 + r + j1 * nx].reshape(j1 - j0, nx)
+            kept = existence(block, j0, j1, has[: j1 - j0 + 2])
+            for q in range(offsets.size):  # slot by slot: a sum along the short axis is slow
+                counts += kept[:, :, q]
     np.cumsum(indptr, out=indptr)
     indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.full(indptr[-1], -0.0)  # where every diagonal sum starts
-    # one value and one slot buffer for every step below ("clip" only keeps
-    # `take` from buffering its output: every index is in range)
-    size = max(
-        family.size if edge_mask is None else np.count_nonzero(selection(family))
-        for interior, _ in components
-        for family in interior
-    )
-    vals_buffer, slots_buffer = np.empty(size), np.empty(size, dtype=np.intp)
-    d = indptr[:n].astype(np.intp)  # the first free slot of each row
-    for c, (interior, boundary) in enumerate(components):
-        s = c * col_step
-        if row_step:
-            d[:] = indptr[c * row_step : c * row_step + n]
-        has = flags(interior, boundary)
-        south, west, diag, east, north = has
-        # the diagonal slots; `where=` adds the flags without a cast buffer
-        np.add(d, 1, out=d, where=south)
-        np.add(d, 1, out=d, where=west)
-        for family in interior:
-            off_diagonal(has, s, family)
-        for family in interior:
-            ll(s, family)
-        for family in boundary:
-            boundary_diagonal(s, family)
-        if not row_step:  # the next component's entries follow these
-            for flag in (diag, east, north):
-                np.add(d, 1, out=d, where=flag)
+    data = np.empty(indptr[-1])
+    for r, block, offsets in plans:
+        vals = np.empty((band + 2, nx, offsets.size))
+        has = np.empty(vals.shape, dtype=bool)
+        # the columns of the first band's slots; a band j0 rows on adds j0 nx
+        columns = np.arange(band * nx, dtype=np.int32).reshape(band, nx, 1) + offsets
+        for j0, j1 in bands():
+            kept = existence(block, j0, j1, has[: j1 - j0 + 2])
+            start, stop = indptr[r + j0 * nx], indptr[r + j1 * nx]
+            data[start:stop] = fill(block, j0, j1, vals[: j1 - j0 + 2])[kept]
+            indices[start:stop] = columns[: j1 - j0][kept]
+            indices[start:stop] += j0 * nx
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
-def _offset(cells, s):
-    """cells + s, with no copy of `cells` when s is 0."""
-    return cells + s if s else cells
+# a row's slots in column order, each with the axis of the interior family
+# that fills it (None: the diagonal) and the step (di, dj) to its cell
+_SLOTS = (("S", 1, 0, -1), ("W", 0, -1, 0), ("D", None, 0, 0), ("E", 0, 1, 0), ("N", 1, 0, 1))
+# per normal axis, the slots of an edge's kl entry (in row k) and lk entry (in row l)
+_SIDES = {0: ("E", "W"), 1: ("N", "S")}
+
+
+def _band_rows(nx, ny):
+    """Cell rows per band of `_edge_stencil`: about an eighth of the grid,
+    which bounds the band's arrays by a fraction of the output, held
+    between 2^10 cells, below which the calls per band outweigh the work,
+    and 2^15 cells, above which larger bands built more slowly (n=1024)."""
+    return max(1, min(max(nx * ny // 8, 1 << 10), 1 << 15) // nx)
+
+
+def _rows(family, start, stop):
+    """An interior edge family cut to the edges whose first cell lies in the
+    cell rows start..stop-1: its block sliced along the axis that runs over
+    cell rows (axis 1 of the vertical family's, axis 0 of the horizontal
+    one's), with the arrays that broadcast along that axis left whole."""
+    axis = 1 - family.axis
+    cut = (slice(None),) * axis + (slice(start, stop),)
+
+    def part(x):
+        return x[cut] if np.ndim(x) == 2 and np.shape(x)[axis] == family.shape[axis] else x
+
+    fields = ("rows", "cols", "length", "dist", "weight_k")
+    shape = tuple(stop - start if a == axis else size for a, size in enumerate(family.shape))
+    return family._replace(shape=shape, **{name: part(getattr(family, name)) for name in fields})
 
 
 def _transmissivity(family):
@@ -327,7 +364,7 @@ def h1_stiffness_matrix(grid: Grid) -> sp.csr_matrix:
     n = grid.n_cells
     families = grid.families()
     return _edge_stencil(
-        n,
+        grid,
         (n, n),
         [(families[:2], families[2:])],
         lambda f: (_transmissivity(f), 1.0, -1.0),
@@ -345,7 +382,7 @@ def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     n = grid.n_cells
     vertical, horizontal = grid.families()[:2]
     return _edge_stencil(
-        n,
+        grid,
         (n, 2 * n),
         [([vertical], []), ([horizontal], [])],
         lambda f: (f.length, 1.0 - f.weight_k, f.weight_k),
@@ -364,7 +401,7 @@ def gradient_matrix(grid: Grid) -> sp.csr_matrix:
     n = grid.n_cells
     vertical, horizontal, left_right, bottom_top = grid.families()
     return _edge_stencil(
-        n,
+        grid,
         (2 * n, n),
         [([vertical], [left_right]), ([horizontal], [bottom_top])],
         lambda f: (f.length, f.weight_k, 1.0 - f.weight_k),
@@ -385,7 +422,7 @@ def jump_stabilization_matrix(grid: Grid, edge_mask=None) -> sp.csr_matrix:
             raise ValueError(f"edge mask of shape {edge_mask.shape}, not ({grid.n_edges},)")
     n = grid.n_cells
     return _edge_stencil(
-        n,
+        grid,
         (n, n),
         [(grid.families()[:2], [])],
         lambda f: (f.length * f.dist, 1.0, -1.0),

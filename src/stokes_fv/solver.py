@@ -374,9 +374,11 @@ def _pcg(apply, h: np.ndarray, precondition):
 
 def _schur_complement(system: SaddleSystem):
     """q -> B A^-1 B^T q, for one pressure vector or a block of columns,
-    with A^-1 the grid's factor-free `velocity_solve`."""
+    with A^-1 the grid's factor-free `velocity_solve`.  B^T is taken once:
+    each `.T` builds a new SciPy matrix object."""
     B, velocity_solve = system.B, grid_operators(system.grid).velocity_solve
-    return lambda q: B @ velocity_solve(B.T @ q)
+    B_T = B.T
+    return lambda q: B @ velocity_solve(B_T @ q)
 
 
 def _schur_cg_block(system: SaddleSystem, stats: dict):
@@ -393,6 +395,7 @@ def _schur_cg_block(system: SaddleSystem, stats: dict):
     """
     pin = system.n_velocity
     w, B, C = system.mean_weights, system.B, system.C
+    B_T = B.T
     velocity_solve = grid_operators(system.grid).velocity_solve
     schur_complement = _schur_complement(system)
 
@@ -418,7 +421,7 @@ def _schur_cg_block(system: SaddleSystem, stats: dict):
             h -= w * (h.sum() / w.sum())
             p, *telemetry = _pcg(schur, h, precondition)
             passes.append(telemetry)
-        x = np.concatenate([velocity_solve(f + B.T @ p), p])
+        x = np.concatenate([velocity_solve(f + B_T @ p), p])
         stats["cg_s"] += time.perf_counter() - t0
         return x
 
@@ -497,6 +500,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
     if backend not in BACKENDS:
         raise SolverError(f"unknown backend {backend!r}")
     B, C, rhs = system.B, system.C, system.rhs
+    B_T = B.T
     velocity_apply = grid_operators(system.grid).velocity_apply
     pin = system.n_velocity  # first pressure dof
     m = pin + system.n_p  # size of the unbordered block
@@ -506,7 +510,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
         # rhs - matrix @ [x; multiplier], from the blocks
         u, p = x[:pin], x[pin:]
         return rhs - np.concatenate(
-            [velocity_apply(u) - B.T @ p, B @ u + C @ p + w * multiplier, [w @ p]]
+            [velocity_apply(u) - B_T @ p, B @ u + C @ p + w * multiplier, [w @ p]]
         )
 
     stats: dict = {"backend": backend, "peak_rss_before_mb": _peak_rss_mb()}

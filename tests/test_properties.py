@@ -1,8 +1,10 @@
 """Exact algebraic identities of the operators and schemes on random tensor
-grids (strictly increasing lines, nx != ny, 2-10 cells per side).  The
-assembled matrices are checked against the per-edge loops of
-`dense_oracle`, which share no code with them, and bit for bit against its
-earlier sparse builds (`sp.bmat`, lists of triplets)."""
+grids (strictly increasing lines, nx != ny, 2-10 cells per side, up to 24
+for the stencil builds).  The assembled matrices are checked against the
+per-edge loops of `dense_oracle`, which share no code with them, and bit
+for bit against its earlier sparse builds (`sp.bmat`, lists of triplets)."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from stokes_fv import (
     split_seminorms,
     stab_laplacian_apply,
 )
+from stokes_fv import operators
 from stokes_fv.operators import grid_operators as _grid_operators
 from stokes_fv.operators import vector_field_to_array
 from stokes_fv.verify import CASES
@@ -131,18 +134,25 @@ def test_stabilization_block_is_bitwise_symmetric(lines):
 
 
 @PROPERTY
-@given(ANY_COUNTS)
-def test_operators_match_the_list_of_triplets_build_bitwise(lines):
+@given(tensor_lines(st.integers(2, 24)), SEEDS)
+def test_operators_match_the_list_of_triplets_build_bitwise(lines, seed):
+    # at the default band size and in bands of 1 and 3 cell rows, which end
+    # inside every edge family; the jump matrix also under a random edge
+    # mask and, on an even grid, the intra-cluster one
     g = build_tensor(*lines)
-    builders = (h1_stiffness_matrix, divergence_matrix, gradient_matrix, jump_stabilization_matrix)
-    for builder in builders:
-        assert_same_arrays(builder(g), triplet_operator(builder, g))
+    masks = [np.random.default_rng(seed).random(g.n_edges) < 0.5]
     if g.nx % 2 == 0 and g.ny % 2 == 0:
-        mask = make_clusters(g).intra_edge_mask
-        assert_same_arrays(
-            jump_stabilization_matrix(g, mask),
-            triplet_operator(jump_stabilization_matrix, g, mask),
-        )
+        masks.append(make_clusters(g).intra_edge_mask)
+    builders = [h1_stiffness_matrix, divergence_matrix, gradient_matrix, jump_stabilization_matrix]
+    builders += [functools.partial(jump_stabilization_matrix, edge_mask=mask) for mask in masks]
+    want = [triplet_operator(builder, g) for builder in builders[:4]]
+    want += [triplet_operator(jump_stabilization_matrix, g, mask) for mask in masks]
+    for rows in (None, 1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            if rows:
+                patch.setattr(operators, "_band_rows", lambda nx, ny, rows=rows: rows)
+            for builder, matrix in zip(builders, want):
+                assert_same_arrays(builder(g), matrix)
 
 
 def _assert_bordered_matches_bmat(specs, g):
