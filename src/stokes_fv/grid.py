@@ -52,10 +52,6 @@ class EdgeFamily(NamedTuple):
         """The first incident cell of each edge, a fresh (shape) array."""
         return self.rows + self.cols
 
-    @property
-    def size(self) -> int:
-        return self.shape[0] * self.shape[1]
-
 
 class Grid:
     """Tensor-product mesh of the rectangle spanned by its coordinate lines.
