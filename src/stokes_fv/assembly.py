@@ -20,9 +20,10 @@ each component, and is never stored: A1 and the cell divergence depend on
 the grid alone, and every system assembled on a grid takes them, shared and
 read-only, from `operators.grid_operators`, which also applies and inverts
 the velocity block.  This module only assembles: each system's bordered
-matrix is scattered from its blocks straight into CSC arrays, with no COO
-copy of any block and no whole-size copy of B (its CSC form is built one
-band of rows at a time).
+matrix is built from its blocks straight into CSC arrays by SciPy's
+compiled CSR kernels, with no COO copy of any block and no whole-size copy
+of B (its CSC form is written into the matrix's own pressure slots, which
+are filled last).
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
+# SciPy's compiled CSR kernels behind `csr_matrix.tocsc()` and behind the
+# CSR fast path of `sp.hstack` (`scipy.sparse._construct.
+# _stack_along_minor_axis`).  They are private and check no bounds: a
+# block's indptr must start at 0 and every output must have room.
+from scipy.sparse._sparsetools import csr_hstack, csr_tocsc
 
 from .errors import ConfigError, GridError
 from .fields import ScalarField, VectorField, write_table
@@ -112,9 +118,8 @@ class SaddleSystem:
         return ScalarField(self.grid, p_raw.copy())
 
 
-# entries or points handled per step of `cell_means`, `_row_bands` and
-# `_bordered`: their temporaries hold a few times this many, whatever the
-# size of the grid
+# entries or points handled per step of `cell_means` and `_bordered`: their
+# temporaries hold a few times this many, whatever the size of the grid
 _CHUNK = 1 << 13
 
 
@@ -155,111 +160,98 @@ def cell_means(f, grid: Grid, quad_order: int = 3) -> VectorField:
     return VectorField(grid, means)
 
 
-def _row_bands(B):
-    """B in pieces, as (first row, first column, CSC indptr, indices, data):
-    consecutive bands of whole rows holding about `8 * _CHUNK` entries (one
-    row if that row holds more), each cut to the window of columns it
-    touches in each velocity component.
-
-    No SciPy submatrix of B is cut: a band's column indices are shifted so
-    that its windows lie side by side, and one CSC conversion of the band
-    then holds each piece as a range of its columns.  A band's conversion
-    and scatter cost O(its entries + its windows' columns), so no band pays
-    for all 2n columns; a B small enough is one band.
-    """
-    n = B.shape[1] // 2
-    starts = np.unique(B.indptr.searchsorted(np.arange(0, B.nnz, 8 * _CHUNK), side="right") - 1)
-    starts = starts.tolist()
-    for r0, r1 in zip(starts, starts[1:] + [B.shape[0]]):
-        lo, hi = B.indptr[r0], B.indptr[r1]
-        columns = B.indices[lo:hi]
-        u2 = columns >= n
-        # each component's window of columns (none if the band misses it),
-        # and the shift that puts it after the previous window in the
-        # band's local columns
-        windows, width = [], 0
-        for j0, j1 in (
-            (columns.min(), np.where(u2, -1, columns).max() + 1),
-            (np.where(u2, columns, 2 * n).min(), columns.max() + 1),
-        ):
-            if j0 < j1:
-                windows.append((int(j0), int(j1), int(j0) - width))
-                width += int(j1 - j0)
-        local = np.where(u2, np.int32(windows[-1][2]), np.int32(windows[0][2]))
-        del u2
-        np.subtract(columns, local, out=local)
-        band = sp.csr_matrix((B.data[lo:hi], local, B.indptr[r0 : r1 + 1] - lo), (r1 - r0, width))
-        band = band.tocsc()
-        del local  # before the band's pieces are scattered
-        for j0, j1, shift in windows:
-            ptr = band.indptr[j0 - shift : j1 - shift + 1]
-            yield r0, j0, ptr - ptr[0], band.indices[ptr[0] : ptr[-1]], band.data[ptr[0] : ptr[-1]]
-
-
 def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
     """The bordered saddle matrix [[A, -B^T, 0], [B, C, w], [0, w^T, 0]],
-    A = diag(A1, A1) and w = `mean_weights`, scattered straight into
-    exact-size CSC arrays.
+    A = diag(A1, A1) and w = `mean_weights`, built straight into exact-size
+    CSC arrays by SciPy's compiled kernels.
 
-    The column counts come first and `indptr` is their cumulative sum; then
-    each block's entries go to the next free slots of their columns, one
-    block at a time and `_CHUNK` entries at a time, so that no temporary
-    is the size of a block.  Every block is canonical (sorted indices, no
-    duplicates) and the blocks of a column arrive in order of increasing
-    row offset, so the result is canonical without a sort.  Its `indptr`,
+    The CSC arrays of the matrix are the CSR arrays of its transpose, whose
+    rows are [A1 | 0 | B^T] and [0 | A1 | B^T] in the velocity columns,
+    [-B | C | w] in the pressure columns and [0 | w^T | 0] in the last:
+    A1 and C are read through their CSR arrays as their CSC arrays, since
+    both are bitwise symmetric, as the tests check.  `csr_tocsc` first
+    writes B's CSC arrays, the CSR arrays of B^T, into the slots of the
+    pressure columns, which hold more entries than B and are filled last;
+    its column counts and the blocks' give `indptr`.  Then each of the
+    three row fills is stacked by `csr_hstack`, one band of whole rows at a
+    time, from the band's pieces of its blocks, copied into reused buffers,
+    straight into the band's slots of the output.  A band holds about
+    nnz / 8 entries, but at least 2 * _CHUNK and at most 8 * _CHUNK (or one
+    row, if that row holds more), so that no temporary is the size of a
+    block.  The kernels only copy values and add column offsets, and every
+    block's rows are sorted, so the result is canonical, and its `indptr`,
     `indices` and `data` are those of SciPy's block stacking of the same
     blocks, which copies every block into COO form and sorts the stack
-    back.  The CSR arrays of B are the CSC arrays of B^T, and A1 and C are
-    read through their own CSR arrays as their CSC arrays: both are
-    bitwise symmetric, as the tests check.  The B block is scattered from
-    `_row_bands(B)`, one band's CSC copy at a time, and its column counts
-    are counted from B's CSR indices: the bands ascend in rows, and so does
-    each column of a piece's CSC, so every column of the B block arrives
-    sorted.  No copy of the whole of B is made.
+    back.  No copy of the whole of B is made.
     """
     n, n_p = A1.shape[0], B.shape[0]
     m = 2 * n
     size = m + n_p + 1
+    nnz = 2 * A1.nnz + 2 * B.nnz + C.nnz + 2 * n_p
+    indptr = np.empty(size + 1, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
+    first_p = 2 * A1.nnz + B.nnz  # the first slot of the pressure columns
+    bt_ptr = np.empty(m + 1, dtype=np.int32)
+    bt_indices, bt_data = indices[first_p : first_p + B.nnz], data[first_p : first_p + B.nnz]
+    csr_tocsc(n_p, m, B.indptr, B.indices, B.data, bt_ptr, bt_indices, bt_data)
+    np.add(A1.indptr, bt_ptr[: n + 1], out=indptr[: n + 1])
+    np.add(A1.indptr[1:], bt_ptr[n + 1 :], out=indptr[n + 1 : m + 1])
+    indptr[n + 1 : m + 1] += A1.nnz
     ramp = np.arange(n_p + 1, dtype=np.int32)
-    # (first column, row offset, CSC indptr, indices, data, negated) per
-    # block; w^T has one entry in each of its columns, w all n_p in its one
-    velocity = [
-        (0, 0, A1.indptr, A1.indices, A1.data, False),
-        (n, n, A1.indptr, A1.indices, A1.data, False),
+    np.add(B.indptr, C.indptr, out=indptr[m:size])
+    indptr[m:size] += ramp
+    indptr[m:size] += first_p
+    indptr[size] = nnz
+    np.add(ramp[:-1], m, out=indices[-n_p:])  # the last column, w^T
+    data[-n_p:] = mean_weights
+
+    # per fill: its columns, its blocks as (CSR indptr, indices, data, copy)
+    # or None for an empty one, and their widths
+    a1 = (A1.indptr, A1.indices, A1.data, np.positive)
+    fills = [
+        (0, n, [a1, None, (bt_ptr[: n + 1], bt_indices, bt_data, np.positive)], (n, n, n_p)),
+        (n, m, [None, a1, (bt_ptr[n:], bt_indices, bt_data, np.positive)], (n, n, n_p)),
+        (m, size - 1, [
+            (B.indptr, B.indices, B.data, np.negative),
+            (C.indptr, C.indices, C.data, np.positive),
+            (ramp, np.broadcast_to(np.int32(0), n_p), mean_weights, np.positive),
+        ], (m, n_p, 1)),
     ]
-    pressure = [
-        (m, 0, B.indptr, B.indices, B.data, True),
-        (m, m, C.indptr, C.indices, C.data, False),
-        (m, size - 1, ramp, np.broadcast_to(np.int32(0), n_p), mean_weights, False),
-        (size - 1, m, ramp[[0, -1]], ramp[:-1], mean_weights, False),
-    ]
-    column_nnz = np.zeros(size, dtype=np.int32)
-    column_nnz[:m] = np.bincount(B.indices, minlength=m)  # the B block's
-    for first, _, ptr, *_ in velocity + pressure:
-        column_nnz[first : first + ptr.size - 1] += np.diff(ptr)
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(column_nnz, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    free = column_nnz  # reused: the next free slot of each column
-    free[:] = indptr[:-1]
-    bands = ((j0, m + r0, *piece, False) for r0, j0, *piece in _row_bands(B))
-    blocks = itertools.chain(velocity, bands, pressure)
-    for first, offset, ptr, block_indices, block_data, negated in blocks:
-        # entry e of column c goes to slot free[c] + e - ptr[c]; chunk j
-        # takes entries lo[j]:hi[j], in columns c0[j]:c1[j]
-        lo = np.arange(0, ptr[-1], _CHUNK, dtype=ptr.dtype)
-        hi = np.minimum(lo + _CHUNK, ptr[-1])
-        c0 = ptr.searchsorted(lo, side="right") - 1
-        c1 = ptr.searchsorted(hi, side="left")
-        for lo_j, hi_j, c0_j, c1_j in zip(lo, hi, c0, c1):
-            chunk_nnz = np.diff(np.clip(ptr[c0_j : c1_j + 1], lo_j, hi_j))
-            slots = np.repeat(free[first + c0_j : first + c1_j] - ptr[c0_j:c1_j], chunk_nnz)
-            slots += np.arange(lo_j, hi_j, dtype=slots.dtype)
-            indices[slots] = block_indices[lo_j:hi_j] + offset
-            data[slots] = -block_data[lo_j:hi_j] if negated else block_data[lo_j:hi_j]
-            del slots  # before the next chunk's, so that no two overlap
-        free[first : first + ptr.size - 1] += np.diff(ptr)
+    cap = min(max(nnz // 8, 2 * _CHUNK), 8 * _CHUNK)
+    edges = []  # each fill's band edges, in rows from its first column
+    for first, last, *_ in fills:
+        ptr = indptr[first : last + 1]
+        starts = ptr.searchsorted(np.arange(ptr[0], ptr[-1], cap), side="right") - 1
+        edges.append(np.unique(np.r_[0, starts, last - first]))
+    most_rows = max(np.diff(e).max() for e in edges)
+    most = max(np.diff(indptr[first + e]).max() for (first, *_), e in zip(fills, edges))
+    band_ptr = np.empty(3 * (most_rows + 1), dtype=np.int32)
+    band_indices, band_data = np.empty(most, dtype=np.int32), np.empty(most)
+    out_ptr = np.empty(most_rows + 1, dtype=np.int32)
+    for (first, _, blocks, widths), fill_edges in zip(fills, edges):
+        widths = np.array(widths, dtype=np.int32)
+        for r0, r1 in itertools.pairwise(fill_edges.tolist()):
+            rows, end = r1 - r0, 0
+            for b, block in enumerate(blocks):
+                piece_ptr = band_ptr[b * (rows + 1) : (b + 1) * (rows + 1)]
+                if block is None:
+                    piece_ptr[:] = 0
+                    continue
+                ptr, block_indices, block_data, copy = block
+                lo, hi = int(ptr[r0]), int(ptr[r1])
+                # each piece's indptr starts at 0: the kernel takes a
+                # block's entries to end at its last indptr value
+                np.subtract(ptr[r0 : r1 + 1], lo, out=piece_ptr)
+                band_indices[end : end + hi - lo] = block_indices[lo:hi]
+                copy(block_data[lo:hi], out=band_data[end : end + hi - lo])
+                end += hi - lo
+            s0, s1 = indptr[first + r0], indptr[first + r1]
+            csr_hstack(
+                len(blocks), rows, widths, band_ptr[: 3 * (rows + 1)],
+                band_indices[:end], band_data[:end], out_ptr[: rows + 1],
+                indices[s0:s1], data[s0:s1],
+            )
     return sp.csc_matrix((data, indices, indptr), shape=(size, size))
 
 

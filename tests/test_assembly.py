@@ -4,7 +4,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from conftest import assert_same_arrays, matrix_bytes, tensor_lines, traced_peak
 from dense_oracle import bmat_bordered, per_cell_means, velocity_block
 from hypothesis import given, settings
@@ -383,9 +382,10 @@ def test_velocity_solve_inverts_the_stiffness_on_tensor_grids(lines):
 @pytest.mark.parametrize("kind", ["natural", "bp", "cluster", "cluster-constant"])
 def test_assembly_traced_memory_stays_near_the_bordered_matrix(kind):
     # stacking by sp.bmat, through COO copies of every block, peaked at
-    # 3.0-3.2x, and the block-wide scatter with CSC copies of B and C at
-    # 1.8-2.0x; the chunked scatter peaks at 1.5-1.7x.  The grid's shared
-    # operators are built before the trace
+    # 3.0-3.2x, the block-wide scatter with CSC copies of B and C at
+    # 1.8-2.0x, and the chunked NumPy scatter at 1.5-1.7x; the compiled
+    # kernels, with B's CSC in the output's pressure slots, peak at
+    # 1.28-1.52x.  The grid's shared operators are built before the trace
     g = build_uniform(64)
     spec = SchemeSpec(kind, {"bp": 0.05, "cluster": 1.0}.get(kind))
     f = cell_means(CASES["ms1"].forcing, g)
@@ -393,71 +393,69 @@ def test_assembly_traced_memory_stays_near_the_bordered_matrix(kind):
     assert traced_peak(assemble, spec, g, f) <= 1.8 * matrix_bytes(matrix)
 
 
-def _assert_bordered_matches_bmat(g):
-    """Assemble every scheme on `g`, check each bordered matrix against
-    `sp.bmat`'s bit for bit, and return the B blocks."""
+_KINDS = ("natural", "bp", "cluster", "cluster-constant")
+
+
+def _assert_bordered_matches_bmat(monkeypatch, g, kinds=_KINDS):
+    """Assemble each scheme of `kinds` on `g`, check each bordered matrix
+    against `sp.bmat`'s bit for bit, and return the number of bands that
+    `csr_hstack` stacked for each: three fills of one band each at least."""
+    kernel, calls = assembly.csr_hstack, []
+    monkeypatch.setattr(assembly, "csr_hstack", lambda *args: calls.append(args) or kernel(*args))
     f = cell_means(CASES["ms1"].forcing, g)
-    blocks = []
-    for kind in ("natural", "bp", "cluster", "cluster-constant"):
+    bands = []
+    for kind in kinds:
+        calls.clear()
         system = assemble(SchemeSpec(kind, {"bp": 0.05, "cluster": 1.0}.get(kind)), g, f)
         oracle = bmat_bordered(velocity_block(g), system.B, system.C, system.mean_weights)
         assert_same_arrays(system.matrix, oracle)
-        blocks.append(system.B)
-    return blocks
-
-
-def _n_bands(B):
-    return len({r0 for r0, *_ in assembly._row_bands(B)})
+        bands.append(len(calls))
+    return bands
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_bordered_matrix_scattered_in_chunks_matches_bmat(monkeypatch, chunk):
-    # chunks that end inside a column, on its last entry, or span several
-    # columns, on grids too small for the default chunk to split a block;
-    # on the 24x16 grid, B's row bands (8 chunks each) end inside it
+    # bands of one row or of a few, on grids too small for the default
+    # chunk to split a fill; on the 24x16 grid the fills split into many
     monkeypatch.setattr(assembly, "_CHUNK", chunk)
     small = build_tensor([0, 0.2, 0.5, 0.7, 1.0], [0, 0.3, 0.55, 0.8, 1.0])
-    _assert_bordered_matches_bmat(small)
+    _assert_bordered_matches_bmat(monkeypatch, small)
     seeded = build_tensor(_seeded_lines(24, 3), _seeded_lines(16, 4))
-    assert all(_n_bands(B) > 1 for B in _assert_bordered_matches_bmat(seeded))
+    assert all(bands > 3 for bands in _assert_bordered_matches_bmat(monkeypatch, seeded))
 
 
-def test_bordered_matrix_on_a_seeded_tensor_grid_matches_bmat():
-    # one band of B at the default chunk
+def test_bordered_matrix_on_a_seeded_tensor_grid_matches_bmat(monkeypatch):
+    # one band per fill at the default chunk
     seeded = build_tensor(_seeded_lines(40, 3), _seeded_lines(30, 4))
-    assert all(_n_bands(B) == 1 for B in _assert_bordered_matches_bmat(seeded))
+    assert _assert_bordered_matches_bmat(monkeypatch, seeded) == [3, 3, 3, 3]
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
-def test_row_bands_are_the_scipy_slices_of_b(monkeypatch, chunk):
-    # each piece holds the CSC arrays of SciPy's slice of B to its band and
-    # its tight window of columns, also in bands whose rows all miss one
-    # velocity component, and the pieces hold every entry of B once
-    monkeypatch.setattr(assembly, "_CHUNK", chunk)
-    rng = np.random.default_rng(5)
-    n = 40
-    dense = rng.standard_normal((30, 2 * n)) * (rng.random((30, 2 * n)) < 0.15)
-    dense[:10, n:] = 0.0
-    dense[10:20, :n] = 0.0
-    B = sp.csr_matrix(dense)
-    pieces = list(assembly._row_bands(B))
-    starts = sorted({r0 for r0, *_ in pieces}) + [B.shape[0]]
-    for r0, j0, ptr, indices, data in pieces:
-        r1 = starts[starts.index(r0) + 1]
-        want = B[r0:r1, j0 : j0 + ptr.size - 1].tocsc()
-        assert np.diff(ptr)[[0, -1]].all()
-        for got, arr in ((ptr, want.indptr), (indices, want.indices), (data, want.data)):
-            assert np.array_equal(got, arr)
-    assert sum(indices.size for *_, indices, _ in pieces) == B.nnz
-    if chunk == 1:  # bands of the first 20 rows miss a component
-        assert 1 in [sum(r0 == start for r0, *_ in pieces) for start in starts if start < 20]
+@pytest.mark.parametrize("chunk", [1, None])
+@pytest.mark.parametrize(
+    "grid, kinds",
+    [
+        # one 2x2 cluster: cluster-constant has a single pressure unknown
+        (lambda: build_uniform(2), _KINDS),
+        # an odd cell count admits no 2x2 clusters
+        (lambda: build_tensor([0, 0.4, 1.0], np.linspace(0, 1, 8) ** 2), ("natural", "bp")),
+        (lambda: build_tensor(np.linspace(0, 1, 8) ** 2, [0, 0.4, 1.0]), ("natural", "bp")),
+    ],
+    ids=["uniform-2x2", "tensor-2x7", "tensor-7x2"],
+)
+def test_bordered_matrix_on_degenerate_grids_matches_bmat(monkeypatch, chunk, grid, kinds):
+    # the kernels check no bounds, so a wrong band of a thin grid or of
+    # natural's empty C would crash rather than raise
+    if chunk is not None:
+        monkeypatch.setattr(assembly, "_CHUNK", chunk)
+    _assert_bordered_matches_bmat(monkeypatch, grid(), kinds)
 
 
 @pytest.mark.parametrize("kind", ["bp", "cluster-constant"])
 def test_bordered_scatter_copies_no_whole_b(monkeypatch, kind):
-    # B enters in row bands of 8 * 512 entries, each cut to the columns it
-    # touches: above its output, the scatter holds less than half of B's
-    # bytes; a CSC copy of the whole of B would alone hold all of them
+    # B's CSC arrays sit in the output's own pressure slots, and the bands
+    # hold at most 8 * 512 entries: above its output, the build holds less
+    # than half of B's bytes; a separate CSC copy of the whole of B would
+    # alone hold all of them
     monkeypatch.setattr(assembly, "_CHUNK", 512)
     g = build_uniform(128)
     system = assemble(SchemeSpec(kind, {"bp": 0.05}.get(kind)), g, CASES["ms1"].forcing)
