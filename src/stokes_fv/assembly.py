@@ -188,6 +188,8 @@ def _bordered(A1, B, C, mean_weights) -> sp.csc_matrix:
     m = 2 * n
     size = m + n_p + 1
     nnz = 2 * A1.nnz + 2 * B.nnz + C.nnz + 2 * n_p
+    if nnz > np.iinfo(np.int32).max:
+        raise MemoryError(f"a bordered matrix of {nnz} entries overflows its int32 CSC indices")
     indptr = np.empty(size + 1, dtype=np.int32)
     indices = np.empty(nnz, dtype=np.int32)
     data = np.empty(nnz)

@@ -3,18 +3,12 @@
 Every operator is a sum over edges sigma = (k, l) of a flux weight times the
 jump (e_k - e_l), scaled row-wise by the cell area, so that a matrix row is
 the integral of the operator over the cell.  The one builder `_edge_stencil`
-writes each such sum straight into exact-size CSR arrays.  On a tensor grid
-a row holds at most its south, west, own, east and north slots, so the
-builder needs no triplets, no sort and no per-edge scatter: for a band of
-cell rows at a time it fills a (rows, nx, slots) array from 2D slices of
-each edge family's weights and compresses it, by which slots exist, into
-the band's contiguous range of the CSR arrays.  It sums each diagonal in
-the order a triplet build would, which keeps the matrices bitwise equal to
-that build.  The cell-update ("apply") forms of the gradient, divergence and stabilization
-are that matrix product divided by the cell areas; the Laplacian's instead
-sums its per-edge diffusive fluxes, so that it is exactly zero on
-constants away from the wall.  The public `*_matrix` builders return a
-fresh matrix on every call.
+writes each such sum straight into exact-size CSR arrays.  The cell-update
+("apply") forms of the gradient, divergence and stabilization are that
+matrix product divided by the cell areas; the Laplacian's instead sums its
+per-edge diffusive fluxes, so that it is exactly zero on constants away
+from the wall.  The public `*_matrix` builders return a fresh matrix on
+every call.
 
 The operators of a grid do not depend on the scheme, so `grid_operators`
 keeps one shared, read-only copy of them per Grid object for assembly, the
@@ -158,9 +152,7 @@ def duality_defect(p: ScalarField, v: VectorField) -> float:
 
 # -- assembled sparse form (rows scaled by cell area) -------------------------
 
-def _edge_stencil(
-    grid, shape, components, weights, boundary_weights=None, edge_mask=None, row_step=0, col_step=0
-):
+def _edge_stencil(grid, shape, components, weights, boundary_weights=None, row_step=0, col_step=0):
     """Sum over interior edges of w (e_k - e_l)(c_k e_k + c_l e_l)^T, plus
     w_b e_k e_k^T over boundary edges, written straight into exact-size CSR
     arrays, with no triplets.
@@ -169,29 +161,26 @@ def _edge_stencil(
     of edge families of `grid` (`Grid.families`).  `weights(family)` gives
     (w, c_k, c_l) over an interior family, cut to a band of cell rows by
     `_rows`, and `boundary_weights(family)` w_b over a boundary one, each
-    broadcast to the family's block.  `edge_mask`, one flag per edge, keeps
-    only the interior edges it flags; a masked stencil has no boundary
-    families.  With a row or a column step the stencil is a
-    velocity-pressure one of two components: component c occupies rows
-    shifted by c * row_step and columns shifted by c * col_step, after the
-    entries of component c - 1 where the two share a row.  With neither
-    step it has one component.
+    broadcast to the family's block.  With a row or a column step the
+    stencil is a velocity-pressure one of two components: component c
+    occupies rows shifted by c * row_step and columns shifted by
+    c * col_step, after the entries of component c - 1 where the two share
+    a row.  With neither step it has one component.
 
     Slots.  On a tensor grid the row of cell m in a component holds at most
     its south (m - nx), west (m - 1), own, east (m + 1) and north (m + nx)
     slots, in that order: the west and east ones if the component has the
     vertical family, the south and north ones if it has the horizontal
     one.  An edge (k, l) puts w c_l at the east or north slot of row k and
-    -w c_k at the west or south slot of row l.  Every grid has at least 2
-    cells per side, so every cell has an interior edge along each axis and
-    every row of an unmasked stencil holds its own slot in each component,
-    also where its value is zero, as on the diagonal of a uniform grid's
-    divergence.
+    -w c_k at the west or south slot of row l.  A slot exists exactly where
+    its cell is on the grid, also where its value is zero, as on the
+    diagonal of a uniform grid's divergence, so the row counts are closed
+    form: per component the own slot and, per interior family, 2 slots, or
+    1 for a cell at a wall across the family's normal.
 
     Bands.  The rows are built in bands of whole cell rows (`_band_rows`).
     A band's values fill a (rows, nx, slots) array from 2D slices of each
-    family's weights, and its slot-existence mask (the neighbour exists
-    and, under an edge mask, the edge is kept) compresses them into the
+    family's weights, and its slot-existence mask compresses them into the
     band's contiguous range of the CSR arrays.  A horizontal edge between
     two bands adds to a row of each, so the arrays carry one halo row
     above the band and one below it.
@@ -203,10 +192,9 @@ def _edge_stencil(
     is x, bitwise, for every x), kk over the vertical then the horizontal
     edges, ll the same way, then the boundary families in order.  kk is
     added from the west or south slot before that slot is negated, and ll
-    is subtracted from the east or north slot (x - y is x + (-y), bitwise);
-    a term that the edge mask drops is skipped with `where=`, so a signed
-    zero keeps its bits.  That keeps every matrix bitwise equal to the COO
-    build, which the tests keep as the reference.
+    is subtracted from the east or north slot (x - y is x + (-y), bitwise).
+    That keeps every matrix bitwise equal to the COO build, which the tests
+    keep as the reference.
     """
     nx, ny = grid.nx, grid.ny
     band = min(_band_rows(nx, ny), ny)
@@ -214,7 +202,8 @@ def _edge_stencil(
     def layout(parts):
         """A row block's components, each as its slots' positions by name,
         its interior families and its boundary families with their weights,
-        and the column offset of every slot from the row's own cell."""
+        the column offset of every slot from the row's own cell, and how
+        many components have an interior family along each axis."""
         block, offsets = [], []
         for s, (interior, boundary) in parts:
             axes = {family.axis for family in interior}
@@ -225,7 +214,8 @@ def _edge_stencil(
                     offsets.append(s + di + dj * nx)
             walls = [(f, np.broadcast_to(boundary_weights(f), f.shape)) for f in boundary]
             block.append((slot, interior, walls))
-        return block, np.array(offsets, dtype=np.int32)
+        along = [sum(name in slot for slot, _, _ in block) for name in "EN"]
+        return block, np.array(offsets, dtype=np.int32), along
 
     if row_step:  # a row block per component
         blocks = [(c * row_step, [(0, parts)]) for c, parts in enumerate(components)]
@@ -236,30 +226,25 @@ def _edge_stencil(
     def edges(family, j0, j1):
         """The family's edges that meet the cell rows j0..j1-1: their range
         along the block's row axis, the indices of their k and l cells in a
-        band's halo arrays, their keep flags (True for all) and the map
-        from a (rows, nx) view of those arrays to the block's orientation."""
-        kept = True if edge_mask is None else edge_mask[family.edges].reshape(family.shape)
+        band's halo arrays and the map from a (rows, nx) view of those
+        arrays to the block's orientation."""
         if family.axis == 0:  # between the cells (j, i) and (j, i + 1)
             k, l = (slice(1, -1), slice(0, -1)), (slice(1, -1), slice(1, None))
-            return j0, j1, k, l, kept if kept is True else kept[:, j0:j1].T, np.transpose
+            return j0, j1, k, l, np.transpose
         first, last = max(j0 - 1, 0), min(j1, ny - 1)  # between (j, i) and (j + 1, i)
         a, b = first - j0 + 1, last - j0 + 1
         k, l = (slice(a, b), slice(None)), (slice(a + 1, b + 1), slice(None))
-        return first, last, k, l, kept if kept is True else kept[first:last], lambda x: x
+        return first, last, k, l, lambda x: x
 
     def existence(block, j0, j1, has):
         """Which slots the cell rows j0..j1-1 hold, in has[1:-1]."""
         has.fill(False)
         for slot, interior, _ in block:
             for family in interior:
-                _, _, k, l, kept, _ = edges(family, j0, j1)
+                _, _, k, l, _ = edges(family, j0, j1)
                 high, low = _SIDES[family.axis]
-                has[k + (slot[high],)] = has[l + (slot[low],)] = kept
-            if edge_mask is None:
-                has[:, :, slot["D"]] = True
-            else:  # the own slot of a cell with a kept edge
-                others = [q for name, q in slot.items() if name != "D"]
-                has[:, :, slot["D"]] = has[:, :, others].any(axis=2)
+                has[k + (slot[high],)] = has[l + (slot[low],)] = True
+            has[:, :, slot["D"]] = True
         return has[1:-1]
 
     def fill(block, j0, j1, vals):
@@ -269,19 +254,19 @@ def _edge_stencil(
             diagonal.fill(-0.0)
             terms = []
             for family in interior:  # kk, from the west or south slot
-                lo, hi, k, l, kept, orient = edges(family, j0, j1)
+                lo, hi, k, l, orient = edges(family, j0, j1)
                 w, c_k, c_l = weights(_rows(family, lo, hi))
                 low = vals[l + (slot[_SIDES[family.axis][1]],)]
                 np.multiply(w, c_k, out=orient(low))
                 into = diagonal[k]
-                np.add(into, low, out=into, where=kept)
+                np.add(into, low, out=into)
                 np.negative(low, out=low)
-                terms.append((family.axis, k, l, kept, orient, w, c_l))
-            for axis, k, l, kept, orient, w, c_l in terms:  # ll, from the east or north slot
+                terms.append((family.axis, k, l, orient, w, c_l))
+            for axis, k, l, orient, w, c_l in terms:  # ll, from the east or north slot
                 high = vals[k + (slot[_SIDES[axis][0]],)]
                 np.multiply(w, c_l, out=orient(high))
                 into = diagonal[l]
-                np.subtract(into, high, out=into, where=kept)
+                np.subtract(into, high, out=into)
             for family, w_b in walls:
                 if family.axis == 0:  # the walls of row j: cells (j, 0) and (j, nx - 1)
                     for wall, i in ((0, 0), (1, nx - 1)):
@@ -294,28 +279,30 @@ def _edge_stencil(
                             np.add(into, w_b[:, wall], out=into)
         return vals[1:-1]
 
-    def bands():
-        for j0 in range(0, ny, band):
-            yield j0, min(j0 + band, ny)
-
-    # the row counts, from each band's slot-existence mask
+    # the row counts: per component its own slot and, per interior family,
+    # 2 slots per cell, or 1 at a wall across the family's normal
+    per_cell = [np.full(m, 2, dtype=np.int32) for m in (nx, ny)]
+    for count in per_cell:
+        count[[0, -1]] = 1
+    nnz = sum(
+        len(b) * nx * ny + 2 * (x * (nx - 1) * ny + y * nx * (ny - 1)) for _, b, _, (x, y) in plans
+    )
+    if nnz > np.iinfo(np.int32).max:
+        raise MemoryError(f"a stencil of {nnz} entries overflows its int32 CSR indices")
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    for r, block, offsets in plans:
-        has = np.empty((band + 2, nx, offsets.size), dtype=bool)
-        for j0, j1 in bands():
-            counts = indptr[1 + r + j0 * nx : 1 + r + j1 * nx].reshape(j1 - j0, nx)
-            kept = existence(block, j0, j1, has[: j1 - j0 + 2])
-            for q in range(offsets.size):  # slot by slot: a sum along the short axis is slow
-                counts += kept[:, :, q]
+    for r, block, _, (x, y) in plans:
+        counts = indptr[1 + r : 1 + r + nx * ny].reshape(ny, nx)
+        np.add(x * per_cell[0], (y * per_cell[1] + len(block))[:, None], out=counts)
     np.cumsum(indptr, out=indptr)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    for r, block, offsets in plans:
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
+    for r, block, offsets, _ in plans:
         vals = np.empty((band + 2, nx, offsets.size))
         has = np.empty(vals.shape, dtype=bool)
         # the columns of the first band's slots; a band j0 rows on adds j0 nx
         columns = np.arange(band * nx, dtype=np.int32).reshape(band, nx, 1) + offsets
-        for j0, j1 in bands():
+        for j0 in range(0, ny, band):
+            j1 = min(j0 + band, ny)
             kept = existence(block, j0, j1, has[: j1 - j0 + 2])
             start, stop = indptr[r + j0 * nx], indptr[r + j1 * nx]
             data[start:stop] = fill(block, j0, j1, vals[: j1 - j0 + 2])[kept]
@@ -414,20 +401,28 @@ def jump_stabilization_matrix(grid: Grid, edge_mask=None) -> sp.csr_matrix:
     """Sum over selected interior edges of |sigma| d (e_k - e_l)(e_k - e_l)^T.
 
     `edge_mask`, one flag per edge, selects the edges (boundary ones are
-    never selected); by default every interior edge is.
+    never selected); by default every interior edge is.  A mask scales each
+    interior edge's |sigma| by its flag; the stencil over every interior
+    edge is built, and the entries that only unselected edges fill, each
+    +-0.0, are dropped and the rest copied to exact-size arrays.  That is
+    bitwise the stencil of the selected edges alone: an unselected edge
+    adds +0.0 to a diagonal, which changes no sum but -0.0, and the first
+    selected term that follows it is positive.
     """
+    n = grid.n_cells
+    interior = grid.families()[:2]
     if edge_mask is not None:
         edge_mask = np.asarray(edge_mask, dtype=bool)
         if edge_mask.shape != (grid.n_edges,):
             raise ValueError(f"edge mask of shape {edge_mask.shape}, not ({grid.n_edges},)")
-    n = grid.n_cells
-    return _edge_stencil(
-        grid,
-        (n, n),
-        [(grid.families()[:2], [])],
-        lambda f: (f.length * f.dist, 1.0, -1.0),
-        edge_mask=edge_mask,
-    )
+        interior = [f._replace(length=f.length * edge_mask[f.edges].reshape(f.shape))
+                    for f in interior]
+    jump = _edge_stencil(grid, (n, n), [(interior, [])], lambda f: (f.length * f.dist, 1.0, -1.0))
+    if edge_mask is not None:
+        del interior  # the masked lengths, freed before the copy
+        jump.eliminate_zeros()
+        jump.data, jump.indices = jump.data.copy(), jump.indices.copy()
+    return jump
 
 
 # -- the shared operators of a grid ------------------------------------------

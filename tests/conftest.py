@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 
@@ -35,6 +36,18 @@ def traced_peak(fn, *args):
         base = tracemalloc.get_traced_memory()[0]
         fn(*args)
         return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def traced_peak_of_failure(error, match, fn, *args):
+    """Peak traced allocation of `fn(*args)`, which must raise `error` with
+    a message matching `match`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 

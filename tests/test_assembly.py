@@ -1,10 +1,17 @@
 import csv
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import assert_same_arrays, matrix_bytes, tensor_lines, traced_peak
+from conftest import (
+    assert_same_arrays,
+    matrix_bytes,
+    tensor_lines,
+    traced_peak,
+    traced_peak_of_failure,
+)
 from dense_oracle import bmat_bordered, per_cell_means, velocity_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -462,6 +469,17 @@ def test_bordered_scatter_copies_no_whole_b(monkeypatch, kind):
     args = (_grid_operators(g).A1, system.B, system.C, system.mean_weights)
     above_output = traced_peak(assembly._bordered, *args) - matrix_bytes(system.matrix)
     assert above_output < 0.5 * matrix_bytes(system.B)
+
+
+def test_bordered_matrix_past_the_int32_range_raises_before_it_allocates():
+    # stub blocks of a bp system on an 8700 x 8700 grid, whose bordered
+    # matrix holds more entries than its int32 indptr can count
+    n = 8700
+    cells = n * n
+    A1 = C = SimpleNamespace(shape=(cells, cells), nnz=5 * cells - 4 * n)
+    B = SimpleNamespace(shape=(cells, 2 * cells), nnz=6 * cells - 4 * n)
+    entries = f"{2 * A1.nnz + 2 * B.nnz + C.nnz + 2 * cells} entries"
+    assert traced_peak_of_failure(MemoryError, entries, assembly._bordered, A1, B, C, None) < 1 << 20
 
 
 @pytest.mark.parametrize("kind", ["natural", "bp", "cluster", "cluster-constant"])

@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from conftest import assert_same_arrays, matrix_bytes, traced_peak
+from conftest import assert_same_arrays, matrix_bytes, traced_peak, traced_peak_of_failure
 from dense_oracle import loop_divergence, loop_gradient, loop_jump, loop_laplacian, triplet_operator
 
 from stokes_fv import (
@@ -295,6 +297,27 @@ def test_builder_traced_memory_stays_near_its_output(builder):
     assert traced_peak(builder, g) <= 1.6 * matrix_bytes(builder(g))
 
 
+def test_intra_cluster_jump_traced_memory_is_bounded():
+    # the masked build holds the whole jump stencil, at 1.65x its output's
+    # entries, and drops its zeros into an exact-size copy: 2.75x at n=64
+    # (1.81x when the stencil skipped the unselected edges)
+    g = build_uniform(64)
+    mask = make_clusters(g).intra_edge_mask
+    assert traced_peak(jump_stabilization_matrix, g, mask) <= 2.8 * matrix_bytes(
+        jump_stabilization_matrix(g, mask)
+    )
+
+
+def test_stencil_past_the_int32_range_raises_before_it_allocates():
+    # a 19000 x 19000 grid's divergence holds 6 n^2 - 4 n entries, more than
+    # its int32 indptr can count; the closed-form row counts give that
+    # number before any array of the grid's size exists
+    n = 19000
+    grid = SimpleNamespace(nx=n, ny=n, n_cells=n * n, families=build_uniform(2).families)
+    entries = f"{6 * n * n - 4 * n} entries"
+    assert traced_peak_of_failure(MemoryError, entries, divergence_matrix, grid) < 1 << 20
+
+
 @BUILDERS
 def test_stencils_built_in_several_bands_match_the_triplet_build(builder):
     # the default bands split both grids (the 64 x 45 one's last band is
@@ -312,8 +335,15 @@ def test_stencils_built_in_several_bands_match_the_triplet_build(builder):
 @BUILDERS
 def test_builder_arrays_hold_exactly_their_entries(builder):
     # SciPy's COO-to-CSR conversion kept its triplet-sized buffer behind a
-    # view: 1.6x the entries for the stiffness
-    mat = builder(build_tensor(*TENSOR_GRIDS[1]))
-    for arr in (mat.data, mat.indices):
-        assert arr.size == mat.nnz
-        assert arr.base is None or arr.base.size == arr.size
+    # view: 1.6x the entries for the stiffness; the jump matrix under the
+    # intra-cluster mask drops its unselected edges' zeros in place, which
+    # leaves 3/4 of the stencil's entries behind a view, and stores no zero
+    mats = [builder(build_tensor(*TENSOR_GRIDS[1]))]
+    if builder is jump_stabilization_matrix:
+        g = build_tensor(*TENSOR_GRIDS[0])
+        mats.append(builder(g, make_clusters(g).intra_edge_mask))
+        assert (mats[-1].data != 0).all()
+    for mat in mats:
+        for arr in (mat.data, mat.indices):
+            assert arr.size == mat.nnz
+            assert arr.base is None or arr.base.size == arr.size

@@ -138,9 +138,11 @@ def test_stabilization_block_is_bitwise_symmetric(lines):
 def test_operators_match_the_list_of_triplets_build_bitwise(lines, seed):
     # at the default band size and in bands of 1 and 3 cell rows, which end
     # inside every edge family; the jump matrix also under a random edge
-    # mask and, on an even grid, the intra-cluster one
+    # mask, one flagging no edge, one flagging every edge, one flagging only
+    # boundary edges and, on an even grid, the intra-cluster one
     g = build_tensor(*lines)
-    masks = [np.random.default_rng(seed).random(g.n_edges) < 0.5]
+    none, every = np.zeros(g.n_edges, dtype=bool), np.ones(g.n_edges, dtype=bool)
+    masks = [np.random.default_rng(seed).random(g.n_edges) < 0.5, none, every, ~g.interior_mask]
     if g.nx % 2 == 0 and g.ny % 2 == 0:
         masks.append(make_clusters(g).intra_edge_mask)
     builders = [h1_stiffness_matrix, divergence_matrix, gradient_matrix, jump_stabilization_matrix]
@@ -153,6 +155,9 @@ def test_operators_match_the_list_of_triplets_build_bitwise(lines, seed):
                 patch.setattr(operators, "_band_rows", lambda nx, ny, rows=rows: rows)
             for builder, matrix in zip(builders, want):
                 assert_same_arrays(builder(g), matrix)
+            assert_same_arrays(jump_stabilization_matrix(g, every), want[3])
+            for mask in (none, ~g.interior_mask):
+                assert jump_stabilization_matrix(g, mask).nnz == 0
 
 
 def _assert_bordered_matches_bmat(specs, g):
