@@ -10,7 +10,7 @@ itself.  A key that no command reads is a configuration error.  The default
 output directory is $STOKES_FV_OUT.
 Exit codes: 0 success, 2 configuration error, 3 numerical or resource failure
 (out of memory; `solve` also names the stage that ran out: grid, assemble,
-solve or write).
+solve or write; the error's message, when it has one, follows).
 """
 
 from __future__ import annotations
@@ -269,9 +269,10 @@ def main(argv=None) -> int:
     except (SolverError, StokesFVError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except MemoryError:
+    except MemoryError as err:
         where = args["command"] + (f" ({args['stage']})" if "stage" in args else "")
-        print(f"resource failure: out of memory in {where}", file=sys.stderr)
+        cause = f": {err}" if str(err) else ""
+        print(f"resource failure: out of memory in {where}{cause}", file=sys.stderr)
         return 3
 
 

@@ -3,8 +3,8 @@
 Cells are indexed (i, j) with i the column (x direction) and j the row
 (y direction), flattened lexicographically as k = j*nx + i.  Unknowns are
 collocated at cell mass centers.  Edges are derived from the coordinate
-lines, per family or as flat tables, with a unit normal oriented from the
-first incident cell to the second (outward for boundary edges).
+lines, one family at a time, with a unit normal oriented from the first
+incident cell to the second (outward for boundary edges).
 """
 
 from __future__ import annotations
@@ -67,21 +67,9 @@ class Grid:
             h is None).
 
     Every edge quantity is a function of one coordinate line, so the edges
-    are derived, never stored.  `families()` gives them per family
-    with no whole-size array; the edge tables below are read-only
-    properties, each a fresh array built from the families on every read:
-        edge_cell_k / edge_cell_l: incident cells per edge (l = -1 on boundary).
-        edge_normal: (n_edges, 2) unit normal, k-to-l or outward.
-        edge_length: edge measures.
-        edge_dist: center-to-center distance (interior) or center-to-edge
-            distance (boundary).
-        edge_weight_k: interior-edge interpolation share of the k-side cell,
-            h_perp_k / (h_perp_k + h_perp_l); zero on boundary edges.
-        interior_mask / boundary_edges: interior flag per edge and index
-            array of the boundary edges.
-        edge_center: (n_edges, 2) edge midpoints.
-        interior_edges: index array of the interior edges, 0..n_interior_edges-1.
-    and, per cell:
+    are derived, never stored: `families()` gives them per family with no
+    whole-size array.  The cell arrays are read-only properties, each a
+    fresh array on every read:
         cell_centers: (n_cells, 2) mass centers.
         cell_ij: (n_cells, 2) integer (i, j) per cell.
     """
@@ -155,48 +143,6 @@ class Grid:
             ),
         )
 
-    def _cat(self, parts):
-        """One per-edge array from one value per family, each broadcast to
-        its family's block and raveled."""
-        return np.concatenate(
-            [np.broadcast_to(p, f.shape).ravel() for p, f in zip(parts, self.families())]
-        )
-
-    @property
-    def edge_cell_k(self) -> np.ndarray:
-        return self._cat(f.k for f in self.families())
-
-    @property
-    def edge_cell_l(self) -> np.ndarray:
-        return self._cat(f.k + f.step if f.step else -1 for f in self.families())
-
-    @property
-    def edge_normal(self) -> np.ndarray:
-        families = self.families()
-        return np.column_stack(
-            [self._cat(f.sign if f.axis == c else 0.0 for f in families) for c in (0, 1)]
-        )
-
-    @property
-    def edge_length(self) -> np.ndarray:
-        return self._cat(f.length for f in self.families())
-
-    @property
-    def edge_dist(self) -> np.ndarray:
-        return self._cat(f.dist for f in self.families())
-
-    @property
-    def edge_weight_k(self) -> np.ndarray:
-        return self._cat(f.weight_k for f in self.families())
-
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return np.arange(self.n_edges) < self.n_interior_edges
-
-    @property
-    def boundary_edges(self) -> np.ndarray:
-        return np.arange(self.n_interior_edges, self.n_edges, dtype=np.intp)
-
     @property
     def cell_ij(self) -> np.ndarray:
         i, j = np.arange(self.nx), np.arange(self.ny)
@@ -206,21 +152,6 @@ class Grid:
     def cell_centers(self) -> np.ndarray:
         cx, cy = self.center_lines()
         return np.column_stack([np.tile(cx, self.ny), np.repeat(cy, self.nx)])
-
-    @property
-    def edge_center(self) -> np.ndarray:
-        xs, ys = self.xs, self.ys
-        cx, cy = self.center_lines()
-        return np.column_stack(
-            [
-                self._cat((xs[1:-1, None], cx[None, :], [xs[0], xs[-1]], cx[:, None])),
-                self._cat((cy[None, :], ys[1:-1, None], cy[:, None], [ys[0], ys[-1]])),
-            ]
-        )
-
-    @property
-    def interior_edges(self) -> np.ndarray:
-        return np.arange(self.n_interior_edges, dtype=np.intp)
 
     def same_mesh(self, other: "Grid") -> bool:
         return (

@@ -237,11 +237,8 @@ def consistency_check(grid: Grid) -> ConsistencyReport:
     affine function vanishing on their side; the measured defect is
     reported, not asserted.
     """
-    ie = grid.interior_edges
-    be = grid.boundary_edges
-    normals = grid.edge_normal
-    lengths = grid.edge_length
-    centers = grid.edge_center
+    families = grid.families()
+    lines, center_lines = (grid.xs, grid.ys), grid.center_lines()
     cell_centers = grid.cell_centers
 
     max_int = 0.0
@@ -258,23 +255,29 @@ def consistency_check(grid: Grid) -> ConsistencyReport:
                 return (v, z) if comp == 0 else (z, v)
 
             phi = VectorField.from_function(grid, basis)
-            flux_d = diffusion_fluxes(phi)[ie, comp]
-            exact_d = lengths[ie] * (grad[0] * normals[ie, 0] + grad[1] * normals[ie, 1])
-            max_int = max(max_int, float(np.max(np.abs(flux_d - exact_d), initial=0.0)))
+            all_d, all_g = diffusion_fluxes(phi)[:, comp], velocity_fluxes(phi)
+            for f in families[:2]:  # the normal is the unit vector of f.axis
+                flux_d = all_d[f.edges].reshape(f.shape)
+                exact_d = f.length * grad[f.axis]
+                max_int = max(max_int, float(np.max(np.abs(flux_d - exact_d))))
 
-            flux_g = velocity_fluxes(phi)[ie]
-            vals = fn(centers[ie, 0], centers[ie, 1])
-            exact_g = lengths[ie] * vals * normals[ie, comp]
-            max_int = max(max_int, float(np.max(np.abs(flux_g - exact_g), initial=0.0)))
+                # the edge midpoints: the inner coordinate line against the
+                # other axis's center line
+                inner, across = lines[f.axis][1:-1, None], center_lines[1 - f.axis][None, :]
+                x, y = (inner, across) if f.axis == 0 else (across, inner)
+                flux_g = all_g[f.edges].reshape(f.shape)
+                exact_g = f.length * fn(x, y) * float(comp == f.axis)
+                max_int = max(max_int, float(np.max(np.abs(flux_g - exact_g))))
 
-    # boundary: per side, the signed distance to the side's line vanishes on
+    # boundary: per wall, the signed distance to the wall's line vanishes on
     # it and has the outward normal as gradient, so its exact flux is |sigma|
     max_bnd = 0.0
-    for normal in np.unique(normals[be], axis=0):
-        side = be[np.all(normals[be] == normal, axis=1)]
-        distance = ScalarField(grid, (cell_centers - centers[side[0]]) @ normal)
-        flux_b = diffusion_fluxes(distance)[side]
-        max_bnd = max(max_bnd, float(np.max(np.abs(flux_b - lengths[side]))))
+    for f in families[2:]:
+        centers = cell_centers[:, f.axis]
+        for wall, (position, sign) in enumerate(zip(lines[f.axis][[0, -1]], f.sign)):
+            distance = ScalarField(grid, (centers - position) * sign)
+            flux_b = diffusion_fluxes(distance)[f.edges].reshape(f.shape)
+            max_bnd = max(max_bnd, float(np.max(np.abs(flux_b - f.length)[:, wall])))
     return ConsistencyReport(max_int, max_bnd)
 
 

@@ -7,12 +7,13 @@ edge-based assembly beyond the grid coordinates; used to cross-check the
 production assembly entrywise.
 
 `loop_edges`, `loop_cells` and `loop_cluster_regularity` are per-entity
-loop versions of the grid's edge tables, its derived cell arrays and the
-cluster regularity criterion.  `array_edges` is the whole-array build of
-the eight edge tables that a grid once stored, against which the grid's
-per-family derivation must agree bit for bit.  `per_cell_means` lays the
-quadrature points out per cell, against the production `cell_means`, which
-evaluates the forcing on the 1D quadrature lines.
+loop versions of the flat edge tables, the grid's derived cell arrays and
+the cluster regularity criterion.  `array_edges` is the whole-array build
+of the eight edge tables that a grid once stored, against which the grid's
+edge families, flattened, must agree bit for bit; the per-edge loops below
+read their edges from it.  `per_cell_means` lays the quadrature points out
+per cell, against the production `cell_means`, which evaluates the forcing
+on the 1D quadrature lines.
 
 `loop_laplacian`, `loop_gradient`, `loop_divergence` and `loop_jump` are
 per-edge flux loops computing the cell-update forms of the operators,
@@ -161,7 +162,7 @@ def loop_edges(xs, ys):
     time: vertical interior (i outer), horizontal interior (j outer),
     left/right boundary per row, bottom/top boundary per column.
 
-    Returns a dict with the grid's edge attribute names as keys.
+    Returns a dict of the tables keyed by their names.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -177,19 +178,19 @@ def loop_edges(xs, ys):
     for i in range(nx - 1):
         for j in range(ny):
             rows.append((idx(i, j), idx(i + 1, j), (1.0, 0.0), dy[j], cx[i + 1] - cx[i],
-                         dx[i] / (dx[i] + dx[i + 1]), (xs[i + 1], cy[j])))
+                         dx[i] / (dx[i] + dx[i + 1])))
     for j in range(ny - 1):
         for i in range(nx):
             rows.append((idx(i, j), idx(i, j + 1), (0.0, 1.0), dx[i], cy[j + 1] - cy[j],
-                         dy[j] / (dy[j] + dy[j + 1]), (cx[i], ys[j + 1])))
+                         dy[j] / (dy[j] + dy[j + 1])))
     for j in range(ny):
-        rows.append((idx(0, j), -1, (-1.0, 0.0), dy[j], dx[0] / 2.0, 0.0, (xs[0], cy[j])))
-        rows.append((idx(nx - 1, j), -1, (1.0, 0.0), dy[j], dx[-1] / 2.0, 0.0, (xs[-1], cy[j])))
+        rows.append((idx(0, j), -1, (-1.0, 0.0), dy[j], dx[0] / 2.0, 0.0))
+        rows.append((idx(nx - 1, j), -1, (1.0, 0.0), dy[j], dx[-1] / 2.0, 0.0))
     for i in range(nx):
-        rows.append((idx(i, 0), -1, (0.0, -1.0), dx[i], dy[0] / 2.0, 0.0, (cx[i], ys[0])))
-        rows.append((idx(i, ny - 1), -1, (0.0, 1.0), dx[i], dy[-1] / 2.0, 0.0, (cx[i], ys[-1])))
+        rows.append((idx(i, 0), -1, (0.0, -1.0), dx[i], dy[0] / 2.0, 0.0))
+        rows.append((idx(i, ny - 1), -1, (0.0, 1.0), dx[i], dy[-1] / 2.0, 0.0))
 
-    k, l, normal, length, dist, wk, center = zip(*rows)
+    k, l, normal, length, dist, wk = zip(*rows)
     return {
         "edge_cell_k": np.array(k, dtype=int),
         "edge_cell_l": np.array(l, dtype=int),
@@ -197,7 +198,6 @@ def loop_edges(xs, ys):
         "edge_length": np.array(length, dtype=float),
         "edge_dist": np.array(dist, dtype=float),
         "edge_weight_k": np.array(wk, dtype=float),
-        "edge_center": np.array(center, dtype=float),
         "interior_edges": np.array([e for e, row in enumerate(rows) if row[1] >= 0], dtype=np.intp),
     }
 
@@ -207,7 +207,7 @@ def array_edges(xs, ys):
     as a grid once built and stored them: each family's values as a 2D
     block raveled in C order, the four families concatenated.
 
-    Returns a dict with the grid's edge attribute names as keys.
+    Returns a dict of the tables keyed by their names.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -293,8 +293,9 @@ def min_direction_strength(normals) -> float:
 def loop_cluster_regularity(grid, partition) -> float:
     """Cluster regularity from a per-cell list of out-of-cluster normals."""
     normals_per_cell = {}
-    cell_k, cell_l, normal = grid.edge_cell_k, grid.edge_cell_l, grid.edge_normal
-    for e in grid.interior_edges:
+    t = array_edges(grid.xs, grid.ys)
+    cell_k, cell_l, normal = t["edge_cell_k"], t["edge_cell_l"], t["edge_normal"]
+    for e in range(grid.n_interior_edges):
         k = cell_k[e]
         l = cell_l[e]
         if partition.cluster_of[k] == partition.cluster_of[l]:
@@ -309,11 +310,8 @@ def loop_cluster_regularity(grid, partition) -> float:
 
 
 def _tables(grid):
-    """The grid's edge tables, each read once (every read derives it anew)."""
-    names = (
-        "edge_cell_k", "edge_cell_l", "edge_normal", "edge_length", "edge_dist", "edge_weight_k"
-    )
-    return types.SimpleNamespace(**{name: getattr(grid, name) for name in names})
+    """The `array_edges` tables of the grid, as attributes."""
+    return types.SimpleNamespace(**array_edges(grid.xs, grid.ys))
 
 
 def loop_laplacian(grid, v):

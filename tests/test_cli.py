@@ -52,13 +52,19 @@ def test_solve_writes_artifacts(tmp_path):
 
 @pytest.mark.parametrize("stage", ["assemble", "solve"])
 def test_out_of_memory_exits_resource_failure(tmp_path, monkeypatch, capsys, stage):
-    def exhausted(*args, **kwargs):
-        raise MemoryError
+    # a bare MemoryError gives the stage alone; one with a message, such as
+    # the int32 guards raise, also gives the message
+    cause = "a bordered matrix of 2194836000 entries overflows its int32 CSC indices"
+    for error, tail in ((MemoryError(), ""), (MemoryError(cause), f": {cause}")):
 
-    monkeypatch.setattr(f"stokes_fv.cli.{stage}", exhausted)
-    code = main(["solve", "--scheme", "bp", "--lambda", "0.05", "--n", "8", "--out", str(tmp_path)])
-    assert code == 3
-    assert capsys.readouterr().err == f"resource failure: out of memory in solve ({stage})\n"
+        def exhausted(*args, error=error, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"stokes_fv.cli.{stage}", exhausted)
+        argv = ["solve", "--scheme", "bp", "--lambda", "0.05", "--n", "8", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        want = f"resource failure: out of memory in solve ({stage}){tail}\n"
+        assert capsys.readouterr().err == want
 
 
 def test_solve_natural_exits_numerical_failure(tmp_path):

@@ -24,10 +24,37 @@ from stokes_fv import (
 from stokes_fv.grid import cluster_regularity
 
 
+def flat_edges(grid):
+    """The grid's edge families flattened into the eight flat tables that
+    `array_edges` builds: each family's values broadcast to its block,
+    raveled, and the four families concatenated in edge order."""
+    families = grid.families()
+
+    def cat(parts):
+        return np.concatenate(
+            [np.broadcast_to(p, f.shape).ravel() for p, f in zip(parts, families)]
+        )
+
+    interior = np.arange(grid.n_edges) < grid.n_interior_edges
+    return {
+        "edge_cell_k": cat(f.k for f in families),
+        "edge_cell_l": cat(f.k + f.step if f.step else -1 for f in families),
+        "edge_normal": np.column_stack(
+            [cat(f.sign if f.axis == c else 0.0 for f in families) for c in (0, 1)]
+        ),
+        "edge_length": cat(f.length for f in families),
+        "edge_dist": cat(f.dist for f in families),
+        "edge_weight_k": cat(f.weight_k for f in families),
+        "interior_mask": interior,
+        "boundary_edges": np.flatnonzero(~interior),
+    }
+
+
 def closed_cell_sums(grid):
     s = np.zeros((grid.n_cells, 2))
-    cell_k, cell_l = grid.edge_cell_k, grid.edge_cell_l
-    length, normal = grid.edge_length, grid.edge_normal
+    t = flat_edges(grid)
+    cell_k, cell_l = t["edge_cell_k"], t["edge_cell_l"]
+    length, normal = t["edge_length"], t["edge_normal"]
     for e in range(grid.n_edges):
         k = cell_k[e]
         contrib = length[e] * normal[e]
@@ -41,8 +68,8 @@ def closed_cell_sums(grid):
 def test_uniform_n2_counts():
     g = build_uniform(2)
     assert g.n_cells == 4
-    assert len(g.interior_edges) == 4
-    assert len(g.boundary_edges) == 8
+    assert g.n_interior_edges == 4
+    assert g.n_edges - g.n_interior_edges == 8
 
 
 def test_uniform_measures():
@@ -50,11 +77,11 @@ def test_uniform_measures():
     assert g.is_uniform and g.h == 0.25
     np.testing.assert_allclose(g.cell_centers[0], [0.125, 0.125])
     np.testing.assert_allclose(g.cell_areas, 0.25**2)
-    ie = g.interior_edges
-    np.testing.assert_allclose(g.edge_length[ie], g.h)
-    np.testing.assert_allclose(g.edge_dist[ie], g.h)
-    be = g.boundary_edges
-    np.testing.assert_allclose(g.edge_dist[be], g.h / 2)
+    t = flat_edges(g)
+    ie, be = slice(0, g.n_interior_edges), slice(g.n_interior_edges, None)
+    np.testing.assert_allclose(t["edge_length"][ie], g.h)
+    np.testing.assert_allclose(t["edge_dist"][ie], g.h)
+    np.testing.assert_allclose(t["edge_dist"][be], g.h / 2)
 
 
 def test_closed_cell_identity():
@@ -64,8 +91,9 @@ def test_closed_cell_identity():
 
 def test_interior_edges_have_two_cells_boundary_one():
     g = build_uniform(3)
-    assert np.all(g.edge_cell_l[g.interior_edges] >= 0)
-    assert np.all(g.edge_cell_l[g.boundary_edges] == -1)
+    cell_l = flat_edges(g)["edge_cell_l"]
+    assert np.all(cell_l[: g.n_interior_edges] >= 0)
+    assert np.all(cell_l[g.n_interior_edges :] == -1)
 
 
 def test_tensor_reduces_to_uniform():
@@ -80,10 +108,10 @@ def test_tensor_reduces_to_uniform():
 def test_tensor_center_distance():
     g = build_tensor([0, 0.25, 1], [0, 0.5, 1])
     # the interior edge between the two columns joins centers 0.125 and 0.625
-    normal = g.edge_normal
-    vertical = [e for e in g.interior_edges if normal[e, 0] == 1.0]
+    t = flat_edges(g)
+    vertical = [e for e in range(g.n_interior_edges) if t["edge_normal"][e, 0] == 1.0]
     assert len(vertical) == 2
-    np.testing.assert_allclose(g.edge_dist[vertical], 0.5)
+    np.testing.assert_allclose(t["edge_dist"][vertical], 0.5)
 
 
 def test_grid_preconditions():
@@ -120,11 +148,11 @@ def test_clusters_n4_counts():
     g = build_uniform(4)
     part = make_clusters(g)
     assert part.n_clusters == 4
-    assert len(g.interior_edges) == 24
+    assert g.n_interior_edges == 24
     assert part.intra_edge_mask.sum() == 16
     assert part.cross_edge_mask.sum() == 8
     # the two edge families partition the interior edges
-    assert part.intra_edge_mask.sum() + part.cross_edge_mask.sum() == len(g.interior_edges)
+    assert part.intra_edge_mask.sum() + part.cross_edge_mask.sum() == g.n_interior_edges
     assert np.all(np.bincount(part.cluster_of) == 4)
 
 
@@ -183,33 +211,27 @@ def test_cluster_regularity_anisotropic_tensor():
 SETUP_PROPERTY = settings(max_examples=40, deadline=None)
 
 
-EDGE_TABLES = (
-    "edge_cell_k",
-    "edge_cell_l",
-    "edge_normal",
-    "edge_length",
-    "edge_dist",
-    "edge_weight_k",
-    "interior_mask",
-    "boundary_edges",
-)
-DERIVED = EDGE_TABLES + ("cell_centers", "cell_ij", "edge_center", "interior_edges")
+DERIVED = ("cell_centers", "cell_ij")
 
 
-def assert_same_table(grid, table):
-    """Bit for bit, dtypes included: stored and derived arrays alike."""
+def assert_same_table(got, table):
+    """Bit for bit, dtypes included: each array of `table` against the one
+    of the same name in `got`, a dict or a grid."""
     for name, expected in table.items():
-        got = getattr(grid, name)
-        assert got.dtype == expected.dtype, name
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+        array = got[name] if isinstance(got, dict) else getattr(got, name)
+        assert array.dtype == expected.dtype, name
+        assert array.shape == expected.shape and array.tobytes() == expected.tobytes(), name
 
 
 @SETUP_PROPERTY
 @given(tensor_lines(st.integers(2, 14)))
 def test_edge_table_matches_loop_oracle(lines):
+    # the families flattened against the one-edge-at-a-time tables, whose
+    # interior edges are the first n_interior_edges
     g = build_tensor(*lines)
-    assert_same_table(g, loop_edges(*lines))
-    assert g.n_interior_edges == g.interior_edges.size
+    want = loop_edges(*lines)
+    np.testing.assert_array_equal(want.pop("interior_edges"), np.arange(g.n_interior_edges))
+    assert_same_table(flat_edges(g), want)
 
 
 @SETUP_PROPERTY
@@ -218,17 +240,12 @@ def test_edge_table_matches_loop_oracle(lines):
 @example(([0.0, 0.5, 1.0], [0.0, 0.1, 0.3, 0.45, 0.7, 1.0]))
 @example(([0.0, 0.2, 0.3, 0.6, 0.8, 0.9, 1.0], [0.0, 0.4, 1.0]))
 def test_derived_edge_tables_match_the_stored_build(lines):
-    # the eight tables a grid once stored, now derived per family on every
-    # read: bitwise the whole-array build, and a fresh array each time
+    # the eight tables a grid once stored, flattened from its families:
+    # bitwise the whole-array build
     g = build_tensor(*lines)
-    tables = array_edges(*lines)
-    assert set(tables) == set(EDGE_TABLES)
-    assert_same_table(g, tables)
-    for name in EDGE_TABLES:
-        first = getattr(g, name)
-        expected = first.copy()
-        first[...] = ~first if first.dtype == bool else first + 1  # every entry changes
-        assert getattr(g, name).tobytes() == expected.tobytes(), name
+    got, want = flat_edges(g), array_edges(*lines)
+    assert set(got) == set(want)
+    assert_same_table(got, want)
 
 
 @SETUP_PROPERTY
@@ -248,7 +265,7 @@ def test_derived_arrays_are_not_stored():
 
 def test_a_grid_stores_only_its_lines_and_cell_areas():
     # every array in a grid's own state is a coordinate line or a width
-    # line, except the cell areas; the edge tables are derived on read
+    # line, except the cell areas; the edges are derived per family
     g = build_tensor(np.linspace(0, 1, 9), [0, 0.1, 0.35, 0.7, 1.0])
     longest = max(g.nx, g.ny) + 1
     arrays = {name: a for name, a in vars(g).items() if isinstance(a, np.ndarray)}
@@ -269,7 +286,8 @@ def test_clusters_match_loop_oracle(lines):
     g = build_tensor(*lines)
     part = make_clusters(g)
     # an interior edge is intra iff its two cells share a cluster
-    k, l = g.edge_cell_k, g.edge_cell_l
+    t = loop_edges(*lines)
+    k, l = t["edge_cell_k"], t["edge_cell_l"]
     same = [l[e] >= 0 and part.cluster_of[k[e]] == part.cluster_of[l[e]] for e in range(g.n_edges)]
     assert part.intra_edge_mask.tolist() == same
     assert part.cross_edge_mask.tolist() == [l[e] >= 0 and not same[e] for e in range(g.n_edges)]

@@ -1,6 +1,6 @@
 """Exact algebraic identities of the operators and schemes on random tensor
-grids (strictly increasing lines, nx != ny, 2-10 cells per side, up to 24
-for the stencil builds).  The assembled matrices are checked against the
+grids (strictly increasing lines, nx != ny, 2-10 cells per side, up to 14
+for flux consistency and 24 for the stencil builds).  The assembled matrices are checked against the
 per-edge loops of `dense_oracle`, which share no code with them, and bit
 for bit against its earlier sparse builds (`sp.bmat`, lists of triplets)."""
 
@@ -46,7 +46,7 @@ from stokes_fv import (
 from stokes_fv import operators
 from stokes_fv.operators import grid_operators as _grid_operators
 from stokes_fv.operators import vector_field_to_array
-from stokes_fv.verify import CASES
+from stokes_fv.verify import CASES, consistency_check
 
 PROPERTY = settings(max_examples=30, deadline=None)
 ANY_COUNTS = tensor_lines(st.integers(2, 10))
@@ -142,7 +142,8 @@ def test_operators_match_the_list_of_triplets_build_bitwise(lines, seed):
     # boundary edges and, on an even grid, the intra-cluster one
     g = build_tensor(*lines)
     none, every = np.zeros(g.n_edges, dtype=bool), np.ones(g.n_edges, dtype=bool)
-    masks = [np.random.default_rng(seed).random(g.n_edges) < 0.5, none, every, ~g.interior_mask]
+    boundary = np.arange(g.n_edges) >= g.n_interior_edges
+    masks = [np.random.default_rng(seed).random(g.n_edges) < 0.5, none, every, boundary]
     if g.nx % 2 == 0 and g.ny % 2 == 0:
         masks.append(make_clusters(g).intra_edge_mask)
     builders = [h1_stiffness_matrix, divergence_matrix, gradient_matrix, jump_stabilization_matrix]
@@ -156,7 +157,7 @@ def test_operators_match_the_list_of_triplets_build_bitwise(lines, seed):
             for builder, matrix in zip(builders, want):
                 assert_same_arrays(builder(g), matrix)
             assert_same_arrays(jump_stabilization_matrix(g, every), want[3])
-            for mask in (none, ~g.interior_mask):
+            for mask in (none, boundary):
                 assert jump_stabilization_matrix(g, mask).nnz == 0
 
 
@@ -251,3 +252,13 @@ def test_energy_identity_after_solve(lines):
         e_u, e_stab = energy_functional(system, report.u, report.p)
         work = float(np.sum(g.cell_areas[:, None] * f.values * report.u.values))
         assert e_u + e_stab == pytest.approx(work, rel=1e-10)
+
+
+@PROPERTY
+@given(tensor_lines(st.integers(2, 14)))
+def test_fluxes_are_exact_for_affine_data(lines):
+    # second-order flux consistency: the interior and wall defects against
+    # the exact edge integrals of the affine basis stay at rounding level
+    report = consistency_check(build_tensor(*lines))
+    assert report.max_interior_defect <= 1e-13
+    assert report.max_boundary_defect <= 1e-13
