@@ -19,11 +19,12 @@ scheme.  The velocity block is diag(A1, A1), the scalar H1 stiffness A1 on
 each component, and is never stored: A1 and the cell divergence depend on
 the grid alone, and every system assembled on a grid takes them, shared and
 read-only, from `operators.grid_operators`, which also applies and inverts
-the velocity block.  This module only assembles: each system's bordered
-matrix is built from its blocks straight into CSC arrays by SciPy's
-compiled CSR kernels, with no COO copy of any block and no whole-size copy
-of B (its CSC form is written into the matrix's own pressure slots, which
-are filled last).
+the velocity block.  A system is its own B, C and mean weights on top of
+the grid's A1; `assemble` builds no bordered matrix.  That matrix is built
+from the blocks on every read of `SaddleSystem.matrix`, for export, straight
+into CSC arrays by SciPy's compiled CSR kernels, with no COO copy of any
+block and no whole-size copy of B (its CSC form is written into the
+matrix's own pressure slots, which are filled last).
 """
 
 from __future__ import annotations
@@ -85,23 +86,29 @@ class SchemeSpec:
 
 @dataclass
 class SaddleSystem:
-    """Assembled sparse system and its blocks.
+    """Assembled saddle system, held as its blocks.
 
-    `matrix` is the full (2n + n_p + 1) square operator; B and C are the
-    divergence and stabilization blocks on the system's own pressure space
-    (cells, or clusters for cluster-constant pressure), and n_p its size.
-    The velocity block is diag(A1, A1) with A1 the grid's scalar stiffness,
-    and the gradient block is -B^T.  B for cell pressures is the grid's
-    shared read-only divergence: an in-place edit raises ValueError.
+    B and C are the divergence and stabilization blocks on the system's own
+    pressure space (cells, or clusters for cluster-constant pressure), and
+    n_p its size.  The velocity block is diag(A1, A1) with A1 the grid's
+    scalar stiffness, and the gradient block is -B^T.  B for cell pressures
+    is the grid's shared read-only divergence: an in-place edit raises
+    ValueError.  The full (2n + n_p + 1) square operator is `matrix`, built
+    from these blocks on every read.
     """
 
     grid: Grid
     spec: SchemeSpec
-    matrix: sp.csc_matrix
     rhs: np.ndarray
     B: sp.csr_matrix
     C: sp.csr_matrix
     mean_weights: np.ndarray
+
+    @property
+    def matrix(self) -> sp.csc_matrix:
+        """The bordered saddle matrix of the blocks, a fresh `_bordered`
+        build on every read: only export and checks read it."""
+        return _bordered(grid_operators(self.grid).A1, self.B, self.C, self.mean_weights)
 
     @property
     def n_velocity(self) -> int:
@@ -297,11 +304,10 @@ def assemble(spec: SchemeSpec, grid: Grid, f, quad_order: int = 3) -> SaddleSyst
             C = jump_stabilization_matrix(grid, intra)
             C.data *= spec.lam  # in place: the fresh matrix is this system's own
 
-    matrix = _bordered(ops.A1, B, C, mean_weights)
     rhs = np.zeros(2 * n + B.shape[0] + 1)
     rhs[:n] = areas * f_cells.values[:, 0]
     rhs[n : 2 * n] = areas * f_cells.values[:, 1]
-    return SaddleSystem(grid, spec, matrix, rhs, B, C, mean_weights)
+    return SaddleSystem(grid, spec, rhs, B, C, mean_weights)
 
 
 def energy_functional(system: SaddleSystem, u: VectorField, p: ScalarField):

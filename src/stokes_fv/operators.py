@@ -508,13 +508,17 @@ class _GridOperators:
 def _line_eigenpairs(lines):
     """Eigenpairs (lambda, V) of T V = D V diag(lambda), V^T D V = I, for the
     1D two-point stiffness T and the widths D = diag(h) of the cells
-    between the coordinate `lines`."""
+    between the coordinate `lines`: V = D^-1/2 Q from the eigenvectors Q of
+    D^-1/2 T D^-1/2, since a generalised solver loses the small eigenpairs
+    of a strongly stretched line (widths q^i, n=128, q=1.2)."""
     h = np.diff(lines)
     w = 1.0 / np.diff(0.5 * (lines[:-1] + lines[1:]))
     diagonal = np.concatenate([w, [0.0]]) + np.concatenate([[0.0], w])
     diagonal[[0, -1]] += 2.0 / h[[0, -1]]
     T = np.diag(diagonal) - np.diag(w, 1) - np.diag(w, -1)
-    return scipy.linalg.eigh(T, np.diag(h))
+    s = h**-0.5
+    lam, Q = scipy.linalg.eigh(s[:, None] * T * s)
+    return lam, s[:, None] * Q
 
 
 def _read_only(mat):

@@ -5,25 +5,22 @@ zero-mean multiplier row and column would ruin any fill-reducing ordering.
 Each only builds a solve of the unbordered block [[A, -B^T], [B, C]];
 `solve` wraps it in the one zero-mean operator `_zero_mean`, refines once,
 recovers the zero mean and the multiplier, and measures every residual
-from the A, B and C blocks and the mean weights.  The bordered
-`system.matrix` is never read.  Nor is any stored velocity block: A is
-diag(A1, A1), applied and inverted through the grid's scalar stiffness A1
-on both components, and the Schur complement B A^-1 B^T of both the CG
-backend and the cluster-space probe is the one `_schur_complement`.
+from the A, B and C blocks and the mean weights, all a system holds.  Nor
+is any velocity block stored: A is diag(A1, A1), applied and inverted
+through the grid's scalar stiffness A1 on both components, and the Schur
+complement B A^-1 B^T of both the CG backend and the cluster-space probe
+is the one `_schur_complement`.
 
 The direct backend, "splu" (the default, used by `stokes-fv solve`),
-factors the block with the first pressure dof pinned.  The pinned block is
-assembled, scaled and permuted in one pass straight from A1 and the
-system's B and C blocks, so the only sparse matrix alive next to the
-factor is the one SuperLU factors: no slice or copy of the bordered
-matrix.  Every block of the saddle matrix couples a node (a cell, or a 2x2
-cluster for cluster-constant pressure) only to its four neighbours, so the
-pinned block is factored in a nested-dissection order of the node
-rectangle, the fill-optimal order on a regular mesh (George, SIAM J.
-Numer. Anal. 10, 1973), after a symmetric diagonal scaling that makes
-SuperLU's diagonal pivot test independent of the mesh size and the
-stabilization strength.  Its rcond estimate is taken on that scaled block,
-so it does not track the mesh's units.
+factors the block with the first pressure dof pinned, built in one pass
+from A1, B and C (`_pinned_block`).  Every block of the saddle matrix
+couples a node (a cell, or a 2x2 cluster for cluster-constant pressure)
+only to its four neighbours, so the pinned block is factored in a
+nested-dissection order of the node rectangle, the fill-optimal order on a
+regular mesh (George, SIAM J. Numer. Anal. 10, 1973), after a symmetric
+diagonal scaling that makes SuperLU's diagonal pivot test, and the rcond
+estimate, independent of the mesh's size and units and of the
+stabilization strength.
 
 The iterative backend, "schur-cg" (used by the convergence studies), runs
 preconditioned CG on the pressure Schur complement B A^-1 B^T + C (Verfuerth,
@@ -32,25 +29,12 @@ A^-1 and the diagonal pressure mass as preconditioner: no factor, and a
 step count that does not grow with the grid.
 
 `schur_smallest_eigen`, the inf-sup probe, computes beta^2, the smallest
-eigenvalue of B A^-1 B^T on zero-mean pressures against the pressure mass,
-by one of two methods, chosen by the pressure space:
-
-- Cluster pressures ("cluster-constant"): block LOBPCG (Knyazev, SIAM J.
-  Sci. Comput. 23, 2001) on the mass-scaled Schur complement, applied
-  through the grid's factor-free velocity solve, with the constant mode
-  moved out of the way by a shift.  No sparse factor: n=512 takes about
-  11 s and 420 MB, where shift-invert took 57 s and 2.9 GB.  The paper
-  bounds this space's beta^2 below, so the step count does not grow with
-  the grid.
-- Cell pressures: shift-invert Lanczos at shift 0 on the system with C
-  replaced by zero, factored by `_direct_block`, the function that
-  factors for "splu", and wrapped by the same `_zero_mean`.  Here beta^2
-  decays like h^2, LOBPCG's step count grows with it, and one factor with
-  a few dozen solves is the faster method.
-
-Both return 0 when B^T has a kernel: LOBPCG when its smallest Ritz value
-is at or below `_RCOND_FLOOR` of the spectrum's scale, shift-invert when
-the factor fails or its rcond estimate falls below that floor.
+eigenvalue of B A^-1 B^T on zero-mean pressures against the pressure mass:
+by block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with no sparse
+factor on the cluster space, where n=512 takes about 11 s and 420 MB
+(shift-invert took 57 s and 2.9 GB), and by shift-invert Lanczos on the
+factor of `_direct_block` on the cell space, where beta^2 decays like h^2
+and LOBPCG's step count grows with it.
 """
 
 from __future__ import annotations
@@ -202,8 +186,8 @@ def _pinned_block(system: SaddleSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
     pressure dof, D the `_symmetric_scaling` and perm the nested-dissection
     order of the kept dofs.  The COO triplets of A (those of A1, once per
     velocity component), -B^T, B and C are mapped straight to their
-    positions in K, so no copy of the saddle block or of the bordered
-    `system.matrix` is made.  Returns K, perm and the kept entries of D.
+    positions in K, so no copy of the saddle block is made and no bordered
+    matrix is built.  Returns K, perm and the kept entries of D.
     """
     pin = system.n_velocity
     m = pin + system.n_p
@@ -445,32 +429,26 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
     """Solve the saddle system by sparse direct factorization ("splu", the
     default) or by CG on the pressure Schur complement ("schur-cg").
 
-    Neither backend factors or reads the bordered `system.matrix`.  Each
-    builds a solve of the unbordered block [[A, -B^T], [B, C]], which
-    `_zero_mean` turns into the solution on zero-mean pressures of data
-    whose part along the mean weights w is removed.  That solution is
-    refined once against the block residual (f - A u + B^T p,
-    g - B u - C p), computed from the blocks.
+    Neither backend builds the bordered `system.matrix`.  Each builds a
+    solve of the unbordered block [[A, -B^T], [B, C]], which `_zero_mean`
+    turns into the solution on zero-mean pressures of data whose part
+    along the mean weights w is removed.  That solution is refined once
+    against the block residual (f - A u + B^T p, g - B u - C p), computed
+    from the blocks.
 
-    "splu" pins the first pressure dof to zero, drops its implied equation,
-    scales the remaining block symmetrically, permutes it into a
-    nested-dissection order of the grid and factors it by `splu` in that
-    order (SuperLU's symmetric mode, diagonal pivots unless one falls below
-    1% of its column).  That block is built from A1 and the system's B and
-    C blocks.  `rcond_est` is the `_scaled_rcond` of that scaled, pinned
-    factor, repeatable bit for bit, and does not depend on the mesh's
-    units.  `stats` holds the factor's size (`factor_nnz`, `fill_factor`),
-    its off-diagonal pivot count, and the seconds spent ordering
-    (`order_s`), factoring (`factor_s`) and estimating rcond (`rcond_s`).
+    "splu" pins the first pressure dof and factors the scaled, permuted
+    `_pinned_block` (SuperLU's symmetric mode, diagonal pivots unless one
+    falls below 1% of its column); `rcond_est` is that factor's
+    `_scaled_rcond`, repeatable bit for bit.  `stats` holds the factor's
+    size (`factor_nnz`, `fill_factor`), its off-diagonal pivot count, and
+    the seconds spent ordering (`order_s`), factoring (`factor_s`) and
+    estimating rcond (`rcond_s`).
 
-    "schur-cg" runs preconditioned CG on the zero-mean pressure system
-    S p = g - B A^-1 f, S = B A^-1 B^T + C, with the grid's factor-free
-    `velocity_solve` for A^-1 and the diagonal pressure mass as
-    preconditioner, then recovers u = A^-1 (f + B^T p) (see
-    `_schur_cg_block`).  It needs no factor, and its step count does not
-    grow with the grid.  `stats` holds the CG steps of both passes
-    (`cg_iters`), their seconds (`cg_s`) and the extreme Ritz values of the
-    preconditioned S (`ritz_min`, `ritz_max`); `rcond_est` is their ratio.
+    "schur-cg" runs preconditioned CG on the pressure Schur complement and
+    recovers u from p (`_schur_cg_block`).  `stats` holds the CG steps of
+    both passes (`cg_iters`), their seconds (`cg_s`) and the extreme Ritz
+    values of the preconditioned S (`ritz_min`, `ritz_max`); `rcond_est`
+    is their ratio.
 
     `verify.run_convergence` uses "schur-cg": its many levels need no
     factor.  `stokes-fv solve` stays on the default "splu": the benchmark's
@@ -585,7 +563,8 @@ def schur_smallest_eigen(system: SaddleSystem) -> float | None:
     smallest Ritz value of LOBPCG is at or below `solve`'s floor, 1e-12,
     times the scale of T's spectrum, and, on the cell space, whenever the
     factor fails or its reciprocal condition estimate falls below that
-    floor.  Raises SolverError when LOBPCG stops short of its tolerance.
+    floor.  Raises SolverError when LOBPCG stops short of its tolerance, or
+    when B^T does not annihilate the pressure of its zero.
     """
     if system.n_p <= 1:
         return None
@@ -616,12 +595,22 @@ def _lobpcg_beta_sq(system: SaddleSystem) -> float:
     def schur(Y):
         return schur_complement(Y / sqrt_m) / sqrt_m
 
+    def zero(x):
+        # a zero claims B^T p = 0 for the pressure p = M^-1/2 x; x^T T x is
+        # quadratic in B^T p, so that sum is held to the root of the floor,
+        # relative to its size without cancellation, |B|^T |p|
+        p, B_T = x / sqrt_m[:, 0], system.B.T
+        residual, size = np.linalg.norm(B_T @ p), np.linalg.norm(abs(B_T) @ abs(p))
+        if not residual <= math.sqrt(_RCOND_FLOOR) * size:
+            raise SolverError(f"LOBPCG's zero is off the kernel of B^T by {residual / size:.1e}")
+        return 0.0
+
     X = np.random.default_rng(0).standard_normal((n_p, min(_LOBPCG_BLOCK, n_p)))
     X -= q @ (q.T @ X)
     X /= np.linalg.norm(X, axis=0)
     scale = float(np.max(np.sum(X * schur(X), axis=0)))
-    if not scale > 0:  # B^T vanishes on the start block
-        return 0.0
+    if not scale > 0:  # only B = 0 makes T vanish on the start block
+        return zero(X[:, 0])
 
     def shifted(Y):
         return schur(Y) + q @ (scale * (q.T @ Y))
@@ -643,8 +632,8 @@ def _lobpcg_beta_sq(system: SaddleSystem) -> float:
                 break
             if steps >= _LOBPCG_MAXITER:
                 raise SolverError(f"LOBPCG stopped short of residual {tol:.1e} in {steps} steps")
-    beta_sq = float(np.min(ritz))
-    return 0.0 if beta_sq <= _RCOND_FLOOR * scale else beta_sq
+    smallest = np.argmin(ritz)
+    return float(ritz[smallest]) if ritz[smallest] > _RCOND_FLOOR * scale else zero(X[:, smallest])
 
 
 def _shift_invert_beta_sq(system: SaddleSystem) -> float:
@@ -665,7 +654,7 @@ def _shift_invert_beta_sq(system: SaddleSystem) -> float:
     n_p = system.n_p
     pin = system.n_velocity
     w = system.mean_weights
-    unstabilized = replace(system, C=sp.csr_matrix((n_p, n_p)), matrix=None)
+    unstabilized = replace(system, C=sp.csr_matrix((n_p, n_p)))
     try:
         solve_block, outcome = _direct_block(unstabilized, {})
     except RuntimeError:  # SuperLU found an exactly zero pivot

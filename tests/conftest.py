@@ -21,6 +21,20 @@ def tensor_lines(draw, counts):
     return lines(nx), lines(ny)
 
 
+def geometric_line(n, q):
+    """Coordinate line of [0, 1] cut into n cells of widths growing as q^i."""
+    coords = np.concatenate([[0.0], np.cumsum(q ** np.arange(n))])
+    return coords / coords[-1]
+
+
+@st.composite
+def geometric_lines(draw, counts):
+    """Coordinate lines of a tensor grid stretched geometrically, with one
+    ratio q in [1, 1.5] per axis: at 64 cells and q = 1.5 the widest cell
+    is 1.3e11 times the narrowest."""
+    return tuple(geometric_line(draw(counts), draw(st.floats(1.0, 1.5))) for _ in "xy")
+
+
 def matrix_bytes(mat):
     """Bytes held by a CSR or CSC matrix's three arrays."""
     return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes

@@ -416,20 +416,16 @@ def sliced_pinned_block(system, zero_c=False):
     """K = (D M D)[perm][:, perm] of the solver, with M the saddle block
     [[A, -B^T], [B, C]] without its first pressure row and column.
 
-    M is sliced out of `system.matrix` (C is the system's own block), or,
-    with `zero_c`, stacked from A and B with C = 0 as the inf-sup probe
-    factors it.  Its COO entries are then scaled, mapped to their new
-    positions and the pinned ones dropped.
+    M is sliced out of `system.matrix`, built from the system's blocks or,
+    with `zero_c`, from them with C = 0 as the inf-sup probe factors it.
+    Its COO entries are then scaled, mapped to their new positions and the
+    pinned ones dropped.
     """
     pin = system.n_velocity
     m = pin + system.n_p
     if zero_c:
-        C = sp.csr_matrix((system.n_p, system.n_p))
-        A = velocity_block(system.grid)
-        block = sp.bmat([[A, -system.B.T], [system.B, C]], format="csc")
-        system = dataclasses.replace(system, C=C, matrix=None)
-    else:
-        block = system.matrix.tocsc()[:m, :m]
+        system = dataclasses.replace(system, C=sp.csr_matrix((system.n_p, system.n_p)))
+    block = system.matrix[:m, :m]
     order = _dissection_order(system)
     order = order[order != pin]
     scale = _symmetric_scaling(system)
