@@ -13,7 +13,7 @@ is the one `_schur_complement`.
 
 The direct backend, "splu" (the default, used by `stokes-fv solve`),
 factors the block with the first pressure dof pinned, built in one pass
-from A1, B and C (`_pinned_block`).  Every block of the saddle matrix
+from A1, B and C (`_saddle_block`).  Every block of the saddle matrix
 couples a node (a cell, or a 2x2 cluster for cluster-constant pressure)
 only to its four neighbours, so the pinned block is factored in a
 nested-dissection order of the node rectangle, the fill-optimal order on a
@@ -33,8 +33,8 @@ eigenvalue of B A^-1 B^T on zero-mean pressures against the pressure mass:
 by block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with no sparse
 factor on the cluster space, where n=512 takes about 11 s and 420 MB
 (shift-invert took 57 s and 2.9 GB), and by shift-invert Lanczos on the
-factor of `_direct_block` on the cell space, where beta^2 decays like h^2
-and LOBPCG's step count grows with it.
+unpinned `_saddle_block` [[A, -B^T], [B, sigma M]] on the cell space, where
+beta^2 decays like h^2 and LOBPCG's step count grows with it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import resource
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -68,10 +68,16 @@ _LEAF_SIDE = 4
 # SuperLU takes the diagonal pivot unless it is below this share of the
 # column's largest entry.
 _DIAG_PIVOT_THRESH = 0.01
-# Reciprocal condition estimate below which a system counts as singular:
-# that of the scaled pinned factor, or the ratio of CG's extreme Ritz values.
-# `solve` flags the system, `schur_smallest_eigen` returns 0.
+# `solve` flags a system as singular when its reciprocal condition estimate,
+# that of the scaled pinned factor or CG's extreme Ritz ratio, is below this;
+# the cluster-space probe returns 0 at or below it times its spectrum's scale.
 _RCOND_FLOOR = 1e-12
+# The cell-space probe factors [[A, -B^T], [B, sigma M]] on diagonal pivots
+# (SuperLU's 1% threshold took 74-381 off it at n = 32..64); sigma is relative
+# to M^-1 B A^-1 B^T, unit-free and O(1).  1/theta - sigma carries rounding of
+# order eps sigma: at or below `_KERNEL_FLOOR` sigma, B^T has a kernel.
+_SIGMA = 1e-4
+_KERNEL_FLOOR = 1e-8
 # Schur-complement CG stops at this relative residual in each of its two
 # passes, the solve and its refinement, so the refined solution sits at
 # rounding level; or, short of it, after this many steps per pass.  Over
@@ -165,25 +171,25 @@ def _dissection_order(system: SaddleSystem) -> np.ndarray:
     return np.argsort(np.concatenate([cell_ranks, cell_ranks, ranks]), kind="stable")
 
 
-def _symmetric_scaling(system: SaddleSystem) -> np.ndarray:
+def _symmetric_scaling(system: SaddleSystem, C) -> np.ndarray:
     """Diagonal D with unit-sized diagonal in D [[A, -B^T], [B, C]] D.
 
     Velocities get diag(A)^-1/2; pressures get the inverse square root of
     the diagonal of B diag(A)^-1 B^T + C, or 1 where that is zero.
     """
     a_diag = np.tile(grid_operators(system.grid).A1.diagonal(), 2)
-    p_diag = system.B.multiply(system.B) @ (1.0 / a_diag) + system.C.diagonal()
+    p_diag = system.B.multiply(system.B) @ (1.0 / a_diag) + C.diagonal()
     p_scale = np.ones_like(p_diag)
     np.power(p_diag, -0.5, out=p_scale, where=p_diag > 0)
     return np.concatenate([a_diag**-0.5, p_scale])
 
 
-def _pinned_block(system: SaddleSystem) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """The matrix `_direct_block` factors, built from the system's blocks.
+def _saddle_block(system: SaddleSystem, C, pinned: bool):
+    """The matrix `_factor` factors, built from A1, the system's B and C.
 
     K = (D M D)[perm][:, perm], where M is the saddle block [[A, -B^T],
-    [B, C]] of the system's blocks without the row and column of its first
-    pressure dof, D the `_symmetric_scaling` and perm the nested-dissection
+    [B, C]] (without the row and column of its first pressure dof when
+    `pinned`), D the `_symmetric_scaling` and perm the nested-dissection
     order of the kept dofs.  The COO triplets of A (those of A1, once per
     velocity component), -B^T, B and C are mapped straight to their
     positions in K, so no copy of the saddle block is made and no bordered
@@ -192,13 +198,14 @@ def _pinned_block(system: SaddleSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
     pin = system.n_velocity
     m = pin + system.n_p
     order = _dissection_order(system)
-    order = order[order != pin]
-    scale = _symmetric_scaling(system)
+    if pinned:
+        order = order[order != pin]
+    scale = _symmetric_scaling(system, C)
     # position in K of every dof of M; -1 drops the pinned one
     position = np.full(m, -1, dtype=np.int32)
-    position[order] = np.arange(m - 1, dtype=np.int32)
+    position[order] = np.arange(order.size, dtype=np.int32)
     A1 = grid_operators(system.grid).A1.tocoo()
-    B, C = system.B.tocoo(), system.C.tocoo()
+    B, C = system.B.tocoo(), C.tocoo()
     n, B_row = system.grid.n_cells, B.row + pin
     triplets = [
         (A1.row, A1.col, A1.data),
@@ -207,10 +214,10 @@ def _pinned_block(system: SaddleSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
         (B_row, B.col, B.data),
         (C.row + pin, C.col + pin, C.data),
     ]
-    size = sum(data.size for _, _, data in triplets)
-    rows = np.empty(size, dtype=np.int32)
-    cols = np.empty(size, dtype=np.int32)
-    vals = np.empty(size)
+    nnz = sum(data.size for _, _, data in triplets)
+    rows = np.empty(nnz, dtype=np.int32)
+    cols = np.empty(nnz, dtype=np.int32)
+    vals = np.empty(nnz)
     end = 0
     for row, col, data in triplets:
         row_pos, col_pos = position[row], position[col]
@@ -219,7 +226,9 @@ def _pinned_block(system: SaddleSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
         rows[start:end] = row_pos[kept]
         cols[start:end] = col_pos[kept]
         vals[start:end] = (data * scale[row] * scale[col])[kept]
-    K = sp.csc_matrix((vals[:end], (rows[:end], cols[:end])), shape=(m - 1, m - 1))
+    K = sp.csc_matrix((vals[:end], (rows[:end], cols[:end])), shape=(order.size,) * 2)
+    if not pinned:
+        return K, order, scale
     return K, order - (order > pin), np.delete(scale, pin)
 
 
@@ -268,33 +277,44 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MB
 
 
-def _direct_block(system: SaddleSystem, stats: dict):
-    """Factor the saddle block [[A, -B^T], [B, C]] of the system's blocks
-    without the row and column of its first pressure dof, as the scaled,
-    permuted `_pinned_block` K.  Only K is alive while SuperLU factors it.
-
-    Returns the factor's solve with the unpinned block, x = D P^T K^-1 P D b
-    on the kept dofs with b's pinned entry (its implied equation) dropped
-    and x = 0 there, and its report: the factor's `_scaled_rcond` and no
-    failure.  Raises RuntimeError when SuperLU finds an exactly zero pivot.
+def _factor(system: SaddleSystem, C, pinned: bool, diag_pivot_thresh: float, stats: dict):
+    """Factor `_saddle_block` K by SuperLU's symmetric mode in K's order;
+    only K is alive while SuperLU factors it.  Returns the factor and its
+    solve with the unscaled block on the kept dofs, x = D P^T K^-1 P D b,
+    and puts the seconds spent building (`order_s`) and factoring
+    (`factor_s`) in `stats`.  Raises RuntimeError when SuperLU finds an
+    exactly zero pivot.
     """
     t0 = time.perf_counter()
-    K, perm, scale = _pinned_block(system)
+    K, perm, scale = _saddle_block(system, C, pinned)
     stats["order_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lu = spla.splu(
-        K,
-        permc_spec="NATURAL",
-        diag_pivot_thresh=_DIAG_PIVOT_THRESH,
-        options=dict(SymmetricMode=True),
-    )
+    options = dict(SymmetricMode=True)
+    lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=diag_pivot_thresh, options=options)
     stats["factor_s"] = time.perf_counter() - t0
+
+    def solve_kept(b: np.ndarray) -> np.ndarray:
+        x = np.empty(scale.size)
+        x[perm] = lu.solve((scale * b)[perm])
+        return scale * x
+
+    return lu, solve_kept
+
+
+def _direct_block(system: SaddleSystem, stats: dict):
+    """`_factor` the system's saddle block with its first pressure dof
+    pinned.  Returns its solve with the unpinned block, b's pinned entry
+    (its implied equation) dropped and x = 0 there, and its report: the
+    factor's `_scaled_rcond` and no failure.  Raises RuntimeError when
+    SuperLU finds an exactly zero pivot.
+    """
+    lu, solve_kept = _factor(system, system.C, True, _DIAG_PIVOT_THRESH, stats)
     stats["peak_rss_mb"] = _peak_rss_mb()
     # the values SuperLU stores for L and U; building `lu.L` and `lu.U` to
     # count them would copy the whole factor
     stats["factor_nnz"] = int(lu.nnz)
-    stats["offdiag_pivots"] = int(np.count_nonzero(lu.perm_r != np.arange(K.shape[0])))
+    stats["offdiag_pivots"] = int(np.count_nonzero(lu.perm_r != np.arange(lu.shape[0])))
     t0 = time.perf_counter()
     rcond = _scaled_rcond(lu)
     stats["rcond_s"] = time.perf_counter() - t0
@@ -306,9 +326,7 @@ def _direct_block(system: SaddleSystem, stats: dict):
     pin = system.n_velocity
 
     def solve_block(b: np.ndarray) -> np.ndarray:
-        x = np.empty(scale.size)
-        x[perm] = lu.solve((scale * np.delete(b, pin))[perm])
-        return np.insert(scale * x, pin, 0.0)
+        return np.insert(solve_kept(np.delete(b, pin)), pin, 0.0)
 
     return solve_block, lambda: (rcond, None)
 
@@ -437,7 +455,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10, backend: str = "splu") -> So
     from the blocks.
 
     "splu" pins the first pressure dof and factors the scaled, permuted
-    `_pinned_block` (SuperLU's symmetric mode, diagonal pivots unless one
+    `_saddle_block` (SuperLU's symmetric mode, diagonal pivots unless one
     falls below 1% of its column); `rcond_est` is that factor's
     `_scaled_rcond`, repeatable bit for bit.  `stats` holds the factor's
     size (`factor_nnz`, `fill_factor`), its off-diagonal pivot count, and
@@ -561,10 +579,10 @@ def schur_smallest_eigen(system: SaddleSystem) -> float | None:
     A pressure in the kernel of B^T gives beta^2 = 0, which rounding may
     hide behind a small finite value.  So 0.0 is returned whenever the
     smallest Ritz value of LOBPCG is at or below `solve`'s floor, 1e-12,
-    times the scale of T's spectrum, and, on the cell space, whenever the
-    factor fails or its reciprocal condition estimate falls below that
-    floor.  Raises SolverError when LOBPCG stops short of its tolerance, or
-    when B^T does not annihilate the pressure of its zero.
+    times the scale of T's spectrum, and, on the cell space, whenever
+    1/theta - sigma is at or below `_KERNEL_FLOOR` sigma, also 1e-12.
+    Raises SolverError when LOBPCG stops short of its tolerance, or when
+    B^T does not annihilate the pressure of its zero.
     """
     if system.n_p <= 1:
         return None
@@ -637,31 +655,22 @@ def _lobpcg_beta_sq(system: SaddleSystem) -> float:
 
 
 def _shift_invert_beta_sq(system: SaddleSystem) -> float:
-    """beta^2 by shift-invert Lanczos at shift 0 (Ericsson and Ruhe, Math.
-    Comp. 35, 1980), on any pressure space.
+    """beta^2 by shift-invert Lanczos (Ericsson and Ruhe, Math. Comp. 35,
+    1980) on K = [[A, -B^T], [B, sigma M]], sigma = `_SIGMA`, on any
+    pressure space.
 
-    The system with its stabilization block C replaced by zero,
-    [[A, -B^T], [B, 0]], is factored by `_direct_block`, the function that
-    factors for `solve`'s "splu" backend, and its `_zero_mean` solve maps
-    pressure data g to the zero-mean p with B A^-1 B^T p = g.  In the
-    variables y = M^1/2 p this is the inverse of T on the complement of
-    M^1/2 1, so `eigsh` finds its largest eigenvalue theta, and
-    beta^2 = 1/theta.  Returns 0.0 when the factorization fails or the
-    reciprocal condition estimate of the scaled pinned block falls below
-    `_RCOND_FLOOR`: a kernel of B^T may still let that block factor, and
-    the iteration return a finite, unrelated value.
+    With its pressure rows negated K is symmetric quasi-definite, so it has
+    an LDL^T factor in every symmetric order (Vanderbei, SIAM J. Optim. 5,
+    1995; Gill, Saunders and Shinnerl, SIAM J. Matrix Anal. Appl. 17, 1996):
+    `_factor` keeps the nested dissection, pins nothing and always takes the
+    diagonal pivot.  Eliminating u leaves S + sigma M, S = B A^-1 B^T, whose
+    solution has zero w-weighted mean for data with zero sum, as 1^T S = 0.
+    In y = M^1/2 p the `_zero_mean` solve is the inverse of T + sigma I on
+    the complement of M^1/2 1; `eigsh` finds its largest eigenvalue theta,
+    and beta^2 = 1/theta - sigma, or 0.0 at or below `_KERNEL_FLOOR` sigma.
     """
-    n_p = system.n_p
-    pin = system.n_velocity
-    w = system.mean_weights
-    unstabilized = replace(system, C=sp.csr_matrix((n_p, n_p)))
-    try:
-        solve_block, outcome = _direct_block(unstabilized, {})
-    except RuntimeError:  # SuperLU found an exactly zero pivot
-        return 0.0
-    rcond, _ = outcome()
-    if not rcond >= _RCOND_FLOOR:  # also when the estimate is nan
-        return 0.0
+    n_p, pin, w = system.n_p, system.n_velocity, system.mean_weights
+    _, solve_block = _factor(system, sp.diags(_SIGMA * w), False, 0.0, {})
 
     sqrt_m = np.sqrt(w)
     data = np.zeros(pin + n_p)
@@ -676,6 +685,7 @@ def _shift_invert_beta_sq(system: SaddleSystem) -> float:
     start -= sqrt_m * (sqrt_m @ start) / w.sum()
     op = spla.LinearOperator((n_p, n_p), matvec=inverse, dtype=float)
     # stops once the Ritz residual is below 1e-12 of the Ritz value, which
-    # bounds the relative error of theta, and so of beta^2, by about 1e-12
+    # bounds the relative error of theta by about 1e-12
     theta = spla.eigsh(op, k=1, which="LA", v0=start, tol=1e-12, return_eigenvectors=False)[0]
-    return float(1.0 / theta)
+    beta_sq = float(1.0 / theta - _SIGMA)
+    return beta_sq if beta_sq > _KERNEL_FLOOR * _SIGMA else 0.0

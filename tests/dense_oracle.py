@@ -29,9 +29,9 @@ code replaced by applying A1 to each component and by indexing with
 B A^-1 B^T densely and takes every eigenvalue of its projection onto the
 zero-mean pressures, against the production shift-invert Lanczos probe.
 
-`sliced_pinned_block` builds the scaled, permuted, pinned saddle block the
-solver factors from a copy of the unbordered saddle block, through its COO
-form, against the production build from the A, B and C blocks.
+`sliced_saddle_block` builds the scaled, permuted saddle block the solver
+factors, pinned or not, from a copy of the unbordered saddle block, through
+its COO form, against the production build from the A, B and C blocks.
 
 `splu_gradient_dual_norm` takes the gradient dual norm through a sparse LU
 of the scalar stiffness, against the production probe's factor-free fast
@@ -45,7 +45,6 @@ for bit (`triplet_operator` builds an operator that way from the
 `array_edges` tables).
 """
 
-import dataclasses
 import math
 import types
 
@@ -412,30 +411,29 @@ def dense_schur_smallest_eigen(system):
     return float(scipy.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
 
 
-def sliced_pinned_block(system, zero_c=False):
+def sliced_saddle_block(system, pinned):
     """K = (D M D)[perm][:, perm] of the solver, with M the saddle block
-    [[A, -B^T], [B, C]] without its first pressure row and column.
+    [[A, -B^T], [B, C]], without its first pressure row and column when
+    `pinned`.
 
-    M is sliced out of `system.matrix`, built from the system's blocks or,
-    with `zero_c`, from them with C = 0 as the inf-sup probe factors it.
+    M is sliced out of `system.matrix`, built from the system's blocks.
     Its COO entries are then scaled, mapped to their new positions and the
     pinned ones dropped.
     """
     pin = system.n_velocity
     m = pin + system.n_p
-    if zero_c:
-        system = dataclasses.replace(system, C=sp.csr_matrix((system.n_p, system.n_p)))
     block = system.matrix[:m, :m]
     order = _dissection_order(system)
-    order = order[order != pin]
-    scale = _symmetric_scaling(system)
+    if pinned:
+        order = order[order != pin]
+    scale = _symmetric_scaling(system, system.C)
     position = np.full(m, -1)
-    position[order] = np.arange(m - 1)
+    position[order] = np.arange(order.size)
     coo = block.tocoo()
     row, col = position[coo.row], position[coo.col]
     kept = (row >= 0) & (col >= 0)
     data = (coo.data * scale[coo.row] * scale[coo.col])[kept]
-    return sp.csc_matrix((data, (row[kept], col[kept])), shape=(m - 1, m - 1))
+    return sp.csc_matrix((data, (row[kept], col[kept])), shape=(order.size, order.size))
 
 
 def splu_gradient_dual_norm(q):
